@@ -11,6 +11,9 @@ Outcome indices may be aggregated into partition blocks ("partial Kraus
 maps"); all three notions then apply blockwise with M_mu sums inside each
 block.  When a block has vanishing probability for the state being updated,
 the update is applied to a fallback state xi instead (I/n by default).
+
+The state functions take one density matrix or a stack of shape (..., n, n);
+every check runs across the whole stack.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _any
 from .states import maximally_mixed
 
 COMPLETENESS_TOL = 1e-10
@@ -149,26 +153,29 @@ def validate_channel(ops, tol: float = COMPLETENESS_TOL) -> KrausChannel:
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """The Kraus map K(rho) = sum_mu M_mu rho M_mu†."""
     rho = _check_dims(ch, rho)
-    out = np.einsum("mij,jk,mlk->il", ch.operators, rho, ch.operators.conj())
-    return (out + out.conj().T) / 2
+    out = np.einsum("mij,...jk,mlk->...il", ch.operators, rho, ch.operators.conj())
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = None) -> np.ndarray:
     """Outcome distribution p_mu(rho) = tr(M_mu rho M_mu†), or its block sums.
 
     Entries are clamped at zero (round-off down to -1e-12 is tolerated) and
-    must sum to one within 1e-10.
+    must sum to one within 1e-10.  A stack of states gives shape (..., blocks).
     """
     rho = _check_dims(ch, rho)
-    per = np.einsum("mij,jk,mik->m", ch.operators, rho, ch.operators.conj()).real
+    per = np.einsum("mij,...jk,mik->...m", ch.operators, rho, ch.operators.conj()).real
     if partition is not None:
         _check_partition(ch, partition)
-        per = np.array([per[list(b)].sum() for b in partition.blocks])
+        # outcomes first (.T), so each block sums over axis 0 whatever the stack shape
+        per = np.array([per.T[list(b)].sum(axis=0) for b in partition.blocks]).T
     if per.min() < -ZERO_PROB_TOL:
         raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
     per = np.maximum(per, 0.0)
-    if abs(per.sum() - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {per.sum():.12g}, not 1")
+    total = per.sum(axis=-1)
+    off = abs(total - 1.0) > 1e-10
+    if _any(off):
+        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
     return per
 
 
@@ -179,13 +186,14 @@ def conditional_update(
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
     zero_tol: float = ZERO_PROB_TOL,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool | np.ndarray]:
     """Normalized post-jump state for outcome block `index`, with fallback.
 
     Returns (state, used_fallback).  If the block probability of rho is
     <= zero_tol the update is applied to the fallback state xi instead
     (I/n when not given) and the flag is set; if even xi has vanishing
-    block probability, raises.
+    block probability, raises.  For a stack of states the same block is
+    applied to each, and used_fallback is a boolean array over the stack.
     """
     rho = _check_dims(ch, rho)
     if partition is None:
@@ -198,19 +206,21 @@ def conditional_update(
         )
     block = partition.blocks[index]
     out = _block_map(ch, block, rho)
-    p = float(np.trace(out).real)
-    used_fallback = False
-    if p <= zero_tol:
+    p = out.trace(0, -2, -1).real
+    used_fallback = p <= zero_tol
+    if _any(used_fallback):
         xi = maximally_mixed(ch.dim) if fallback is None else np.asarray(fallback, dtype=complex)
-        out = _block_map(ch, block, xi)
-        p = float(np.trace(out).real)
-        used_fallback = True
-        if p <= zero_tol:
+        out_xi = _block_map(ch, block, xi)
+        p_xi = out_xi.trace().real
+        if p_xi <= zero_tol:
             raise ValueError(
                 f"block {index} has zero probability for the state and for the fallback"
             )
-    out = (out + out.conj().T) / (2 * p)
-    return out, used_fallback
+        out = np.where(used_fallback[..., None, None], out_xi, out)
+        p = np.where(used_fallback, p_xi, p)
+    out = out + np.conj(out.swapaxes(-1, -2))
+    out /= (2 * p)[..., None, None]
+    return out, (used_fallback if used_fallback.ndim else used_fallback.item())
 
 
 def random_channel(n: int, m: int, rng: np.random.Generator) -> KrausChannel:
@@ -242,13 +252,13 @@ def channel_from_dict(d: dict) -> KrausChannel:
 
 def _block_map(ch: KrausChannel, block: tuple[int, ...], rho: np.ndarray) -> np.ndarray:
     ops = ch.operators[list(block)]
-    return np.einsum("mij,jk,mlk->il", ops, rho, ops.conj())
+    return np.einsum("mij,...jk,mlk->...il", ops, rho, ops.conj())
 
 
 def _check_dims(ch: KrausChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     n = ch.dim
-    if rho.shape != (n, n):
+    if rho.shape[-2:] != (n, n):
         raise ValueError(f"state has shape {rho.shape}, channel dimension is {n}")
     return rho
 

@@ -216,6 +216,12 @@ def _int_field(cfg: dict, name: str) -> int:
         raise ConfigError(f"{name}: expected an integer, got {cfg[name]!r}") from exc
 
 
+def _positive(name: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{name}: must be >= 1, got {value}")
+    return value
+
+
 def _float_field(cfg: dict, name: str) -> float:
     try:
         return float(cfg[name])
@@ -265,7 +271,10 @@ def _resolve_instance(cfg: dict):
             raise ConfigError(
                 f"random_channel: expected N,M or N,M,SEED, got {cfg['random_channel']!r}"
             ) from exc
-        ch = random_channel(n, m, _child_rng(gen_seed, 1))
+        try:
+            ch = random_channel(n, m, _child_rng(gen_seed, 1))
+        except ValueError as exc:
+            raise ConfigError(f"random_channel: {exc}") from exc
     else:
         raise ConfigError("channel: provide channel or random_channel")
 
@@ -283,7 +292,10 @@ def _resolve_instance(cfg: dict):
             raise ConfigError(
                 f"random_state: expected N or N,RANK, got {cfg['random_state']!r}"
             ) from exc
-        rho = random_density(n, rank, _child_rng(_require_seed(cfg), 2))
+        try:
+            rho = random_density(n, rank, _child_rng(_require_seed(cfg), 2))
+        except ValueError as exc:
+            raise ConfigError(f"random_state: {exc}") from exc
     else:
         rho = maximally_mixed(ch.dim)
 
@@ -339,11 +351,9 @@ def _cmd_simulate(cfg: dict) -> int:
     seed = _require_seed(cfg)
     ch, rho, est, partition = _resolve_instance(cfg)
     steps = _int_field(cfg, "steps")
-    n_traj = _int_field(cfg, "trajectories")
+    n_traj = _positive("trajectories", _int_field(cfg, "trajectories"))
     if steps < 0:
         raise ConfigError(f"steps: must be >= 0, got {steps}")
-    if n_traj < 1:
-        raise ConfigError(f"trajectories: must be >= 1, got {n_traj}")
     sim_cfg = filtering.SimulationConfig(
         channel=ch, rho0=rho, rho_hat0=est, steps=steps, partition=partition, seed=seed
     )
@@ -373,10 +383,8 @@ def _cmd_verify(cfg: dict) -> int:
     measure = cfg["measure"]
     if measure not in verify.MEASURES:
         raise ConfigError(f"measure: unknown measure {measure!r}")
-    trials = _int_field(cfg, "trials")
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
-    n, m = _int_field(cfg, "n"), _int_field(cfg, "m")
+    trials = _positive("trials", _int_field(cfg, "trials"))
+    n, m = _positive("n", _int_field(cfg, "n")), _positive("m", _int_field(cfg, "m"))
     mode = cfg["partition_mode"]
     if mode not in ("singleton", "trivial", "random"):
         raise ConfigError(f"partition_mode: unknown mode {mode!r}")
@@ -470,7 +478,9 @@ def _cmd_sweep(cfg: dict) -> int:
         p_values = [int(v) for v in str(cfg["partition_sizes"]).split(",")]
     except ValueError as exc:
         raise ConfigError(f"n_values/m_values/partition_sizes: {exc}") from exc
-    trials = _int_field(cfg, "trials")
+    for name, values in (("n_values", n_values), ("m_values", m_values), ("partition_sizes", p_values)):
+        _positive(name, min(values))
+    trials = _positive("trials", _int_field(cfg, "trials"))
     tol = _float_field(cfg, "tolerance")
     submartingale = measure in verify.SUBMARTINGALE_MEASURES
 

@@ -6,14 +6,21 @@ estimate rho_hat_k; the estimate falls back to xi when its own block
 probability vanishes.  Channels may be fixed, per-step, or chosen by a
 feedback rule that sees only (k, rho_hat_k).
 
-Randomness: one uniform draw per step, inverse-CDF over the exact outcome
+Randomness: one uniform per step, inverse-CDF over the exact outcome
 probabilities (residual mass goes to the last block).  Trajectory i of a
-batch uses the child generator SeedSequence(seed, spawn_key=(i,)), so batches
-are reproducible and order-independent.
+batch uses the child generator SeedSequence(seed, spawn_key=(i,)) and draws
+its `steps` uniforms in one call (the same values as one draw per step), so
+batches are reproducible and order-independent.
 
-:func:`batch_statistics` is the fast path: it advances all trajectories in
-lockstep on stacked arrays while drawing from the same per-trajectory child
-generators, and records fidelity curves plus the batch-mean true state.
+One engine runs the chain: a step function on stacks of B states.
+:func:`simulate` runs it with B = 1 and keeps every state;
+:func:`batch_statistics` runs all trajectories in lockstep and keeps fidelity
+curves plus the batch-mean true state.  simulate(cfg, i) is row i of
+batch_statistics(cfg, n_traj): the same jumps, and the same fidelities up to
+the last-bit differences between batched and single LAPACK calls.  Both
+follow one fidelity policy: an eigenvalue below -1e-10 raises "not positive
+semidefinite" (see :func:`qfilter.linalg.psd_sqrt`), in a trajectory's
+fidelities() as in a batch.
 """
 
 from __future__ import annotations
@@ -32,10 +39,9 @@ from .channels import (
     OutcomePartition,
     conditional_update,
     outcome_probs,
-    singleton_partition,
 )
-from .linalg import ZERO_EIGENVALUE_TRIM
-from .states import make_density, maximally_mixed
+from .linalg import _any
+from .states import make_density
 
 ChannelSource = Union[KrausChannel, Sequence[KrausChannel], Callable[[int, np.ndarray], KrausChannel]]
 
@@ -87,7 +93,9 @@ class JointTrajectory:
         return [s.outcome for s in self.steps if s.outcome is not None]
 
     def fidelities(self) -> np.ndarray:
-        return np.array([measures.fidelity(s.estimate, s.true_state) for s in self.steps])
+        return measures.fidelity(
+            np.stack([s.estimate for s in self.steps]), np.stack([s.true_state for s in self.steps])
+        )
 
 
 @dataclass
@@ -156,28 +164,6 @@ class SimulationConfig:
         yield str(self.seed).encode()
 
 
-def step_joint(
-    ch: KrausChannel,
-    rho: np.ndarray,
-    rho_hat: np.ndarray,
-    *,
-    rng: np.random.Generator,
-    partition: OutcomePartition | None = None,
-    fallback: np.ndarray | None = None,
-    k: int = 0,
-) -> JointStep:
-    """One transition: sample a jump from rho's distribution, update both states.
-
-    The true state drives the randomness; the estimate replays the same index
-    and falls back to xi when its own block probability vanishes.
-    """
-    probs = outcome_probs(ch, rho, partition)
-    idx = _sample_outcome(probs, rng.random())
-    new_rho, _ = conditional_update(ch, idx, rho, partition, fallback)
-    new_hat, used_fallback = conditional_update(ch, idx, rho_hat, partition, fallback)
-    return JointStep(k, idx, new_rho, new_hat, used_fallback)
-
-
 def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
     """Run one trajectory of cfg.steps transitions, deterministic given the seed.
 
@@ -185,22 +171,18 @@ def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
     so simulate(cfg, i) is exactly trajectory i of a batch.
     """
     cfg.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(traj_index,)))
-    rho = make_density(cfg.rho0)
-    rho_hat = make_density(cfg.rho_hat0)
-    records = [JointStep(0, None, rho, rho_hat, False)]
+    u = _uniforms(cfg, traj_index)
+    rho = make_density(cfg.rho0)[None]
+    rho_hat = make_density(cfg.rho_hat0)[None]
+    records = [JointStep(0, None, rho[0], rho_hat[0], False)]
     for k in range(cfg.steps):
         try:
-            ch = cfg.channel_at(k, rho_hat)
-            step = step_joint(
-                ch, rho, rho_hat,
-                rng=rng, partition=cfg.partition, fallback=cfg.fallback, k=k + 1,
-            )
+            ch = cfg.channel_at(k, rho_hat[0])
+            idx, rho, rho_hat, used = _step(ch, cfg.partition, rho, rho_hat, u[k : k + 1], cfg.fallback)
         except ValueError as exc:
             partial = JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
             raise SimulationError(f"step {k} failed: {exc}", partial) from exc
-        records.append(step)
-        rho, rho_hat = step.true_state, step.estimate
+        records.append(JointStep(k + 1, int(idx[0]), rho[0], rho_hat[0], bool(used[0])))
     return JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
 
 
@@ -234,7 +216,12 @@ class BatchStatistics:
         Entry k scores mean(F_{k+1} - F_k); positive means the batch mean
         increased.  Steps whose gain is identically zero across the batch
         score +inf (an exact martingale step never counts as a decrease).
+        Needs at least two trajectories, since one has no standard error.
         """
+        if self.fidelity.shape[0] < 2:
+            raise ValueError(
+                f"step-gain z-scores need at least 2 trajectories, got {self.fidelity.shape[0]}"
+            )
         diff = np.diff(self.fidelity, axis=1)
         mean = diff.mean(axis=0)
         stderr = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
@@ -246,10 +233,10 @@ class BatchStatistics:
 def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     """Advance n_traj trajectories in lockstep on stacked arrays.
 
-    Equivalent to simulate_batch (same child generators, one uniform per
-    step per trajectory) but vectorized across the batch.  Feedback channel
-    selectors are not supported here, since each trajectory would need its
-    own channel; use simulate_batch for those.
+    Row i is simulate(cfg, i): the same child generator, one uniform per
+    step, the same step function.  Feedback channel selectors are not
+    supported here, since each trajectory would need its own channel; use
+    simulate_batch for those.
     """
     cfg.validate()
     if not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel):
@@ -259,54 +246,23 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
 
     rho0 = make_density(cfg.rho0)
     hat0 = make_density(cfg.rho_hat0)
-    n = rho0.shape[0]
     steps = cfg.steps
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        for i in range(n_traj)
-    ]
+    u = np.stack([_uniforms(cfg, i) for i in range(n_traj)], axis=1)  # (steps, n_traj)
 
     rho = np.repeat(rho0[None, ...], n_traj, axis=0)
     hat = np.repeat(hat0[None, ...], n_traj, axis=0)
     fid = np.empty((n_traj, steps + 1))
-    fid[:, 0] = _fidelity_batch(hat, rho)
+    fid[:, 0] = measures.fidelity(hat, rho)
     outcomes = np.empty((n_traj, steps), dtype=np.int64)
-    mean_true = np.empty((steps + 1, n, n), dtype=complex)
+    mean_true = np.empty((steps + 1, *rho0.shape), dtype=complex)
     mean_true[0] = rho0
     fallback_counts = np.zeros(steps, dtype=np.int64)
-    rows = np.arange(n_traj)
 
     for k in range(steps):
-        ch = cfg.channel_at(k, hat0)
-        if ch.dim != n:
-            raise ValueError(f"channel at step {k} has dim {ch.dim}, states have dim {n}")
-        partition = cfg.partition if cfg.partition is not None else singleton_partition(ch.num_outcomes)
-        if partition.m != ch.num_outcomes:
-            raise ValueError(
-                f"partition is over {partition.m} outcomes, channel at step {k} has {ch.num_outcomes}"
-            )
-        blocks = partition.blocks
-
-        probs = _block_probs_batch(ch, blocks, rho)
-        u = np.fromiter((r.random() for r in rngs), dtype=float, count=n_traj)
-        cum = np.cumsum(probs, axis=1)
-        idx = np.minimum((u[:, None] >= cum).sum(axis=1), len(blocks) - 1)
-        degenerate = probs[rows, idx] <= ZERO_PROB_TOL
-        if degenerate.any():
-            idx[degenerate] = probs[degenerate].argmax(axis=1)
+        idx, rho, hat, used = _step(cfg.channel_at(k, hat0), cfg.partition, rho, hat, u[k], cfg.fallback)
         outcomes[:, k] = idx
-
-        rho = _update_batch(ch, blocks, rho, idx)
-        hat_probs = _block_probs_batch(ch, blocks, hat)
-        needs_fallback = hat_probs[rows, idx] <= ZERO_PROB_TOL
-        if needs_fallback.any():
-            xi = maximally_mixed(n) if cfg.fallback is None else np.asarray(cfg.fallback, dtype=complex)
-            hat = hat.copy()
-            hat[needs_fallback] = xi
-            fallback_counts[k] = int(needs_fallback.sum())
-        hat = _update_batch(ch, blocks, hat, idx)
-
-        fid[:, k + 1] = _fidelity_batch(hat, rho)
+        fallback_counts[k] = used.sum()
+        fid[:, k + 1] = measures.fidelity(hat, rho)
         mean_true[k + 1] = rho.mean(axis=0)
 
     return BatchStatistics(fid, outcomes, mean_true, fallback_counts)
@@ -374,46 +330,39 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _sample_outcome(probs: np.ndarray, u: float) -> int:
-    """Inverse CDF over the exact probability vector; residual mass to the last block."""
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= len(probs):
-        idx = len(probs) - 1
-    if probs[idx] <= ZERO_PROB_TOL:
-        idx = int(np.argmax(probs))
-    return idx
+def _uniforms(cfg: SimulationConfig, traj_index: int) -> np.ndarray:
+    """The cfg.steps uniforms of trajectory traj_index, from its child generator."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(traj_index,))).random(cfg.steps)
 
 
-def _block_probs_batch(ch: KrausChannel, blocks, stack: np.ndarray) -> np.ndarray:
-    per = np.einsum("mij,bjk,mik->bm", ch.operators, stack, ch.operators.conj()).real
-    return np.stack([per[:, list(b)].sum(axis=1) for b in blocks], axis=1)
+def _step(
+    ch: KrausChannel,
+    partition: OutcomePartition | None,
+    rho: np.ndarray,
+    hat: np.ndarray,
+    u: np.ndarray,
+    fallback: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One transition of B coupled chains: (B, n, n) states, B uniforms.
 
-
-def _update_batch(ch: KrausChannel, blocks, stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.empty_like(stack)
-    for v in np.unique(idx):
-        sel = idx == v
-        ops = ch.operators[list(blocks[v])]
-        upd = np.einsum("mij,bjk,mlk->bil", ops, stack[sel], ops.conj())
-        upd = (upd + upd.conj().swapaxes(-1, -2)) / 2
-        traces = np.einsum("bii->b", upd).real
-        if (traces <= ZERO_PROB_TOL).any():
-            raise ValueError(
-                f"block {int(v)} has zero probability for the state and for the fallback"
-            )
-        out[sel] = upd / traces[:, None, None]
-    return out
-
-
-def _psd_sqrt_batch(stack: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(stack)
-    w = np.where(w <= ZERO_EIGENVALUE_TRIM, 0.0, w)
-    return (U * np.sqrt(w)[:, None, :]) @ U.conj().swapaxes(-1, -2)
-
-
-def _fidelity_batch(sig: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Fidelity for stacked pairs, same singular-value route as measures.fidelity."""
-    cross = _psd_sqrt_batch(sig) @ _psd_sqrt_batch(rho)
-    f = np.linalg.svd(cross, compute_uv=False).sum(axis=-1) ** 2
-    return np.clip(f, 0.0, 1.0)
+    Each jump index is the inverse CDF of u over rho's exact block
+    probabilities, residual mass going to the last block; a block of
+    probability <= ZERO_PROB_TOL is never chosen (the most probable one is).
+    Both states then take the same conditional update, the estimate falling
+    back to xi where its own block probability vanishes.  Returns
+    (indices, new rho, new estimate, fallback flags), each of length B.
+    """
+    probs = outcome_probs(ch, rho, partition)
+    # u past every cut but the last lands in the last block, residual mass included
+    idx = (u[:, None] >= probs.cumsum(axis=-1)[:, :-1]).sum(axis=-1)
+    degenerate = probs[np.arange(len(idx)), idx] <= ZERO_PROB_TOL
+    if _any(degenerate):
+        idx[degenerate] = probs[degenerate].argmax(axis=-1)
+    taken = set(idx.tolist())
+    new_rho, new_hat = np.empty_like(rho), np.empty_like(hat)
+    used = np.empty(len(idx), dtype=bool)
+    for v in taken:
+        sel = idx == v if len(taken) > 1 else slice(None)  # one jump for all: no gather
+        new_rho[sel] = conditional_update(ch, v, rho[sel], partition, fallback)[0]
+        new_hat[sel], used[sel] = conditional_update(ch, v, hat[sel], partition, fallback)
+    return idx, new_rho, new_hat, used

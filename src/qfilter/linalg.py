@@ -2,7 +2,8 @@
 
 Everything downstream (states, channels, measures, dilations) is built on the
 four operations here.  All tolerances are keyword arguments with the package
-defaults below.
+defaults below.  The Hermitian functions take one matrix or a stack of shape
+(..., n, n); every check then runs across the whole stack.
 """
 
 from __future__ import annotations
@@ -24,21 +25,26 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _any(mask) -> bool:
+    """mask.any(), skipping the reduction (about 1 us) when mask holds a single value."""
+    return bool(mask if mask.size == 1 else mask.any())
+
+
 def asymmetry(A: np.ndarray) -> float:
-    """Max elementwise deviation from Hermiticity, max|A - A†|."""
+    """Max elementwise deviation from Hermiticity, max|A - A†|, over the whole stack."""
     A = np.asarray(A)
-    return float(np.abs(A - A.conj().T).max())
+    return float(np.abs(A - A.conj().swapaxes(-1, -2)).max())
 
 
 def require_hermitian(A, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return A as a complex array, raising if it is not square Hermitian."""
+    """Return A as a complex array, raising if it is not a (stack of) square Hermitian matrices."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
     dev = asymmetry(A)
-    if dev > tol:
+    if not dev <= tol:  # a non-finite entry makes dev inf or NaN
+        if not np.isfinite(A).all():
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(
             f"matrix is not Hermitian: max|A - A†| = {dev:.3e} exceeds {tol:.1e}"
         )
@@ -46,7 +52,7 @@ def require_hermitian(A, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 
 def hermitian_eig(H, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix (or stack), eigenvalues ascending."""
     H = require_hermitian(H, tol)
     w, U = np.linalg.eigh(H)
     return Spectrum(w, U)
@@ -58,27 +64,29 @@ def psd_sqrt(
     clamp: float = EIGENVALUE_CLAMP,
     trim: float = ZERO_EIGENVALUE_TRIM,
 ) -> np.ndarray:
-    """Square root U sqrt(L) U† of a Hermitian PSD matrix A = U L U†.
+    """Square root U sqrt(L) U† of a Hermitian PSD matrix (or stack) A = U L U†.
 
     Eigenvalues in [-clamp, 0) are treated as round-off and clamped to zero;
-    anything more negative raises.  Magnitudes at or below `trim` are zeroed
-    as well: an exact-zero eigenvalue computes as ~1e-16 noise whose square
-    root (~1e-8) would otherwise pollute products of square roots.
+    anything more negative, in any matrix of a stack, raises.  Magnitudes at
+    or below `trim` are zeroed as well: an exact-zero eigenvalue computes as
+    ~1e-16 noise whose square root (~1e-8) would otherwise pollute products
+    of square roots.
     """
     w, U = hermitian_eig(A, tol)
-    if w.size and w[0] < -clamp:
+    if w.size and _any(w[..., 0] < -clamp):
         raise ValueError(
-            f"matrix is not positive semidefinite: eigenvalue {w[0]:.3e} < -{clamp:.1e}"
+            f"matrix is not positive semidefinite: eigenvalue {w[..., 0].min():.3e} < -{clamp:.1e}"
         )
     w = np.where(w <= trim, 0.0, w)
     s = np.sqrt(w)
-    return (U * s) @ U.conj().T
+    return (U * s[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
-def trace_abs(A, tol: float = HERMITICITY_TOL) -> float:
-    """Trace norm tr|A| of a Hermitian matrix: sum of absolute eigenvalues."""
+def trace_abs(A, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+    """Trace norm tr|A| of a Hermitian matrix (or stack): sum of absolute eigenvalues."""
     A = require_hermitian(A, tol)
-    return float(np.abs(np.linalg.eigvalsh(A)).sum())
+    d = np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)
+    return d if d.ndim else d.item()
 
 
 def complete_isometry(V, tol: float = ISOMETRY_TOL) -> np.ndarray:

@@ -5,6 +5,10 @@ F(sigma, rho) = (tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, so F = tr(rho sigma)
 whenever one argument is pure.  The trace distance is the un-normalized
 tr|sigma - rho| by default; pass normalized=True for the 1/2-weighted
 convention (under which D = sqrt(1 - F) for pure states).
+
+Fidelity, trace distance and the Frobenius inner product also take two
+equal-shape stacks (..., n, n) and return one value per pair; a single pair
+of matrices returns a float.
 """
 
 from __future__ import annotations
@@ -19,34 +23,37 @@ SUPPORT_TOL = 1e-10
 FIDELITY_OVERSHOOT = 1e-9
 
 
-def fidelity(sigma, rho, overshoot: float = FIDELITY_OVERSHOOT) -> float:
+def fidelity(sigma, rho, overshoot: float = FIDELITY_OVERSHOOT) -> float | np.ndarray:
     """F(sigma, rho) = (tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, in [0, 1].
 
     Evaluated through the equivalent trace norm (sum of singular values)
     of sqrt(sigma) sqrt(rho): round-off enters the singular values linearly,
     where an eigenvalue route would amplify it under the final square root.
     Symmetric in its arguments; overshoot beyond the bounds is clamped (at
-    most `overshoot` is tolerated).
+    most `overshoot` is tolerated, in every pair of a stack).
     """
     sigma, rho = _check_pair(sigma, rho)
     cross = linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho)
-    val = float(np.linalg.svd(cross, compute_uv=False).sum() ** 2)
-    if val > 1.0 + overshoot or val < -overshoot:
-        raise ValueError(f"fidelity {val!r} out of [0, 1] beyond round-off; invalid inputs?")
-    return min(max(val, 0.0), 1.0)
+    val = np.linalg.svd(cross, compute_uv=False).sum(axis=-1) ** 2
+    out_of_range = (val > 1.0 + overshoot) | (val < -overshoot)
+    if linalg._any(out_of_range):
+        bad = float(np.extract(out_of_range, val)[0])
+        raise ValueError(f"fidelity {bad!r} out of [0, 1] beyond round-off; invalid inputs?")
+    return val.clip(0.0, 1.0) if val.ndim else min(max(val.item(), 0.0), 1.0)
 
 
-def trace_distance(sigma, rho, normalized: bool = False) -> float:
+def trace_distance(sigma, rho, normalized: bool = False) -> float | np.ndarray:
     """tr|sigma - rho|, or half of it with normalized=True."""
     sigma, rho = _check_pair(sigma, rho)
     d = linalg.trace_abs(sigma - rho)
     return d / 2 if normalized else d
 
 
-def frobenius_inner(sigma, rho) -> float:
+def frobenius_inner(sigma, rho) -> float | np.ndarray:
     """Frobenius inner product tr(rho sigma), real for Hermitian arguments."""
     sigma, rho = _check_pair(sigma, rho)
-    return float(np.trace(rho @ sigma).real)
+    f = (rho @ sigma).trace(0, -2, -1).real
+    return f if f.ndim else f.item()
 
 
 def relative_entropy(rho, sigma, support_tol: float = SUPPORT_TOL) -> float:
@@ -56,6 +63,8 @@ def relative_entropy(rho, sigma, support_tol: float = SUPPORT_TOL) -> float:
     (eigenvalues of sigma at or below support_tol count as kernel).
     """
     rho, sigma = _check_pair(rho, sigma)
+    if rho.ndim != 2:
+        raise ValueError(f"relative entropy takes two matrices, not stacks of shape {rho.shape}")
     wr = np.linalg.eigvalsh(linalg.require_hermitian(rho))
     wr = np.clip(wr, 0.0, None)
     entropy = float(np.sum(wr[wr > 0.0] * np.log(wr[wr > 0.0])))
@@ -80,6 +89,6 @@ def purity(rho) -> float:
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected two square matrices of equal shape, got {a.shape} and {b.shape}")
     return a, b

@@ -140,6 +140,27 @@ class TestConditionalUpdate:
                 out, _ = channels.conditional_update(ch, nu, rho, part)
                 states.make_density(out)
 
+    def test_stack_matches_each_state_and_flags_fallback_per_state(self):
+        rng = np.random.default_rng(5)
+        ch = channels.random_channel(3, 3, rng)
+        part = channels.random_partition(3, rng, 2)
+        stack = np.stack([states.random_density(3, r, rng) for r in (1, 2, 3)])
+        probs = channels.outcome_probs(ch, stack, part)
+        out, used = channels.conditional_update(ch, 0, stack, part)
+        for i, rho in enumerate(stack):
+            assert np.abs(probs[i] - channels.outcome_probs(ch, rho, part)).max() < 1e-15
+            assert np.abs(out[i] - channels.conditional_update(ch, 0, rho, part)[0]).max() < 1e-14
+        assert used.shape == (3,) and not used.any()
+        proj = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        out, used = channels.conditional_update(proj, 1, np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]))
+        assert used.tolist() == [True, False]
+        assert np.abs(out - np.diag([0.0, 1.0])).max() < 1e-14
+
+    def test_stack_check_fails_on_any_state(self):
+        ch = channels.validate_channel(counterexample_ops())
+        with pytest.raises(ValueError, match="sum to 1.5"):
+            channels.outcome_probs(ch, np.stack([RHO, 1.5 * RHO]))
+
     def test_index_out_of_range(self):
         ch = channels.validate_channel(counterexample_ops())
         with pytest.raises(ValueError, match="out of range"):

@@ -186,6 +186,21 @@ class TestConfigHandling:
         assert run(["verify", "--config", "/nonexistent/cfg.json"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "--n", "0"], "n:"),
+            (["verify", "--m", "0"], "m:"),
+            (["simulate", "--random-channel", "3,2", "--random-state", "3,5"], "random_state:"),
+            (["dilate", "--random-channel", "0,2"], "random_channel:"),
+            (["sweep", "--partition-sizes", "0"], "partition_sizes:"),
+            (["sweep", "--trials", "-1"], "trials:"),
+        ],
+    )
+    def test_out_of_range_number_is_config_error(self, argv, field, tmp_path, capsys):
+        assert run(argv + ["--seed", "1", "--output", str(tmp_path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["verify", "--frobnicate"]) == 2
 

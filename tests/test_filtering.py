@@ -21,47 +21,78 @@ def random_cfg(seed=0, n=3, m=2, steps=8, **kwargs):
     )
 
 
+def near_null_cfg(seed=0):
+    """Projective channel on C^3 (a Haar-rotated line and its complement); estimate outcome-0 probability 1e-10.
+
+    The true state sits in the outcome-0 subspace, so the first jump is 0 and
+    the estimate's update divides round-off by 1e-10.
+    """
+    rng = np.random.default_rng(seed)
+    basis = channels.haar_unitary(3, rng)
+    inside, outside = basis[:, :1], basis[:, 1:]
+    p_in, p_out = inside @ inside.conj().T, outside @ outside.conj().T
+    eps = 1e-10
+    rho_hat0 = (1 - eps) * outside @ states.random_density(2, 2, rng) @ outside.conj().T + eps * p_in
+    return SimulationConfig(
+        channel=channels.validate_channel([p_in, p_out]),
+        rho0=p_in,
+        rho_hat0=rho_hat0,
+        steps=1,
+        seed=seed,
+    )
+
+
 class TestStepJoint:
+    """One transition of the coupled chain, through simulate and batch_statistics."""
+
     def test_equal_inputs_stay_equal(self):
-        rng = np.random.default_rng(1)
-        ch = channels.random_channel(3, 3, rng)
-        rho = states.random_density(3, 2, rng)
-        for _ in range(20):
-            step = filtering.step_joint(ch, rho, rho, rng=rng)
+        cfg = random_cfg(seed=1, n=3, m=3, steps=20)
+        cfg.rho_hat0 = cfg.rho0
+        for step in filtering.simulate(cfg).steps:
             assert np.array_equal(step.true_state, step.estimate)
 
     def test_unitary_channel_deterministic(self):
         rng = np.random.default_rng(2)
         U = channels.haar_unitary(2, rng)
-        ch = channels.validate_channel([U])
         rho = states.random_density(2, 2, rng)
-        step = filtering.step_joint(ch, rho, rho, rng=rng)
+        cfg = SimulationConfig(
+            channel=channels.validate_channel([U]), rho0=rho, rho_hat0=rho, steps=1, seed=2
+        )
+        step = filtering.simulate(cfg).steps[1]
         assert step.outcome == 0
         assert np.abs(step.true_state - U @ rho @ U.conj().T).max() < 1e-12
 
     def test_empirical_frequencies_match_probs(self):
         # binomial oracle: counts over 1e4 draws from a fixed state within 4 sigma
-        rng = np.random.default_rng(3)
-        ch = channels.random_channel(3, 3, rng)
-        rho = states.random_density(3, 3, rng)
-        probs = channels.outcome_probs(ch, rho)
+        cfg = random_cfg(seed=3, n=3, m=3, steps=1)
+        probs = channels.outcome_probs(cfg.channel, cfg.rho0)
         draws = 10_000
-        counts = np.zeros(3)
-        for _ in range(draws):
-            counts[filtering.step_joint(ch, rho, rho, rng=rng).outcome] += 1
-        freq = counts / draws
+        outcomes = filtering.batch_statistics(cfg, draws).outcomes[:, 0]
+        freq = np.bincount(outcomes, minlength=3) / draws
         sigma = np.sqrt(probs * (1 - probs) / draws)
         assert (np.abs(freq - probs) <= 4 * sigma + 1e-12).all()
 
     def test_estimate_fallback_flagged(self):
-        ch = projective_qubit_channel()
-        rho = np.diag([1.0, 0.0])  # always samples outcome 0
-        rho_hat = np.diag([0.0, 1.0])  # has no weight there
-        rng = np.random.default_rng(4)
-        step = filtering.step_joint(ch, rho, rho_hat, rng=rng)
+        cfg = SimulationConfig(
+            channel=projective_qubit_channel(),
+            rho0=np.diag([1.0, 0.0]),  # always samples outcome 0
+            rho_hat0=np.diag([0.0, 1.0]),  # has no weight there
+            steps=1,
+            seed=4,
+        )
+        step = filtering.simulate(cfg).steps[1]
         assert step.outcome == 0
         assert step.fallback_used
         assert np.abs(step.estimate - np.diag([1.0, 0.0])).max() < 1e-14
+
+    def test_both_engines_raise_from_the_same_psd_check(self):
+        # a near-null estimate update leaves eigenvalues below -1e-10
+        cfg = near_null_cfg()
+        with pytest.raises(ValueError, match="not positive semidefinite") as solo:
+            filtering.simulate(cfg, 0).fidelities()
+        with pytest.raises(ValueError, match="not positive semidefinite") as lockstep:
+            filtering.batch_statistics(cfg, 1)
+        assert str(solo.value) == str(lockstep.value)
 
 
 class TestSimulate:
@@ -209,8 +240,11 @@ class TestSimulateBatch:
 
 
 class TestBatchStatistics:
-    def test_matches_per_trajectory_simulate(self):
+    @pytest.mark.parametrize("coarse", [False, True], ids=["fine", "coarse"])
+    def test_matches_per_trajectory_simulate(self, coarse):
         cfg = random_cfg(seed=16, n=3, m=3, steps=12)
+        if coarse:
+            cfg.partition = channels.random_partition(3, np.random.default_rng(16), 2)
         n_traj = 50
         stats = filtering.batch_statistics(cfg, n_traj)
         batch = filtering.simulate_batch(cfg, n_traj)
@@ -229,6 +263,11 @@ class TestBatchStatistics:
         )
         stats = filtering.batch_statistics(cfg, 8)
         assert stats.fallback_counts[0] == 8
+
+    def test_z_scores_need_two_trajectories(self):
+        stats = filtering.batch_statistics(random_cfg(seed=22, steps=2), 1)
+        with pytest.raises(ValueError, match="at least 2 trajectories"):
+            stats.step_gain_z_scores()
 
     def test_rejects_feedback_selector(self):
         cfg = random_cfg(seed=18)

@@ -63,6 +63,23 @@ class TestFidelity:
             b = states.random_density(4, int(rng.integers(1, 5)), rng)
             assert abs(measures.fidelity(a, b) - defining_formula(a, b)) < 1e-10
 
+    def test_stack_matches_each_pair(self):
+        # batched LAPACK calls may differ from single ones in the last bit
+        rng = np.random.default_rng(5)
+        a = np.stack([states.random_density(3, r, rng) for r in (1, 2, 3)])
+        b = np.stack([states.random_density(3, r, rng) for r in (3, 2, 1)])
+        for fn in (measures.fidelity, measures.trace_distance, measures.frobenius_inner):
+            got = fn(a, b)
+            assert got.shape == (3,)
+            assert np.abs(got - [fn(x, y) for x, y in zip(a, b)]).max() < 1e-14
+
+    def test_stack_raises_if_any_pair_is_invalid(self):
+        bad = np.diag([1.0 + 1e-6, -1e-6, 0.0])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            measures.fidelity(np.stack([RHO, bad]), np.stack([SIGMA, SIGMA]))
+        with pytest.raises(ValueError, match="out of"):
+            measures.fidelity(np.stack([RHO, 2 * RHO]), np.stack([RHO, RHO]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="equal shape"):
             measures.fidelity(np.eye(2) / 2, np.eye(3) / 3)

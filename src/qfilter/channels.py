@@ -18,6 +18,7 @@ every check runs across the whole stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,13 @@ def make_partition(m: int, blocks) -> OutcomePartition:
     return OutcomePartition(m, blocks)
 
 
+@functools.lru_cache
 def singleton_partition(m: int) -> OutcomePartition:
-    """One block per outcome: the fine-grained Markov chain."""
-    return OutcomePartition(m, tuple((i,) for i in range(m)))
+    """One block per outcome: the fine-grained Markov chain.
+
+    Cached: the partition is immutable, so every caller shares one instance.
+    """
+    return OutcomePartition(int(m), tuple((i,) for i in range(m)))
 
 
 def trivial_partition(m: int) -> OutcomePartition:

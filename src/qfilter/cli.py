@@ -463,7 +463,7 @@ def _cmd_dilate(cfg: dict) -> int:
                 "unitary": matrix_to_dict(dil.unitary),
             },
         }
-        (out / "replay.json").write_text(json.dumps(report, indent=2) + "\n")
+        (out / "replay.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0 if rep.all_links_hold else 1
 
 

@@ -5,7 +5,13 @@ composite S (x) E (E = C^m) with U(|phi> (x) |e0>) = sum_mu (M_mu|phi>) (x) |mu>
 Everything here uses the package tensor layout: S index fastest, then Q
 (the purification copy of S), then E, so a composite operator is
 np.kron(op_E, np.kron(op_Q, op_S)) and the stacked Kraus isometry occupies
-the first n columns of U verbatim.
+the first n columns of U verbatim.  A vector on S (x) Q (x) E is therefore
+an (m, n, n) array indexed [E, Q, S].
+
+Only the first n columns of U act on |e0>, so lifting a purification psi
+with amplitude matrix A[s, q] through U (x) I_Q gives, per outcome mu, just
+M_mu A: :meth:`Dilation.lift` computes these m blocks from the Kraus stack
+recovered from U, and the dense U (x) I_Q of side n^2 m is never built.
 
 :func:`replay_proof` reruns, numerically, the inequality chain that makes
 the one-step fidelity gain nonnegative:
@@ -62,6 +68,16 @@ class Dilation:
         """The Kraus stack (I (x) <mu|) U (I (x) |e0>), shape (m, n, n)."""
         n = self.dim
         return self.unitary[:, :n].reshape(self.env_dim, n, n)
+
+    def lift(self, psi: np.ndarray) -> np.ndarray:
+        """(U (x) I_Q)(|e0> (x) psi) for psi on S (x) Q, as amplitudes [E, Q, S].
+
+        With A[s, q] the amplitude matrix of psi, the outcome-mu slice is
+        (M_mu A)^T, so the lift costs O(m n^3) time and O(m n^2) memory.
+        """
+        n = self.dim
+        amp = np.asarray(psi).reshape(n, n).T
+        return (self.recovered_operators() @ amp).swapaxes(1, 2)
 
 
 def stinespring(ch: KrausChannel) -> Dilation:
@@ -146,7 +162,10 @@ class ProofReplayReport:
                 }
                 for b in self.blocks
             ],
-            "link_residuals": dict(self.link_residuals),
+            # a vacuous residual (inf: no block entered link (c)) has no JSON number
+            "link_residuals": {
+                k: v if math.isfinite(v) else None for k, v in self.link_residuals.items()
+            },
             "links_hold": dict(self.links_hold),
             "all_links_hold": self.all_links_hold,
             "fallback_blocks": list(self.fallback_blocks),
@@ -163,10 +182,12 @@ def replay_proof(
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
-    Builds the Uhlmann pair, lifts it through the extended dilation unitary,
-    projects per outcome block, and checks links (a)-(e); see the module
-    docstring.  Blocks where sigma's probability vanishes take the xi route
-    and are flagged rather than entering the per-block overlap checks.
+    Builds the Uhlmann pair, lifts each purification with
+    :meth:`Dilation.lift` (the (m, n, n) stack M_mu A; no operator on
+    S (x) Q (x) E is formed), takes each outcome block as a slice of it, and
+    checks links (a)-(e); see the module docstring.  Blocks where sigma's
+    probability vanishes take the xi route and are flagged rather than
+    entering the per-block overlap checks.
     """
     sigma = make_density(sigma)
     rho = make_density(rho)
@@ -180,9 +201,8 @@ def replay_proof(
     psi_sigma, psi_rho = uhlmann_pair(sigma, rho)
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
-    V = _extend_to_sqe(dil.unitary, n, m)
-    chi = V @ np.kron(dil.reference, psi_rho)
-    chi_hat = V @ np.kron(dil.reference, psi_sigma)
+    chi = dil.lift(psi_rho)
+    chi_hat = dil.lift(psi_sigma)
     overlap_lifted = float(abs(np.vdot(chi_hat, chi)) ** 2)
 
     probs_rho = outcome_probs(ch, rho, partition)
@@ -198,8 +218,8 @@ def replay_proof(
     fallback_blocks: list[int] = []
 
     for nu, block in enumerate(partition.blocks):
-        proj_chi = _project_env_block(chi, block, n, m)
-        proj_chi_hat = _project_env_block(chi_hat, block, n, m)
+        proj_chi = chi[list(block)]
+        proj_chi_hat = chi_hat[list(block)]
         norm2 = float(np.vdot(proj_chi, proj_chi).real)
         res_a = max(res_a, abs(norm2 - probs_rho[nu]))
 
@@ -211,7 +231,7 @@ def replay_proof(
         if p_rho > ZERO_PROB_TOL:
             chi_nu = proj_chi / math.sqrt(norm2)
             update_rho, _ = conditional_update(ch, nu, rho, partition)
-            res_b = max(res_b, float(np.abs(_reduce_to_s(chi_nu, n, m) - update_rho).max()))
+            res_b = max(res_b, float(np.abs(_reduce_to_s(chi_nu) - update_rho).max()))
             update_sigma, used_fb = conditional_update(ch, nu, sigma, partition)
             if used_fb:
                 fallback_blocks.append(nu)
@@ -222,7 +242,7 @@ def replay_proof(
                 chi_hat_nu = proj_chi_hat / math.sqrt(norm2_hat)
                 res_b = max(
                     res_b,
-                    float(np.abs(_reduce_to_s(chi_hat_nu, n, m) - update_sigma).max()),
+                    float(np.abs(_reduce_to_s(chi_hat_nu) - update_sigma).max()),
                 )
                 overlap_nu = float(abs(np.vdot(chi_hat_nu, chi_nu)) ** 2)
                 margin_c = min(margin_c, fidelity_nu - overlap_nu)
@@ -257,23 +277,6 @@ def replay_proof(
     )
 
 
-def _extend_to_sqe(U: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Extend U on S (x) E to V = U (x) I_Q on S (x) Q (x) E."""
-    U4 = U.reshape(m, n, m, n)  # [E', S', E, S]
-    V = np.einsum("aceg,bf->abcefg", U4, np.eye(n))
-    return V.reshape(n * n * m, n * n * m)
-
-
-def _project_env_block(vec: np.ndarray, block, n: int, m: int) -> np.ndarray:
-    """Apply the projector onto S (x) Q (x) span{|mu>, mu in block}."""
-    v3 = vec.reshape(m, n, n).copy()  # axes [E, Q, S]
-    mask = np.zeros(m, dtype=bool)
-    mask[list(block)] = True
-    v3[~mask] = 0.0
-    return v3.reshape(-1)
-
-
-def _reduce_to_s(vec: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Partial trace of |vec><vec| over Q (x) E."""
-    v3 = vec.reshape(m, n, n)
-    return np.einsum("eqs,eqt->st", v3, v3.conj())
+def _reduce_to_s(chi: np.ndarray) -> np.ndarray:
+    """Partial trace over Q (x) E of the state with amplitudes chi[e, q, s]."""
+    return np.einsum("eqs,eqt->st", chi, chi.conj())

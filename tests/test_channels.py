@@ -212,6 +212,26 @@ class TestPartitions:
         part = channels.singleton_partition(3)
         assert part.blocks == ((0,), (1,), (2,))
 
+    def test_singletons_are_shared(self):
+        part = channels.singleton_partition(4)
+        assert channels.singleton_partition(4) is part
+        from_numpy = channels.singleton_partition(np.int64(4))
+        assert from_numpy == part and type(from_numpy.m) is int
+
+    def test_default_partition_updates_unchanged(self):
+        # partition=None takes the shared singleton partition; a freshly
+        # built one must give bit-identical updates and flags
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            ch = channels.random_channel(n, m, rng)
+            fresh = channels.make_partition(m, [[i] for i in range(m)])
+            rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+            for mu in range(m):
+                got, got_fb = channels.conditional_update(ch, mu, rho)
+                want, want_fb = channels.conditional_update(ch, mu, rho, fresh)
+                assert np.array_equal(got, want) and got_fb == want_fb
+
     def test_trivial(self):
         assert channels.trivial_partition(3).blocks == ((0, 1, 2),)
 

@@ -144,6 +144,25 @@ class TestDilateCommand:
         replay = json.loads((tmp_path / "replay.json").read_text())
         assert replay["replay"]["all_links_hold"] is True
 
+    def test_vacuous_margin_is_valid_json(self, tmp_path):
+        ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        (tmp_path / "ch.json").write_text(json.dumps(ch.to_dict()))
+        (tmp_path / "rho.json").write_text(json.dumps(states.matrix_to_dict(np.diag([1.0, 0.0]))))
+        (tmp_path / "est.json").write_text(json.dumps(states.matrix_to_dict(np.diag([0.0, 1.0]))))
+        code = run([
+            "dilate", "--channel", str(tmp_path / "ch.json"), "--state", str(tmp_path / "rho.json"),
+            "--estimate", str(tmp_path / "est.json"), "--output", str(tmp_path / "out"),
+        ])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = (tmp_path / "out" / "replay.json").read_text()
+        replay = json.loads(text, parse_constant=reject)["replay"]
+        assert replay["link_residuals"]["c_uhlmann_margin"] is None
+        assert replay["links_hold"]["c_uhlmann_margin"] is True
+
 
 class TestSweepCommand:
     def test_grid_csv(self, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,66 @@ def random_instance(rng, n=None, m=None):
     sigma = states.random_density(n, int(rng.integers(1, n + 1)), rng)
     rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
     return ch, sigma, rho
+
+
+def projective_channel():
+    return channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def dense_lift(dil, psi):
+    """(U (x) I_Q)(|e0> (x) psi) through the dense extended unitary of side n^2 m."""
+    n, m = dil.dim, dil.env_dim
+    U4 = dil.unitary.reshape(m, n, m, n)  # [E', S', E, S]
+    V = np.einsum("aceg,bf->abcefg", U4, np.eye(n)).reshape(n * n * m, n * n * m)
+    return V @ np.kron(dil.reference, psi)
+
+
+def dense_residuals(ch, sigma, rho, partition):
+    """Link residuals (a)-(e) from the dense lift, each block a masked copy."""
+    n, m = ch.dim, ch.num_outcomes
+    partition = partition or channels.singleton_partition(m)
+    dil = dilation.stinespring(ch)
+    psi_sigma, psi_rho = dilation.uhlmann_pair(sigma, rho)
+    chi, chi_hat = dense_lift(dil, psi_rho), dense_lift(dil, psi_sigma)
+    overlap = abs(np.vdot(chi_hat, chi)) ** 2
+    probs_rho = channels.outcome_probs(ch, rho, partition)
+    probs_sigma = channels.outcome_probs(ch, sigma, partition)
+
+    def project(vec, block):
+        v3 = vec.reshape(m, n, n).copy()
+        mask = np.zeros(m, dtype=bool)
+        mask[list(block)] = True
+        v3[~mask] = 0.0
+        return v3.reshape(-1)
+
+    def normalized_reduction(vec):
+        v3 = vec.reshape(m, n, n) / np.linalg.norm(vec)
+        return v3, np.einsum("eqs,eqt->st", v3, v3.conj())
+
+    res_a = res_b = cs_lhs = 0.0
+    margin_c = math.inf
+    for nu, block in enumerate(partition.blocks):
+        proj, proj_hat = project(chi, block), project(chi_hat, block)
+        res_a = max(res_a, abs(np.vdot(proj, proj).real - probs_rho[nu]))
+        if probs_rho[nu] <= channels.ZERO_PROB_TOL:
+            continue
+        chi_nu, reduced = normalized_reduction(proj)
+        update_rho, _ = channels.conditional_update(ch, nu, rho, partition)
+        update_sigma, _ = channels.conditional_update(ch, nu, sigma, partition)
+        res_b = max(res_b, np.abs(reduced - update_rho).max())
+        if probs_sigma[nu] > channels.ZERO_PROB_TOL:
+            chi_hat_nu, reduced_hat = normalized_reduction(proj_hat)
+            res_b = max(res_b, np.abs(reduced_hat - update_sigma).max())
+            overlap_nu = abs(np.vdot(chi_hat_nu, chi_nu)) ** 2
+            margin_c = min(margin_c, measures.fidelity(update_sigma, update_rho) - overlap_nu)
+            cs_lhs += probs_rho[nu] * overlap_nu
+    return {
+        "a_block_norms": res_a,
+        "b_purifications": res_b,
+        "c_uhlmann_margin": margin_c,
+        "d_cauchy_schwarz": cs_lhs - overlap,
+        "e_overlap_vs_fidelity": abs(overlap - measures.fidelity(sigma, rho)),
+    }
 
 
 class TestStinespring:
@@ -172,10 +235,64 @@ class TestReplayProof:
         assert rep.blocks[0].overlap is None
         assert rep.all_links_hold
 
-    def test_report_serializes(self):
-        import json
+    def test_vacuous_margin_serializes_as_null(self):
+        # no block has positive probability on both sides, so link (c) is vacuous
+        rep = dilation.replay_proof(projective_channel(), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        assert rep.link_residuals["c_uhlmann_margin"] == math.inf
+        assert rep.all_links_hold
+        d = rep.to_dict()
+        assert d["link_residuals"]["c_uhlmann_margin"] is None
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
 
+    def test_report_serializes(self):
         ch, sigma, rho = verify.counterexample_instance()
         rep = dilation.replay_proof(ch, sigma, rho)
         encoded = json.dumps(rep.to_dict())
         assert "cauchy_schwarz" in encoded
+
+
+class TestMatrixFreeLift:
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(12)
+        for i in range(50):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            ch, sigma, rho = random_instance(rng, n, m)
+            part = channels.random_partition(m, rng) if i % 2 else None
+            dil = dilation.stinespring(ch)
+            for psi in dilation.uhlmann_pair(sigma, rho):
+                lifted = dil.lift(psi)
+                assert lifted.shape == (m, n, n)
+                assert np.abs(lifted.reshape(-1) - dense_lift(dil, psi)).max() < 1e-12
+            got = dilation.replay_proof(ch, sigma, rho, part).link_residuals
+            want = dense_residuals(ch, sigma, rho, part)
+            assert got.keys() == want.keys()
+            for key in got:
+                assert got[key] == want[key] or abs(got[key] - want[key]) < 1e-12, (i, key)
+
+    def test_one_dimensional_system(self):
+        rng = np.random.default_rng(13)
+        ch = channels.random_channel(1, 3, rng)
+        rep = dilation.replay_proof(ch, np.eye(1), np.eye(1))
+        assert rep.all_links_hold
+        assert len(rep.blocks) == 3
+        assert abs(rep.expected_next_fidelity - 1.0) < 1e-12
+        assert abs(rep.fidelity_current - 1.0) < 1e-12
+
+    def test_unitary_channel_single_block(self):
+        rng = np.random.default_rng(14)
+        ch = channels.validate_channel([channels.haar_unitary(3, rng)])
+        sigma = states.random_density(3, 2, rng)
+        rho = states.random_density(3, 3, rng)
+        rep = dilation.replay_proof(ch, sigma, rho)
+        assert rep.all_links_hold
+        assert len(rep.blocks) == 1 and abs(rep.blocks[0].probability - 1.0) < 1e-12
+        # a unitary preserves fidelity, so the one block carries no gain
+        assert abs(rep.expected_next_fidelity - rep.fidelity_current) < 1e-10
+
+    def test_scales_past_the_dense_lift(self):
+        # the dense U (x) I_Q here would be (32^2 * 8)^2 complex entries, 1 GiB
+        rng = np.random.default_rng(15)
+        ch, sigma, rho = random_instance(rng, 32, 8)
+        rep = dilation.replay_proof(ch, sigma, rho, channels.random_partition(8, rng))
+        assert rep.all_links_hold, rep.link_residuals
+        assert rep.link_residuals["e_overlap_vs_fidelity"] < 1e-10

@@ -25,10 +25,7 @@ import numpy as np
 
 from .linalg import _any
 from .states import maximally_mixed
-
-COMPLETENESS_TOL = 1e-10
-ZERO_OPERATOR_TOL = 1e-12
-ZERO_PROB_TOL = 1e-12
+from .tolerances import COMPLETENESS_TOL, TRACE_TOL, ZERO_OPERATOR_TOL, ZERO_PROB_TOL
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,12 @@ def partition_from_dict(d: dict) -> OutcomePartition:
     return make_partition(int(d["m"]), blocks)
 
 
-def validate_channel(ops, tol: float = COMPLETENESS_TOL) -> KrausChannel:
+def validate_channel(ops) -> KrausChannel:
     """Validate a list of Kraus operators and freeze them into a channel.
 
-    Checks equal square dimensions, no identically-zero operator, and the
-    completeness condition sum M†M = I within tol (Frobenius).
+    Checks equal square dimensions, no identically-zero operator
+    (ZERO_OPERATOR_TOL), and the completeness condition sum M†M = I within
+    COMPLETENESS_TOL (Frobenius).
     """
     ops = [np.asarray(M, dtype=complex) for M in ops]
     if not ops:
@@ -146,9 +144,10 @@ def validate_channel(ops, tol: float = COMPLETENESS_TOL) -> KrausChannel:
             raise ValueError(f"operator {k} is identically zero")
     gram = sum(M.conj().T @ M for M in ops)
     residual = float(np.linalg.norm(gram - np.eye(n)))
-    if residual > tol:
+    if residual > COMPLETENESS_TOL:
         raise ValueError(
-            f"completeness violated: ||sum M†M - I||_F = {residual:.3e} exceeds {tol:.1e}"
+            f"completeness violated: ||sum M†M - I||_F = {residual:.3e} "
+            f"exceeds {COMPLETENESS_TOL:.1e}"
         )
     stacked = np.stack(ops)
     stacked.setflags(write=False)
@@ -165,8 +164,9 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
 def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = None) -> np.ndarray:
     """Outcome distribution p_mu(rho) = tr(M_mu rho M_mu†), or its block sums.
 
-    Entries are clamped at zero (round-off down to -1e-12 is tolerated) and
-    must sum to one within 1e-10.  A stack of states gives shape (..., blocks).
+    Entries are clamped at zero (round-off down to -ZERO_PROB_TOL is
+    tolerated) and must sum to one within TRACE_TOL.  A stack of states gives
+    shape (..., blocks).
     """
     rho = _check_dims(ch, rho)
     per = np.einsum("mij,...jk,mik->...m", ch.operators, rho, ch.operators.conj()).real
@@ -178,7 +178,7 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
         raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
     per = np.maximum(per, 0.0)
     total = per.sum(axis=-1)
-    off = abs(total - 1.0) > 1e-10
+    off = abs(total - 1.0) > TRACE_TOL
     if _any(off):
         raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
     return per
@@ -190,12 +190,11 @@ def conditional_update(
     rho,
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
-    zero_tol: float = ZERO_PROB_TOL,
 ) -> tuple[np.ndarray, bool | np.ndarray]:
     """Normalized post-jump state for outcome block `index`, with fallback.
 
     Returns (state, used_fallback).  If the block probability of rho is
-    <= zero_tol the update is applied to the fallback state xi instead
+    <= ZERO_PROB_TOL the update is applied to the fallback state xi instead
     (I/n when not given) and the flag is set; if even xi has vanishing
     block probability, raises.  For a stack of states the same block is
     applied to each, and used_fallback is a boolean array over the stack.
@@ -212,12 +211,12 @@ def conditional_update(
     block = partition.blocks[index]
     out = _block_map(ch, block, rho)
     p = out.trace(0, -2, -1).real
-    used_fallback = p <= zero_tol
+    used_fallback = p <= ZERO_PROB_TOL
     if _any(used_fallback):
         xi = maximally_mixed(ch.dim) if fallback is None else np.asarray(fallback, dtype=complex)
         out_xi = _block_map(ch, block, xi)
         p_xi = out_xi.trace().real
-        if p_xi <= zero_tol:
+        if p_xi <= ZERO_PROB_TOL:
             raise ValueError(
                 f"block {index} has zero probability for the state and for the fallback"
             )

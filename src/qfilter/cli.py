@@ -35,9 +35,7 @@ from .channels import (
     trivial_partition,
 )
 from .states import make_density, matrix_from_dict, matrix_to_dict, maximally_mixed, random_density
-from .verify import GAP_TOL
-
-MEAN_EVOLUTION_TOL = 1e-12
+from .tolerances import GAP_TOL, MEAN_EVOLUTION_TOL
 
 
 class ConfigError(Exception):
@@ -81,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--seed", type=int, help="base seed (required for randomized commands)")
         p.add_argument("--output", help="output directory for CSV/JSON reports")
-        p.add_argument("--tolerance", type=float, help=f"gap tolerance (default {GAP_TOL})")
         if needs_instance:
             p.add_argument("--channel", help="channel JSON file")
             p.add_argument("--random-channel", metavar="N,M", help="generate a random channel")
@@ -89,6 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--random-state", metavar="N[,RANK]", help="generate a random true state")
             p.add_argument("--estimate", help="estimate JSON file (default: maximally mixed)")
             p.add_argument("--partition", help="partition JSON file")
+
+    def tolerance(p, what):
+        p.add_argument("--tolerance", type=float, help=f"{what} (default {GAP_TOL})")
 
     common(sub.add_parser("counterexample", help="print the embedded counter-example report"))
 
@@ -99,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="gap reports over random instances for one measure")
     common(p)
+    tolerance(p, "slack of the wrong-sign verdict on each gap")
     p.add_argument("--measure", choices=sorted(verify.MEASURES), help="measure to check")
     p.add_argument("--trials", type=int, help="number of random instances")
     p.add_argument("--n", type=int, help="state dimension (default 3)")
@@ -117,9 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilate", help="dilation and proof-replay report for one instance")
     common(p, needs_instance=True)
+    tolerance(p, "link tolerance of the proof replay, links (a)-(d)")
 
     p = sub.add_parser("sweep", help="worst gaps over a grid of n, m, partition sizes")
     common(p)
+    tolerance(p, "slack of the wrong-sign verdict on each gap")
     p.add_argument("--n-values", help="comma list of dimensions, e.g. 2,3,4")
     p.add_argument("--m-values", help="comma list of operator counts")
     p.add_argument("--partition-sizes", help="comma list of block counts")
@@ -129,11 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {
-    "counterexample": {"output": None, "seed": None, "tolerance": GAP_TOL},
+    "counterexample": {"output": None, "seed": None},
     "simulate": {
         "output": ".",
         "seed": None,
-        "tolerance": GAP_TOL,
         "steps": 10,
         "trajectories": 1,
         "channel": None,
@@ -224,9 +226,12 @@ def _positive(name: str, value: int) -> int:
 
 def _float_field(cfg: dict, name: str) -> float:
     try:
-        return float(cfg[name])
+        value = float(cfg[name])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected a number, got {cfg[name]!r}") from exc
+    if not math.isfinite(value):  # a NaN slack would make every comparison false
+        raise ConfigError(f"{name}: must be finite, got {value}")
+    return value
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -397,19 +402,8 @@ def _cmd_verify(cfg: dict) -> int:
     if cfg.get("include_counterexample"):
         ch, sigma, rho = verify.counterexample_instance()
         reports.append(verify.measure_gap_report(ch, sigma, rho, measure, tol=tol))
-    for child in rng.spawn(trials):
-        ch = random_channel(n, m, child)
-        full_rank = measure == "relative_entropy"
-        rank_s = n if full_rank else int(child.integers(1, n + 1))
-        rank_r = n if full_rank else int(child.integers(1, n + 1))
-        sigma = random_density(n, rank_s, child)
-        rho = random_density(n, rank_r, child)
-        if mode == "singleton":
-            partition = None
-        elif mode == "trivial":
-            partition = trivial_partition(m)
-        else:
-            partition = random_partition(m, child)
+    full_rank = measure == "relative_entropy"
+    for ch, sigma, rho, partition in verify.random_instances(n, m, trials, rng, mode, full_rank):
         reports.append(verify.measure_gap_report(ch, sigma, rho, measure, partition, tol=tol))
         worst_mean_evo = max(worst_mean_evo, verify.check_mean_evolution(ch, rho, partition))
 
@@ -417,10 +411,7 @@ def _cmd_verify(cfg: dict) -> int:
     _echo_config(cfg, out)
     verify.write_gap_reports_csv(reports, out / "gap_reports.csv")
     gaps = [r.gap for r in reports if not math.isinf(r.gap) and not math.isnan(r.gap)]
-    violations = [
-        r for r in reports
-        if (r.gap < -tol if submartingale else r.gap > tol) and not math.isinf(r.gap)
-    ]
+    violations = [r for r in reports if not r.passed]
     failed = (submartingale and bool(violations)) or worst_mean_evo > MEAN_EVOLUTION_TOL
     report = {
         "config": cfg,
@@ -453,7 +444,7 @@ def _cmd_dilate(cfg: dict) -> int:
     if cfg.get("output"):
         out = _out_dir(cfg)
         _echo_config(cfg, out)
-        dil = dilation_mod.stinespring(ch)
+        dil = rep.dilation
         report = {
             "config": cfg,
             "replay": rep.to_dict(),
@@ -497,6 +488,7 @@ def _cmd_sweep(cfg: dict) -> int:
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
                 cell += 1
                 gaps = []
+                violations = 0
                 for child in rng.spawn(trials):
                     ch = random_channel(n, m, child)
                     sigma = random_density(n, int(child.integers(1, n + 1)), child)
@@ -507,24 +499,16 @@ def _cmd_sweep(cfg: dict) -> int:
                         partition = singleton_partition(m)
                     else:
                         partition = random_partition(m, child, p)
-                    lhs = verify.expected_next_measure(ch, sigma, rho, measure, partition)
-                    rhs = verify.MEASURES[measure](sigma, rho)
-                    if math.isinf(lhs) or math.isinf(rhs):
+                    rep = verify.measure_gap_report(ch, sigma, rho, measure, partition, tol=tol)
+                    if math.isinf(rep.lhs) or math.isinf(rep.rhs):
                         continue
-                    gaps.append(lhs - rhs)
-                gaps_arr = np.array(gaps) if gaps else np.array([np.nan])
-                violations = int(
-                    (gaps_arr < -tol).sum() if submartingale else (gaps_arr > tol).sum()
-                )
+                    gaps.append(rep.gap)
+                    violations += not rep.passed
                 total_violations += violations if submartingale else 0
-                rows.append(
-                    "{},{},{},{},{},{},{}".format(
-                        n, m, p, len(gaps),
-                        format(float(np.nanmin(gaps_arr)), ".17g"),
-                        format(float(np.nanmean(gaps_arr)), ".17g"),
-                        violations,
-                    )
-                )
+                # a cell with no finite instance has no gap statistics
+                min_gap = format(float(np.min(gaps)), ".17g") if gaps else "nan"
+                mean_gap = format(float(np.mean(gaps)), ".17g") if gaps else "nan"
+                rows.append(f"{n},{m},{p},{len(gaps)},{min_gap},{mean_gap},{violations}")
     (out / "sweep.csv").write_text(
         "n,m,partition_size,instances,min_gap,mean_gap,wrong_sign\n" + "\n".join(rows) + "\n"
     )

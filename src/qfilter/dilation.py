@@ -27,13 +27,12 @@ the one-step fidelity gain nonnegative:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, measures
 from .channels import (
-    ZERO_PROB_TOL,
     KrausChannel,
     OutcomePartition,
     conditional_update,
@@ -41,10 +40,7 @@ from .channels import (
     singleton_partition,
 )
 from .states import make_density
-
-LINK_TOL = 1e-9
-OVERLAP_TOL = 1e-10
-UNITARY_TOL = 1e-12
+from .tolerances import GAP_TOL, OVERLAP_TOL, UNITARY_TOL, ZERO_PROB_TOL
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,8 @@ class Dilation:
 
 def stinespring(ch: KrausChannel) -> Dilation:
     """Dilation of a channel: stack the Kraus operators into an isometry and
-    complete it to a unitary; |e0> is the first basis vector of E."""
+    complete it to a unitary (checked to UNITARY_TOL); |e0> is the first
+    basis vector of E."""
     n, m = ch.dim, ch.num_outcomes
     V = np.ascontiguousarray(ch.operators).reshape(m * n, n)
     U = linalg.complete_isometry(V)
@@ -141,6 +138,8 @@ class ProofReplayReport:
     links_hold: dict[str, bool]
     all_links_hold: bool
     fallback_blocks: tuple[int, ...]
+    # the checked dilation the replay lifted through; not written by to_dict
+    dilation: Dilation = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -177,17 +176,18 @@ def replay_proof(
     sigma,
     rho,
     partition: OutcomePartition | None = None,
-    link_tol: float = LINK_TOL,
-    overlap_tol: float = OVERLAP_TOL,
+    link_tol: float = GAP_TOL,
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
     Builds the Uhlmann pair, lifts each purification with
     :meth:`Dilation.lift` (the (m, n, n) stack M_mu A; no operator on
     S (x) Q (x) E is formed), takes each outcome block as a slice of it, and
-    checks links (a)-(e); see the module docstring.  Blocks where sigma's
-    probability vanishes take the xi route and are flagged rather than
-    entering the per-block overlap checks.
+    checks links (a)-(e); see the module docstring.  Links (a)-(d) hold
+    within `link_tol`, the identity (e) within OVERLAP_TOL.  Blocks where
+    sigma's probability vanishes take the xi route and are flagged rather
+    than entering the per-block overlap checks.  The report keeps the
+    dilation it built.
     """
     sigma = make_density(sigma)
     rho = make_density(rho)
@@ -261,7 +261,7 @@ def replay_proof(
         "b_purifications": bool(res_b <= link_tol),
         "c_uhlmann_margin": bool(margin_c >= -link_tol),
         "d_cauchy_schwarz": bool(cs_lhs - overlap_lifted >= -link_tol),
-        "e_overlap_vs_fidelity": bool(abs(overlap_lifted - fidelity_current) <= overlap_tol),
+        "e_overlap_vs_fidelity": bool(abs(overlap_lifted - fidelity_current) <= OVERLAP_TOL),
     }
     return ProofReplayReport(
         overlap_initial=overlap_initial,
@@ -274,6 +274,7 @@ def replay_proof(
         links_hold=holds,
         all_links_hold=all(holds.values()),
         fallback_blocks=tuple(fallback_blocks),
+        dilation=dil,
     )
 
 

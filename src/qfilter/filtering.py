@@ -18,8 +18,8 @@ One engine runs the chain: a step function on stacks of B states.
 curves plus the batch-mean true state.  simulate(cfg, i) is row i of
 batch_statistics(cfg, n_traj): the same jumps, and the same fidelities up to
 the last-bit differences between batched and single LAPACK calls.  Both
-follow one fidelity policy: an eigenvalue below -1e-10 raises "not positive
-semidefinite" (see :func:`qfilter.linalg.psd_sqrt`), in a trajectory's
+follow one fidelity policy: an eigenvalue below -EIGENVALUE_CLAMP raises "not
+positive semidefinite" (see :func:`qfilter.linalg.psd_sqrt`), in a trajectory's
 fidelities() as in a batch.
 """
 
@@ -33,15 +33,10 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import measures
-from .channels import (
-    ZERO_PROB_TOL,
-    KrausChannel,
-    OutcomePartition,
-    conditional_update,
-    outcome_probs,
-)
+from .channels import KrausChannel, OutcomePartition, conditional_update, outcome_probs
 from .linalg import _any
 from .states import make_density
+from .tolerances import ZERO_PROB_TOL
 
 ChannelSource = Union[KrausChannel, Sequence[KrausChannel], Callable[[int, np.ndarray], KrausChannel]]
 

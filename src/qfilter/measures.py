@@ -18,24 +18,22 @@ import math
 import numpy as np
 
 from . import linalg
-
-SUPPORT_TOL = 1e-10
-FIDELITY_OVERSHOOT = 1e-9
+from .tolerances import FIDELITY_OVERSHOOT, SUPPORT_TOL
 
 
-def fidelity(sigma, rho, overshoot: float = FIDELITY_OVERSHOOT) -> float | np.ndarray:
+def fidelity(sigma, rho) -> float | np.ndarray:
     """F(sigma, rho) = (tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, in [0, 1].
 
     Evaluated through the equivalent trace norm (sum of singular values)
     of sqrt(sigma) sqrt(rho): round-off enters the singular values linearly,
     where an eigenvalue route would amplify it under the final square root.
     Symmetric in its arguments; overshoot beyond the bounds is clamped (at
-    most `overshoot` is tolerated, in every pair of a stack).
+    most FIDELITY_OVERSHOOT is tolerated, in every pair of a stack).
     """
     sigma, rho = _check_pair(sigma, rho)
     cross = linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho)
     val = np.linalg.svd(cross, compute_uv=False).sum(axis=-1) ** 2
-    out_of_range = (val > 1.0 + overshoot) | (val < -overshoot)
+    out_of_range = (val > 1.0 + FIDELITY_OVERSHOOT) | (val < -FIDELITY_OVERSHOOT)
     if linalg._any(out_of_range):
         bad = float(np.extract(out_of_range, val)[0])
         raise ValueError(f"fidelity {bad!r} out of [0, 1] beyond round-off; invalid inputs?")
@@ -56,11 +54,11 @@ def frobenius_inner(sigma, rho) -> float | np.ndarray:
     return f if f.ndim else f.item()
 
 
-def relative_entropy(rho, sigma, support_tol: float = SUPPORT_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma), natural log.
 
     Returns math.inf when rho has support outside the support of sigma
-    (eigenvalues of sigma at or below support_tol count as kernel).
+    (eigenvalues of sigma at or below SUPPORT_TOL count as kernel).
     """
     rho, sigma = _check_pair(rho, sigma)
     if rho.ndim != 2:
@@ -73,8 +71,8 @@ def relative_entropy(rho, sigma, support_tol: float = SUPPORT_TOL) -> float:
     # weight of rho along each eigenvector of sigma
     r = np.einsum("ij,jk,ki->i", Us.conj().T, rho, Us).real
     r = np.clip(r, 0.0, None)
-    kernel = ws <= support_tol
-    if float(r[kernel].sum()) > support_tol:
+    kernel = ws <= SUPPORT_TOL
+    if float(r[kernel].sum()) > SUPPORT_TOL:
         return math.inf
     cross = float(np.sum(r[~kernel] * np.log(ws[~kernel])))
     return entropy - cross

@@ -15,16 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .tolerances import EIGENVALUE_CLAMP, HERMITICITY_TOL, TRACE_TOL
 
-DENSITY_TOL = 1e-10
 
-
-def make_density(M, tol: float = DENSITY_TOL) -> np.ndarray:
+def make_density(M) -> np.ndarray:
     """Validate M as a density matrix and return it as a complex array.
 
     Raises ValueError with a distinct message for each failure mode:
-    non-square/non-finite input, non-Hermitian, trace away from one, or an
-    eigenvalue below -tol.
+    non-square/non-finite input, non-Hermitian (HERMITICITY_TOL), trace away
+    from one (TRACE_TOL), or an eigenvalue below -EIGENVALUE_CLAMP.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -32,15 +31,15 @@ def make_density(M, tol: float = DENSITY_TOL) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValueError("density matrix has non-finite entries")
     dev = linalg.asymmetry(M)
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(
             f"density matrix is not Hermitian: max|M - M†| = {dev:.3e}"
         )
     tr = complex(np.trace(M))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
     w = np.linalg.eigvalsh(M)
-    if w[0] < -tol:
+    if w[0] < -EIGENVALUE_CLAMP:
         raise ValueError(
             f"density matrix is not positive semidefinite: eigenvalue {w[0]:.3e}"
         )
@@ -63,15 +62,15 @@ def random_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def purify(rho, tol: float = DENSITY_TOL) -> np.ndarray:
+def purify(rho) -> np.ndarray:
     """Purification of rho on S (x) Q (dimension n^2).
 
     Schmidt form sum_i sqrt(l_i) |u_i> (x) |i> over the eigenbasis of rho,
     eigenvalues ascending, amplitudes real nonnegative.  The partial trace
     over Q of the returned projector recovers rho.
     """
-    rho = make_density(rho, tol)
-    w, U = linalg.hermitian_eig(rho, tol)
+    rho = make_density(rho)
+    w, U = linalg.hermitian_eig(rho)
     A = U * np.sqrt(np.maximum(w, 0.0))  # A[s, q] = sqrt(w_q) U[s, q], A A† = rho
     return A.ravel(order="F")
 

@@ -22,26 +22,25 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
 from .channels import (
-    ZERO_PROB_TOL,
     KrausChannel,
     OutcomePartition,
     apply_channel,
     conditional_update,
     outcome_probs,
     random_channel,
-    singleton_partition,
+    random_partition,
+    trivial_partition,
     validate_channel,
 )
 from .states import random_density
-
-GAP_TOL = 1e-9
-COUNTEREXAMPLE_TOL = 1e-12
+from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL, ZERO_PROB_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
 MEASURES = {
@@ -69,7 +68,10 @@ GAP_REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class GapReport:
-    """LHS/RHS of a one-step expectation check; gap = lhs - rhs as computed."""
+    """LHS/RHS of a one-step expectation check; gap = lhs - rhs as computed.
+
+    tol is the slack the verdict :attr:`passed` allows the gap.
+    """
 
     measure: str
     lhs: float
@@ -78,7 +80,20 @@ class GapReport:
     partition: OutcomePartition | None
     fallback_blocks: tuple[int, ...]
     fingerprint: str
-    passed: bool
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        """The wrong-sign verdict, judged against the measure's expected direction.
+
+        Sub-martingale measures pass when gap >= -tol, the conjectured
+        super-martingales when gap <= tol; an infinite side passes vacuously.
+        """
+        if math.isinf(self.lhs) or math.isinf(self.rhs):
+            return True
+        if self.measure in SUBMARTINGALE_MEASURES:
+            return self.gap >= -self.tol
+        return self.gap <= self.tol
 
     def csv_row(self) -> str:
         num_blocks = self.partition.num_blocks if self.partition is not None else -1
@@ -117,8 +132,9 @@ def expected_next_measure(
     """E[ measure(sigma_{k+1}, rho_{k+1}) | sigma, rho ] as an exact finite sum.
 
     Sums p_nu(rho) * measure(update(sigma), update(rho)) over all blocks with
-    p_nu(rho) > 1e-12; blocks where sigma's probability vanishes use the xi
-    substitution.  Infinite terms with positive weight give an infinite sum.
+    p_nu(rho) > ZERO_PROB_TOL; blocks where sigma's probability vanishes use
+    the xi substitution.  Infinite terms with positive weight give an
+    infinite sum.
     """
     value, _ = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
     return value
@@ -135,23 +151,14 @@ def measure_gap_report(
 ) -> GapReport:
     """One-step expectation report for any registered measure.
 
-    `passed` is judged against the measure's expected direction: the
-    sub-martingale measures pass when gap >= -tol, the conjectured
-    super-martingales behave when gap <= tol.  Instances with an infinite
-    side pass vacuously.
+    The report's `passed` judges the gap against the measure's expected
+    direction with slack `tol` (see :attr:`GapReport.passed`).
     """
     lhs, fb = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
     rhs = MEASURES[measure](sigma, rho)
-    gap = lhs - rhs
-    if math.isinf(lhs) or math.isinf(rhs):
-        passed = True
-    elif measure in SUBMARTINGALE_MEASURES:
-        passed = gap >= -tol
-    else:
-        passed = gap <= tol
     return GapReport(
-        measure, lhs, rhs, gap, partition, fb,
-        _fingerprint(ch, sigma, rho, partition), passed,
+        measure, lhs, rhs, lhs - rhs, partition, fb,
+        _fingerprint(ch, sigma, rho, partition), tol,
     )
 
 
@@ -162,18 +169,17 @@ def check_fidelity_submartingale(
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
 ) -> GapReport:
-    """One-step fidelity gain report; passes when gap >= -1e-9."""
+    """One-step fidelity gain report; passes when gap >= -GAP_TOL."""
     return measure_gap_report(ch, sigma, rho, "fidelity", partition, fallback)
 
 
 def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
-    """F(K(sigma), K(rho)) - F(sigma, rho) >= -1e-9."""
+    """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL."""
     lhs = measures.fidelity(apply_channel(ch, sigma), apply_channel(ch, rho))
     rhs = measures.fidelity(sigma, rho)
-    gap = lhs - rhs
     return GapReport(
-        "fidelity", lhs, rhs, gap, None, (),
-        _fingerprint(ch, sigma, rho, None), gap >= -GAP_TOL,
+        "fidelity", lhs, rhs, lhs - rhs, None, (),
+        _fingerprint(ch, sigma, rho, None), GAP_TOL,
     )
 
 
@@ -182,7 +188,7 @@ def check_mean_evolution(
 ) -> float:
     """Max elementwise deviation of sum_nu p_nu(rho) M_nu(rho) from K(rho).
 
-    An algebraic identity: the deviation must stay below 1e-12.
+    An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
     probs = outcome_probs(ch, rho, partition)
     n = ch.dim
@@ -241,12 +247,13 @@ class CounterexampleReport:
         }
 
 
-def counterexample_report(tol: float = COUNTEREXAMPLE_TOL) -> CounterexampleReport:
+def counterexample_report() -> CounterexampleReport:
     """Evaluate the embedded instance and assert the known exact values.
 
     Trace distance jumps from 1 to an expected 4/3 (so it is not a
     super-martingale) while fidelity gains 1/3 - 1/4.  All four numbers are
-    recomputed here and must match the exact constants within tol.
+    recomputed here and must match the exact constants within
+    COUNTEREXAMPLE_TOL.
     """
     ch, sigma, rho = counterexample_instance()
     d_lhs = expected_next_measure(ch, sigma, rho, "trace_distance")
@@ -262,7 +269,7 @@ def counterexample_report(tol: float = COUNTEREXAMPLE_TOL) -> CounterexampleRepo
         "f_rhs": (f_rhs, 0.25),
     }
     for name, (got, want) in expected.items():
-        if abs(got - want) > tol:
+        if abs(got - want) > COUNTEREXAMPLE_TOL:
             raise RuntimeError(
                 f"counter-example drifted: {name} = {got!r}, expected {want!r}"
             )
@@ -278,6 +285,36 @@ def counterexample_report(tol: float = COUNTEREXAMPLE_TOL) -> CounterexampleRepo
     return CounterexampleReport(d_lhs, d_rhs, f_lhs, f_rhs, s_lhs, s_rhs, note)
 
 
+def random_instances(
+    n: int,
+    m: int,
+    trials: int,
+    rng: np.random.Generator,
+    partition_mode: str = "singleton",
+    full_rank: bool = False,
+) -> Iterator[tuple[KrausChannel, np.ndarray, np.ndarray, OutcomePartition | None]]:
+    """Yield `trials` random (channel, sigma, rho, partition) instances.
+
+    Each instance draws from its own child of `rng`, in this order: the
+    channel, the ranks of sigma and rho (both n when full_rank), sigma, rho,
+    and for partition_mode "random" a random partition.  "singleton" yields
+    partition None, "trivial" the one-block partition.
+    """
+    for child in rng.spawn(trials):
+        ch = random_channel(n, m, child)
+        rank_s = n if full_rank else int(child.integers(1, n + 1))
+        rank_r = n if full_rank else int(child.integers(1, n + 1))
+        sigma = random_density(n, rank_s, child)
+        rho = random_density(n, rank_r, child)
+        if partition_mode == "singleton":
+            partition = None
+        elif partition_mode == "trivial":
+            partition = trivial_partition(m)
+        else:
+            partition = random_partition(m, child)
+        yield ch, sigma, rho, partition
+
+
 def random_search_violation(
     measure: str,
     n: int,
@@ -285,49 +322,26 @@ def random_search_violation(
     trials: int,
     rng: np.random.Generator,
     include_counterexample: bool = False,
-    violation_tol: float = GAP_TOL,
 ) -> list[GapReport]:
     """Search random (channel, sigma, rho) instances for wrong-sign gaps.
 
-    For sub-martingale measures (fidelity, frobenius) a violation is
-    gap < -1e-9 and the returned list is expected to be empty.  For
-    trace_distance and relative_entropy a violation is gap > +1e-9
-    (super-martingale failure); relative-entropy instances are sampled with
-    full rank and filtered to finite values.  include_counterexample
-    prepends the embedded 3-level instance to the trial list.
+    Returns the reports that fail :attr:`GapReport.passed` at GAP_TOL.  For
+    the sub-martingale measures (fidelity, frobenius) the list is expected
+    to be empty; for trace_distance and relative_entropy it lists the
+    super-martingale failures.  Relative-entropy instances are sampled with
+    full rank, and instances with an infinite side never count.
+    include_counterexample prepends the embedded 3-level instance.
 
-    Each trial runs on its own child generator, so the search is
-    reproducible and parallelizes by trial index.
+    Instances come from :func:`random_instances`, one child generator per
+    trial, so the search is reproducible and parallelizes by trial index.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    instances = []
-    if include_counterexample:
-        instances.append(counterexample_instance())
+    instances = [counterexample_instance()] if include_counterexample else []
     full_rank = measure == "relative_entropy"
-    for child in rng.spawn(trials):
-        ch = random_channel(n, m, child)
-        rank_s = n if full_rank else int(child.integers(1, n + 1))
-        rank_r = n if full_rank else int(child.integers(1, n + 1))
-        instances.append((ch, random_density(n, rank_s, child), random_density(n, rank_r, child)))
-
-    violations = []
-    submartingale = measure in SUBMARTINGALE_MEASURES
-    for ch, sigma, rho in instances:
-        lhs, fb = _expected_next_detail(ch, sigma, rho, measure, None, None)
-        rhs = MEASURES[measure](sigma, rho)
-        if math.isinf(lhs) or math.isinf(rhs):
-            continue  # vacuously non-violating
-        gap = lhs - rhs
-        wrong_sign = gap < -violation_tol if submartingale else gap > violation_tol
-        if wrong_sign:
-            violations.append(
-                GapReport(
-                    measure, lhs, rhs, gap, None, fb,
-                    _fingerprint(ch, sigma, rho, None), False,
-                )
-            )
-    return violations
+    instances += [inst[:3] for inst in random_instances(n, m, trials, rng, full_rank=full_rank)]
+    reports = (measure_gap_report(ch, sigma, rho, measure) for ch, sigma, rho in instances)
+    return [r for r in reports if not r.passed]
 
 
 def write_gap_reports_csv(reports, file) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfilter import channels, states
+from qfilter import channels, states, tolerances
 
 
 def counterexample_ops():
@@ -200,7 +200,7 @@ class TestMixtureIdentity:
             probs = channels.outcome_probs(ch, rho, part)
             acc = np.zeros((n, n), dtype=complex)
             for nu, p in enumerate(probs):
-                if p <= channels.ZERO_PROB_TOL:
+                if p <= tolerances.ZERO_PROB_TOL:
                     continue
                 upd, _ = channels.conditional_update(ch, nu, rho, part)
                 acc += p * upd

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfilter import channels, states
+from qfilter import channels, dilation, states, tolerances, verify
 from qfilter.cli import run
 
 
@@ -77,6 +77,21 @@ class TestSimulateCommand:
         assert code == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "counterexample"])
+    def test_tolerance_flag_is_gone(self, command, tmp_path, capsys):
+        argv = [command, "--tolerance", "1e-3", "--seed", "1", "--output", str(tmp_path)]
+        assert run(argv + (["--random-channel", "2,2"] if command == "simulate" else [])) == 2
+
+    def test_tolerance_config_field_is_unknown(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 1, "tolerance": 1e-3}))
+        code = run([
+            "simulate", "--config", str(cfg_file), "--random-channel", "2,2",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "tolerance: unknown field" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_fidelity_suite_passes(self, tmp_path):
@@ -131,6 +146,45 @@ class TestVerifyCommand:
                 "--partition-mode", mode, "--output", str(out),
             ]) == 0
 
+    def test_tolerance_reaches_the_verdict(self, tmp_path):
+        # the counter-example's trace-distance gap is 1/3: wrong-sign at the default slack only
+        def violations(*extra):
+            out = tmp_path / str(len(extra))
+            assert run([
+                "verify", "--measure", "trace_distance", "--include-counterexample",
+                "--trials", "3", "--seed", "1", "--output", str(out), *extra,
+            ]) == 0
+            return json.loads((out / "report.json").read_text())["violations"]
+
+        assert violations() == 1
+        assert violations("--tolerance", "0.5") == 0
+
+    def test_wrong_sign_rows_match_random_search(self, tmp_path):
+        seed = 3
+        assert run([
+            "verify", "--measure", "trace_distance", "--n", "3", "--m", "2", "--trials", "200",
+            "--include-counterexample", "--seed", str(seed), "--output", str(tmp_path),
+        ]) == 0
+        rows = (tmp_path / "gap_reports.csv").read_text().splitlines()[1:]
+        wrong = [r for r in rows if float(r.split(",")[3]) > tolerances.GAP_TOL]
+        found = verify.random_search_violation(
+            "trace_distance", 3, 2, 200, np.random.default_rng(seed), include_counterexample=True
+        )
+        assert len(wrong) > 1  # the counter-example and random instances
+        assert wrong == [r.csv_row() for r in found]
+
+    @pytest.mark.parametrize("mode", ["singleton", "trivial", "random"])
+    @pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (1, 1)])
+    def test_one_dimension_or_one_outcome(self, n, m, mode, tmp_path):
+        # a 1-dimensional state space or a unitary channel leaves the fidelity unchanged
+        assert run([
+            "verify", "--n", str(n), "--m", str(m), "--partition-mode", mode,
+            "--trials", "5", "--seed", "2", "--output", str(tmp_path),
+        ]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["instances"] == 5 and report["passed"] is True
+        assert abs(report["min_gap"]) < 1e-12 and abs(report["max_gap"]) < 1e-12
+
 
 class TestDilateCommand:
     def test_replay_report(self, tmp_path, capsys):
@@ -163,6 +217,36 @@ class TestDilateCommand:
         assert replay["link_residuals"]["c_uhlmann_margin"] is None
         assert replay["links_hold"]["c_uhlmann_margin"] is True
 
+    def test_one_dilation_per_output(self, tmp_path, monkeypatch):
+        built = []
+        real = dilation.stinespring
+
+        def counting(ch):
+            built.append(real(ch))
+            return built[-1]
+
+        monkeypatch.setattr(dilation, "stinespring", counting)
+        assert run([
+            "dilate", "--random-channel", "3,3", "--random-state", "3,2",
+            "--seed", "3", "--output", str(tmp_path),
+        ]) == 0
+        assert len(built) == 1
+        replay = json.loads((tmp_path / "replay.json").read_text())
+        assert replay["dilation"]["unitary"] == states.matrix_to_dict(built[0].unitary)
+
+    def test_tolerance_reaches_the_links(self, tmp_path, capsys):
+        # a negative link tolerance demands a margin no residual has; link (e) keeps its own
+        argv = [
+            "dilate", "--random-channel", "3,3", "--random-state", "3,2", "--seed", "3",
+            "--output", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+        assert run(argv + ["--tolerance", "-1"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("VIOLATED") == 4
+        assert "e_overlap_vs_fidelity" in out.splitlines()[-1] and out.endswith("ok\n")
+
 
 class TestSweepCommand:
     def test_grid_csv(self, tmp_path):
@@ -174,6 +258,41 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,m,partition_size,instances,min_gap,mean_gap,wrong_sign"
         assert len(lines) == 5  # 2 dims x 1 m x 2 partition sizes
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_cell_writes_nan_without_warnings(self, tmp_path):
+        # every relative entropy in cell (3, 3, 2) is infinite, so it has no gap to reduce
+        assert run([
+            "sweep", "--measure", "relative_entropy", "--trials", "5",
+            "--seed", "1", "--output", str(tmp_path),
+        ]) == 0
+        assert "3,3,2,0,nan,nan,0" in (tmp_path / "sweep.csv").read_text().splitlines()
+
+    def test_tolerance_reaches_the_verdict(self, tmp_path):
+        # a negative slack demands a fidelity gain above 1, which no instance has
+        argv = [
+            "sweep", "--n-values", "2", "--m-values", "2", "--partition-sizes", "2",
+            "--trials", "4", "--seed", "2",
+        ]
+        assert run(argv + ["--output", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--tolerance", "-1", "--output", str(tmp_path / "b")]) == 1
+        assert (tmp_path / "a" / "sweep.csv").read_text().splitlines()[1].endswith(",0")
+        assert (tmp_path / "b" / "sweep.csv").read_text().splitlines()[1].endswith(",4")
+
+    def test_one_dimension_and_one_outcome(self, tmp_path):
+        assert run([
+            "sweep", "--n-values", "1,2", "--m-values", "1,2", "--partition-sizes", "1,2",
+            "--trials", "4", "--seed", "5", "--output", str(tmp_path),
+        ]) == 0
+        rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [tuple(r[:3]) for r in rows] == [
+            ("1", "1", "1"), ("1", "2", "1"), ("1", "2", "2"),
+            ("2", "1", "1"), ("2", "2", "1"), ("2", "2", "2"),
+        ]
+        for n, m, _, instances, min_gap, mean_gap, wrong in rows:
+            assert instances == "4" and wrong == "0"
+            if "1" in (n, m):  # a 1-dimensional state space or a unitary channel: no gain
+                assert abs(float(min_gap)) < 1e-12 and abs(float(mean_gap)) < 1e-12
 
 
 class TestConfigHandling:
@@ -214,6 +333,9 @@ class TestConfigHandling:
             (["dilate", "--random-channel", "0,2"], "random_channel:"),
             (["sweep", "--partition-sizes", "0"], "partition_sizes:"),
             (["sweep", "--trials", "-1"], "trials:"),
+            (["verify", "--tolerance", "nan"], "tolerance:"),
+            (["sweep", "--tolerance", "inf"], "tolerance:"),
+            (["dilate", "--random-channel", "2,2", "--tolerance", "nan"], "tolerance:"),
         ],
     )
     def test_out_of_range_number_is_config_error(self, argv, field, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilter import channels, dilation, measures, states, verify
+from qfilter import channels, dilation, measures, states, tolerances, verify
 
 
 def random_instance(rng, n=None, m=None):
@@ -55,13 +55,13 @@ def dense_residuals(ch, sigma, rho, partition):
     for nu, block in enumerate(partition.blocks):
         proj, proj_hat = project(chi, block), project(chi_hat, block)
         res_a = max(res_a, abs(np.vdot(proj, proj).real - probs_rho[nu]))
-        if probs_rho[nu] <= channels.ZERO_PROB_TOL:
+        if probs_rho[nu] <= tolerances.ZERO_PROB_TOL:
             continue
         chi_nu, reduced = normalized_reduction(proj)
         update_rho, _ = channels.conditional_update(ch, nu, rho, partition)
         update_sigma, _ = channels.conditional_update(ch, nu, sigma, partition)
         res_b = max(res_b, np.abs(reduced - update_rho).max())
-        if probs_sigma[nu] > channels.ZERO_PROB_TOL:
+        if probs_sigma[nu] > tolerances.ZERO_PROB_TOL:
             chi_hat_nu, reduced_hat = normalized_reduction(proj_hat)
             res_b = max(res_b, np.abs(reduced_hat - update_sigma).max())
             overlap_nu = abs(np.vdot(chi_hat_nu, chi_nu)) ** 2

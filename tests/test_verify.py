@@ -209,3 +209,34 @@ class TestMeasureGapReport:
         rho = np.diag([0.5, 0.5])
         rep = verify.measure_gap_report(ch, sigma, rho, "fidelity")
         assert rep.fallback_blocks == (0,)
+
+    def test_verdict_honours_tol_and_infinite_sides(self):
+        ch, sigma, rho = verify.counterexample_instance()
+        # the trace-distance gap is 1/3
+        assert verify.measure_gap_report(ch, sigma, rho, "trace_distance", tol=0.5).passed
+        rep = verify.measure_gap_report(ch, sigma, rho, "relative_entropy")
+        assert math.isinf(rep.lhs) and rep.passed  # vacuous
+
+
+class TestRandomInstances:
+    @pytest.mark.parametrize("mode", ["singleton", "trivial", "random"])
+    def test_draw_order(self, mode):
+        # the documented per-child order: channel, both ranks, sigma, rho, then the partition
+        got = list(verify.random_instances(3, 4, 3, np.random.default_rng(5), mode))
+        for child, (ch, sigma, rho, part) in zip(np.random.default_rng(5).spawn(3), got):
+            want_ch = channels.random_channel(3, 4, child)
+            rank_s, rank_r = int(child.integers(1, 4)), int(child.integers(1, 4))
+            assert np.array_equal(ch.operators, want_ch.operators)
+            assert np.array_equal(sigma, states.random_density(3, rank_s, child))
+            assert np.array_equal(rho, states.random_density(3, rank_r, child))
+            if mode == "singleton":
+                assert part is None
+            elif mode == "trivial":
+                assert part == channels.trivial_partition(4)
+            else:
+                assert part == channels.random_partition(4, child)
+
+    def test_full_rank(self):
+        instances = verify.random_instances(3, 2, 5, np.random.default_rng(6), full_rank=True)
+        for _, sigma, rho, _ in instances:
+            assert np.linalg.matrix_rank(sigma) == np.linalg.matrix_rank(rho) == 3

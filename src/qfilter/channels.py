@@ -13,7 +13,10 @@ block.  When a block has vanishing probability for the state being updated,
 the update is applied to a fallback state xi instead (I/n by default).
 
 The state functions take one density matrix or a stack of shape (..., n, n);
-every check runs across the whole stack.
+every check runs across the whole stack.  The simulation engine's private
+block update (:func:`_factor_probs`, :func:`_factor_update`) works on square
+factors L of the states rho = L L† instead, with the same probability check,
+fallback rule and error messages.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _any
+from .linalg import _any, _psd_factor
 from .states import maximally_mixed
 from .tolerances import COMPLETENESS_TOL, TRACE_TOL, ZERO_OPERATOR_TOL, ZERO_PROB_TOL
 
@@ -177,10 +180,7 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
     if per.min() < -ZERO_PROB_TOL:
         raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
     per = np.maximum(per, 0.0)
-    total = per.sum(axis=-1)
-    off = abs(total - 1.0) > TRACE_TOL
-    if _any(off):
-        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
+    _check_total(per)
     return per
 
 
@@ -252,6 +252,119 @@ def channel_from_dict(d: dict) -> KrausChannel:
     from .states import matrix_from_dict
 
     return validate_channel([matrix_from_dict(m) for m in d["operators"]])
+
+
+def _kraus_products(ch: KrausChannel, L: np.ndarray) -> np.ndarray:
+    """The products M_mu L_b of a (B, n, r) factor stack, transposed: T[b, s, mu] = (M_mu L_b)^T[s].
+
+    One product L_b^T O^T per factor, O the (m n, n) stack of the
+    operators, so every factor takes the same arithmetic wherever it sits
+    in the stack (equal factors stay equal).  Shape (B, r, m, n).
+    """
+    m, n, _ = ch.operators.shape
+    return (L.swapaxes(-1, -2) @ ch.operators.reshape(m * n, n).T).reshape(len(L), -1, m, n)
+
+
+def _factor_probs(
+    ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the products of :func:`_kraus_products`, block probabilities) of the states L L†.
+
+    p_mu = ||M_mu L||_F^2 = tr(M_mu L L† M_mu†): a sum of squares, never
+    negative, summed over each block and checked to sum to one within
+    TRACE_TOL as in :func:`outcome_probs`.  The products are returned for
+    :func:`_factor_update` to reuse.
+    """
+    T = _kraus_products(ch, L)
+    per = _sq_norms(T)
+    if partition is not None:
+        _check_partition(ch, partition)
+        per = per @ _block_indicator(partition)
+    _check_total(per)
+    return T, per
+
+
+def _factor_update(
+    ch: KrausChannel,
+    idx: np.ndarray,
+    T: np.ndarray,
+    probs: np.ndarray,
+    partition: OutcomePartition | None = None,
+    fallback: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the post-jump states: row b takes block idx[b] of its products T[b].
+
+    T and probs are what :func:`_factor_probs` returned for the same
+    partition.  Row b becomes F / ||F||_F with F = [M_mu L_b]_{mu in block},
+    a factor of conditional_update(ch, idx[b], L_b L_b†, partition,
+    fallback).  The factors are square: a block of k > 1 operators gives F
+    k n columns, and a QR of its transpose, F^T = Q R, compresses them back
+    to n, since F F† = R^T (R^T)† (the order of the rows of F^T does not
+    matter).  Where the block probability is <= ZERO_PROB_TOL the products
+    of the fallback xi's factor (xi = I/n when not given) take the row's
+    place and its flag is set; if xi's block probability vanishes too,
+    raises.  Returns ((B, n, n) factors, (B,) fallback flags).
+    """
+    if partition is None:
+        partition = singleton_partition(ch.num_outcomes)
+    B, n = len(idx), ch.dim
+    p = probs[np.arange(B), idx]
+    used = p <= ZERO_PROB_TOL
+    if _any(used):
+        xi = maximally_mixed(n) if fallback is None else np.asarray(fallback, dtype=complex)
+        X = _kraus_products(ch, _psd_factor(xi)[0][None])
+        p_xi = (_sq_norms(X) @ _block_indicator(partition))[0, idx[used]]
+        if _any(p_xi <= ZERO_PROB_TOL):
+            bad = int(idx[used][p_xi <= ZERO_PROB_TOL][0])
+            raise ValueError(f"block {bad} has zero probability for the state and for the fallback")
+        T = np.where(used[:, None, None, None], X, T)
+        p[used] = p_xi
+    taken = set(idx.tolist())
+    out = np.empty((B, n, n), dtype=complex)
+    for v in taken:
+        rows = np.flatnonzero(idx == v) if len(taken) > 1 else np.arange(B)
+        block = partition.blocks[v]
+        if len(block) == 1:
+            out[rows] = T[rows, :, block[0]].swapaxes(-1, -2)
+        else:
+            F_T = T[rows[:, None], :, list(block)]  # (b, k, r, n): the rows of each (M_mu L)^T
+            # raw mode returns LAPACK's result transposed: R^T in the lower triangle of its first n columns
+            R_T = np.linalg.qr(F_T.reshape(len(rows), -1, n), mode="raw")[0][..., :n]
+            R_T *= _lower_triangle(n)
+            out[rows] = R_T
+    out /= np.sqrt(p)[:, None, None]
+    return out, used
+
+
+def _sq_norms(T: np.ndarray) -> np.ndarray:
+    """||M_mu L_b||_F^2 for each (b, mu) of the products T of :func:`_kraus_products`."""
+    v = T.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("bsmi,bsmi->bm", v, v)
+
+
+@functools.lru_cache
+def _lower_triangle(n: int) -> np.ndarray:
+    """The (n, n) 0/1 mask of the lower triangle, diagonal included."""
+    mask = np.tri(n)
+    mask.setflags(write=False)
+    return mask
+
+
+@functools.lru_cache
+def _block_indicator(partition: OutcomePartition) -> np.ndarray:
+    """The (m, blocks) 0/1 matrix E with E[mu, j] = 1 when mu is in block j: p_blocks = p E."""
+    E = np.zeros((partition.m, partition.num_blocks))
+    for j, block in enumerate(partition.blocks):
+        E[list(block), j] = 1.0
+    E.setflags(write=False)
+    return E
+
+
+def _check_total(per: np.ndarray) -> None:
+    total = per.sum(axis=-1)
+    off = abs(total - 1.0) > TRACE_TOL
+    if _any(off):
+        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
 
 
 def _block_map(ch: KrausChannel, block: tuple[int, ...], rho: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ _DEFAULTS = {
         "include_counterexample": False,
     },
     "dilate": {
-        "output": ".",
+        "output": None,  # the replay is printed; files are written only with --output
         "seed": None,
         "tolerance": GAP_TOL,
         "channel": None,

@@ -12,15 +12,25 @@ batch uses the child generator SeedSequence(seed, spawn_key=(i,)) and draws
 its `steps` uniforms in one call (the same values as one draw per step), so
 batches are reproducible and order-independent.
 
-One engine runs the chain: a step function on stacks of B states.
-:func:`simulate` runs it with B = 1 and keeps every state;
+One engine runs the chain: a step function on stacks of B pairs of states,
+each state carried as a square factor L with rho = L L†.  The factors of
+rho0, rho_hat0 (and of the fallback, when it is used) come from one
+eigendecomposition with the PSD check of :func:`qfilter.linalg.psd_sqrt`;
+after that no state is decomposed again.  A jump of block b maps L to
+[M_mu L]_{mu in b} / ||.||_F, a coarse block's k n columns compressed back
+to n by a QR, so the engine cannot produce a state that is not positive
+semidefinite.  The fidelity of a pair is (sum of singular values of
+L_hat† L)^2, one SVD.
+
+Dense states appear only where the API hands them out: JointStep.true_state
+and JointStep.estimate (L L†, made Hermitian), the estimate shown to a
+feedback selector, and BatchStatistics.mean_true_state.
+:func:`simulate` runs the engine with B = 1 and keeps every state;
 :func:`batch_statistics` runs all trajectories in lockstep and keeps fidelity
 curves plus the batch-mean true state.  simulate(cfg, i) is row i of
-batch_statistics(cfg, n_traj): the same jumps, and the same fidelities up to
-the last-bit differences between batched and single LAPACK calls.  Both
-follow one fidelity policy: an eigenvalue below -EIGENVALUE_CLAMP raises "not
-positive semidefinite" (see :func:`qfilter.linalg.psd_sqrt`), in a trajectory's
-fidelities() as in a batch.
+batch_statistics(cfg, n_traj): the same jumps, and fidelities that agree to
+round-off (a trajectory's fidelities() evaluate measures.fidelity on its
+dense states).
 """
 
 from __future__ import annotations
@@ -33,10 +43,15 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import measures
-from .channels import KrausChannel, OutcomePartition, conditional_update, outcome_probs
-from .linalg import _any
+from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update
+from .linalg import _any, _psd_factor
 from .states import make_density
 from .tolerances import ZERO_PROB_TOL
+
+# Trajectories per _step call in batch_statistics: a step's temporaries (the
+# m Kraus products of each factor, the gathered blocks and their QR) then stay
+# near a megabyte however large the batch, at no measurable cost in speed.
+_LOCKSTEP_CHUNK = 256
 
 ChannelSource = Union[KrausChannel, Sequence[KrausChannel], Callable[[int, np.ndarray], KrausChannel]]
 
@@ -66,7 +81,8 @@ class JointStep:
 
     `outcome` is the jump index that produced this pair of states (None for
     the initial record); `fallback_used` marks an estimate update that had to
-    fall back to xi.
+    fall back to xi.  The states are dense: the validated inputs at k = 0,
+    then the engine's L L†, made Hermitian.
     """
 
     k: int
@@ -109,7 +125,8 @@ class SimulationConfig:
     fallback: np.ndarray | None = None
     seed: int | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check every input; returns rho0 and rho_hat0 as validated density matrices."""
         rho0 = make_density(self.rho0)
         rho_hat0 = make_density(self.rho_hat0)
         if rho0.shape != rho_hat0.shape:
@@ -127,6 +144,7 @@ class SimulationConfig:
                 raise ValueError(
                     f"per-step channel list has {len(self.channel)} entries for {self.steps} steps"
                 )
+        return rho0, rho_hat0
 
     def channel_at(self, k: int, rho_hat: np.ndarray) -> KrausChannel:
         if isinstance(self.channel, KrausChannel):
@@ -163,21 +181,23 @@ def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
     """Run one trajectory of cfg.steps transitions, deterministic given the seed.
 
     The generator is the child SeedSequence(cfg.seed, spawn_key=(traj_index,)),
-    so simulate(cfg, i) is exactly trajectory i of a batch.
+    so simulate(cfg, i) is exactly trajectory i of a batch.  The engine is
+    :func:`_step` on a batch of one; each record holds the dense states L L†,
+    and a feedback selector is shown the record's estimate.
     """
-    cfg.validate()
+    rho0, hat0 = cfg.validate()
     u = _uniforms(cfg, traj_index)
-    rho = make_density(cfg.rho0)[None]
-    rho_hat = make_density(cfg.rho_hat0)[None]
-    records = [JointStep(0, None, rho[0], rho_hat[0], False)]
+    pair = _psd_factor(np.stack([rho0, hat0]))[0]
+    records = [JointStep(0, None, rho0, hat0, False)]
     for k in range(cfg.steps):
         try:
-            ch = cfg.channel_at(k, rho_hat[0])
-            idx, rho, rho_hat, used = _step(ch, cfg.partition, rho, rho_hat, u[k : k + 1], cfg.fallback)
+            ch = cfg.channel_at(k, records[-1].estimate)
+            idx, pair, used = _step(ch, cfg.partition, pair, u[k : k + 1], cfg.fallback)
         except ValueError as exc:
             partial = JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
             raise SimulationError(f"step {k} failed: {exc}", partial) from exc
-        records.append(JointStep(k + 1, int(idx[0]), rho[0], rho_hat[0], bool(used[0])))
+        rho, hat = _hermitian(pair @ pair.conj().swapaxes(-1, -2))  # the dense L L† and H H†
+        records.append(JointStep(k + 1, int(idx[0]), rho, hat, bool(used[0])))
     return JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
 
 
@@ -226,39 +246,49 @@ class BatchStatistics:
 
 
 def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
-    """Advance n_traj trajectories in lockstep on stacked arrays.
+    """Advance n_traj trajectories in lockstep on stacked factors.
 
     Row i is simulate(cfg, i): the same child generator, one uniform per
-    step, the same step function.  Feedback channel selectors are not
-    supported here, since each trajectory would need its own channel; use
-    simulate_batch for those.
+    step, the same step function, run on chunks of _LOCKSTEP_CHUNK
+    trajectories.  The states stay (n_traj, n, n) factors throughout (a
+    coarse block's columns compressed back to n by a QR, see :func:`_step`):
+    each fidelity is one batched SVD of the products L_hat† L_rho, and the
+    batch-mean true state is the only state built dense.  Feedback channel
+    selectors are not supported here, since each trajectory would need its
+    own channel; use simulate_batch for those.
     """
-    cfg.validate()
+    rho0, hat0 = cfg.validate()
     if not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel):
         raise ValueError("feedback channel selectors are not supported by batch_statistics")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
-    rho0 = make_density(cfg.rho0)
-    hat0 = make_density(cfg.rho_hat0)
     steps = cfg.steps
     u = np.stack([_uniforms(cfg, i) for i in range(n_traj)], axis=1)  # (steps, n_traj)
 
-    rho = np.repeat(rho0[None, ...], n_traj, axis=0)
-    hat = np.repeat(hat0[None, ...], n_traj, axis=0)
+    n = len(rho0)
+    factors = _psd_factor(np.stack([rho0, hat0]))[0]
     fid = np.empty((n_traj, steps + 1))
-    fid[:, 0] = measures.fidelity(hat, rho)
+    fid[:, 0] = _fidelity(factors[1:], factors[:1])
+    factors = np.repeat(factors[:, None], n_traj, axis=1)  # (2, n_traj, n, n): true states, estimates
     outcomes = np.empty((n_traj, steps), dtype=np.int64)
-    mean_true = np.empty((steps + 1, *rho0.shape), dtype=complex)
+    mean_true = np.empty((steps + 1, n, n), dtype=complex)
     mean_true[0] = rho0
     fallback_counts = np.zeros(steps, dtype=np.int64)
 
     for k in range(steps):
-        idx, rho, hat, used = _step(cfg.channel_at(k, hat0), cfg.partition, rho, hat, u[k], cfg.fallback)
-        outcomes[:, k] = idx
-        fallback_counts[k] = used.sum()
-        fid[:, k + 1] = measures.fidelity(hat, rho)
-        mean_true[k + 1] = rho.mean(axis=0)
+        ch = cfg.channel_at(k, hat0)
+        for start in range(0, n_traj, _LOCKSTEP_CHUNK):
+            s = slice(start, start + _LOCKSTEP_CHUNK)
+            idx, pair, used = _step(ch, cfg.partition, factors[:, s].reshape(-1, n, n), u[k, s], cfg.fallback)
+            factors[:, s] = pair.reshape(2, -1, n, n)
+            outcomes[s, k] = idx
+            fallback_counts[k] += used.sum()
+        rho = factors[0]
+        fid[:, k + 1] = _fidelity(factors[1], rho)
+        # sum_b L_b L_b† as one product of the factors' columns side by side
+        side = rho.transpose(1, 0, 2).reshape(n, -1)
+        mean_true[k + 1] = _hermitian(side @ side.conj().T) / n_traj
 
     return BatchStatistics(fid, outcomes, mean_true, fallback_counts)
 
@@ -333,31 +363,40 @@ def _uniforms(cfg: SimulationConfig, traj_index: int) -> np.ndarray:
 def _step(
     ch: KrausChannel,
     partition: OutcomePartition | None,
-    rho: np.ndarray,
-    hat: np.ndarray,
+    pair: np.ndarray,
     u: np.ndarray,
     fallback: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One transition of B coupled chains: (B, n, n) states, B uniforms.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One transition of B coupled chains, given B uniforms and a (2B, n, n) factor stack.
 
-    Each jump index is the inverse CDF of u over rho's exact block
-    probabilities, residual mass going to the last block; a block of
-    probability <= ZERO_PROB_TOL is never chosen (the most probable one is).
-    Both states then take the same conditional update, the estimate falling
-    back to xi where its own block probability vanishes.  Returns
-    (indices, new rho, new estimate, fallback flags), each of length B.
+    Rows :B of `pair` are the true states' factors L_b, rows B: the
+    estimates' H_b, so rho_b = L_b L_b† and rho_hat_b = H_b H_b†.  Each jump
+    index is the inverse CDF of u over rho's exact block probabilities
+    ||[M_mu L]_block||_F^2, residual mass going to the last block; a block
+    of probability <= ZERO_PROB_TOL is never chosen (the most probable one
+    is).  Both factors then take the same block update, [M_mu L]_block over
+    its Frobenius norm, a coarse block compressed back to n columns by QR;
+    the estimate falls back to xi's factor where its own block probability
+    vanishes.  Returns (indices, the new pair stack, the estimates' fallback
+    flags), indices and flags of length B.
     """
-    probs = outcome_probs(ch, rho, partition)
+    B = len(u)
+    T, probs = _factor_probs(ch, pair, partition)
+    true_probs = probs[:B]
     # u past every cut but the last lands in the last block, residual mass included
-    idx = (u[:, None] >= probs.cumsum(axis=-1)[:, :-1]).sum(axis=-1)
-    degenerate = probs[np.arange(len(idx)), idx] <= ZERO_PROB_TOL
+    idx = (u[:, None] >= true_probs.cumsum(axis=-1)[:, :-1]).sum(axis=-1)
+    degenerate = true_probs[np.arange(B), idx] <= ZERO_PROB_TOL
     if _any(degenerate):
-        idx[degenerate] = probs[degenerate].argmax(axis=-1)
-    taken = set(idx.tolist())
-    new_rho, new_hat = np.empty_like(rho), np.empty_like(hat)
-    used = np.empty(len(idx), dtype=bool)
-    for v in taken:
-        sel = idx == v if len(taken) > 1 else slice(None)  # one jump for all: no gather
-        new_rho[sel] = conditional_update(ch, v, rho[sel], partition, fallback)[0]
-        new_hat[sel], used[sel] = conditional_update(ch, v, hat[sel], partition, fallback)
-    return idx, new_rho, new_hat, used
+        idx[degenerate] = true_probs[degenerate].argmax(axis=-1)
+    pair, used = _factor_update(ch, np.concatenate([idx, idx]), T, probs, partition, fallback)
+    return idx, pair, used[B:]
+
+
+def _fidelity(hat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """F(H H†, L L†) of each pair of a factor stack: one batched SVD of H† L."""
+    return measures._fidelity_of_cross(hat.conj().swapaxes(-1, -2) @ rho)
+
+
+def _hermitian(A: np.ndarray) -> np.ndarray:
+    """(A + A†) / 2: exactly Hermitian, where a product L L† is so only up to round-off."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2

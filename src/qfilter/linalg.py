@@ -65,6 +65,16 @@ def psd_sqrt(A) -> np.ndarray:
     clamped to zero; anything more negative, in any matrix of a stack,
     raises.  Eigenvalues at or below ZERO_EIGENVALUE_TRIM are zeroed as well.
     """
+    factor, U = _psd_factor(A)
+    return factor @ U.conj().swapaxes(-1, -2)
+
+
+def _psd_factor(A) -> tuple[np.ndarray, np.ndarray]:
+    """(U sqrt(L), U) for A = U L U†: a square factor F with F F† = A, and its basis.
+
+    The eigendecomposition, PSD check and trim of :func:`psd_sqrt`, which
+    is this factor times U†.  Eigenvalues trimmed to zero leave zero columns.
+    """
     w, U = hermitian_eig(A)
     if w.size and _any(w[..., 0] < -EIGENVALUE_CLAMP):
         raise ValueError(
@@ -73,7 +83,7 @@ def psd_sqrt(A) -> np.ndarray:
         )
     w = np.where(w <= ZERO_EIGENVALUE_TRIM, 0.0, w)
     s = np.sqrt(w)
-    return (U * s[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    return U * s[..., None, :], U
 
 
 def trace_abs(A) -> float | np.ndarray:

@@ -31,7 +31,16 @@ def fidelity(sigma, rho) -> float | np.ndarray:
     most FIDELITY_OVERSHOOT is tolerated, in every pair of a stack).
     """
     sigma, rho = _check_pair(sigma, rho)
-    cross = linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho)
+    return _fidelity_of_cross(linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho))
+
+
+def _fidelity_of_cross(cross: np.ndarray) -> float | np.ndarray:
+    """F = (tr|cross|)^2 for cross = A† B, where A A† = sigma and B B† = rho.
+
+    Any factors give the same trace norm: psd_sqrt(sigma) @ psd_sqrt(rho) in
+    :func:`fidelity`, and L_sigma† L_rho for the simulation engine's factors.
+    The overshoot check and the clamp are those of :func:`fidelity`.
+    """
     val = np.linalg.svd(cross, compute_uv=False).sum(axis=-1) ** 2
     out_of_range = (val > 1.0 + FIDELITY_OVERSHOOT) | (val < -FIDELITY_OVERSHOOT)
     if linalg._any(out_of_range):

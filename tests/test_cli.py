@@ -234,6 +234,16 @@ class TestDilateCommand:
         replay = json.loads((tmp_path / "replay.json").read_text())
         assert replay["dilation"]["unitary"] == states.matrix_to_dict(built[0].unitary)
 
+    def test_no_output_flag_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        argv = ["dilate", "--random-channel", "3,3", "--random-state", "3,2", "--seed", "3"]
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        assert list(tmp_path.iterdir()) == []
+        printed = capsys.readouterr().out
+        assert run(argv + ["--output", "out"]) == 0
+        assert capsys.readouterr().out == printed
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "replay.json"]
+
     def test_tolerance_reaches_the_links(self, tmp_path, capsys):
         # a negative link tolerance demands a margin no residual has; link (e) keeps its own
         argv = [

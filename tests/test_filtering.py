@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfilter import channels, filtering, measures, states
+from qfilter import channels, filtering, linalg, measures, states, tolerances
 from qfilter.filtering import SimulationConfig
 
 
@@ -85,14 +85,152 @@ class TestStepJoint:
         assert step.fallback_used
         assert np.abs(step.estimate - np.diag([1.0, 0.0])).max() < 1e-14
 
-    def test_both_engines_raise_from_the_same_psd_check(self):
-        # a near-null estimate update leaves eigenvalues below -1e-10
+    def test_both_engines_agree_on_a_near_null_update(self):
+        # the rank-one projector sends any state with weight on its line to that
+        # line, which is rho_1, so F_1 = 1 exactly
         cfg = near_null_cfg()
-        with pytest.raises(ValueError, match="not positive semidefinite") as solo:
-            filtering.simulate(cfg, 0).fidelities()
-        with pytest.raises(ValueError, match="not positive semidefinite") as lockstep:
-            filtering.batch_statistics(cfg, 1)
-        assert str(solo.value) == str(lockstep.value)
+        solo = filtering.simulate(cfg, 0).fidelities()
+        lockstep = filtering.batch_statistics(cfg, 1).fidelity[0]
+        assert abs(solo[1] - 1.0) <= tolerances.GAP_TOL
+        assert abs(lockstep[1] - 1.0) <= tolerances.GAP_TOL
+        assert np.abs(solo - lockstep).max() <= 1e-12
+
+
+def dense_step(ch, partition, rho, hat, u, fallback):
+    """The dense transition the factor engine replaces: M rho M† / p, with the engine's sampler."""
+    probs = channels.outcome_probs(ch, rho, partition)
+    idx = (u[:, None] >= probs.cumsum(axis=-1)[:, :-1]).sum(axis=-1)
+    degenerate = probs[np.arange(len(idx)), idx] <= tolerances.ZERO_PROB_TOL
+    idx[degenerate] = probs[degenerate].argmax(axis=-1)
+    new_rho, new_hat = np.empty_like(rho), np.empty_like(hat)
+    used = np.empty(len(idx), dtype=bool)
+    for v in set(idx.tolist()):
+        sel = idx == v
+        new_rho[sel] = channels.conditional_update(ch, v, rho[sel], partition, fallback)[0]
+        new_hat[sel], used[sel] = channels.conditional_update(ch, v, hat[sel], partition, fallback)
+    return idx, new_rho, new_hat, used
+
+
+def dense_run(cfg, n_traj):
+    """(outcomes, true states, estimates, fidelities, fallback flags) of dense_step on each trajectory's uniforms."""
+    u = np.stack([filtering._uniforms(cfg, i) for i in range(n_traj)], axis=1)
+    rho = np.repeat(states.make_density(cfg.rho0)[None], n_traj, axis=0)
+    hat = np.repeat(states.make_density(cfg.rho_hat0)[None], n_traj, axis=0)
+    outcomes, rhos, hats, used = [], [rho], [hat], []
+    for k in range(cfg.steps):
+        idx, rho, hat, flags = dense_step(cfg.channel_at(k, None), cfg.partition, rho, hat, u[k], cfg.fallback)
+        outcomes.append(idx)
+        rhos.append(rho)
+        hats.append(hat)
+        used.append(flags)
+    fid = np.stack([measures.fidelity(h, r) for h, r in zip(hats, rhos)], axis=1)
+    return np.array(outcomes).T.reshape(n_traj, -1), np.stack(rhos), np.stack(hats), fid, used
+
+
+def oracle_cfg(i):
+    """Instance i of the dense-oracle set: n in [1, 5], m in [1, 4], rank-deficient states, three partition kinds."""
+    rng = np.random.default_rng(1000 + i)
+    n, m = 1 + i % 5, 1 + (i // 5) % 4
+    if i % 3 == 0:
+        partition = channels.singleton_partition(m)
+    elif i % 3 == 1:
+        partition = channels.trivial_partition(m)
+    else:
+        partition = channels.random_partition(m, rng)
+    return SimulationConfig(
+        channel=channels.random_channel(n, m, rng),
+        rho0=states.random_density(n, max(1, n - 1 - i % 2), rng),
+        rho_hat0=states.random_density(n, max(1, n - 2 + i % 2), rng),
+        steps=6,
+        partition=partition,
+        seed=i,
+    )
+
+
+class TestFactorEngine:
+    """The factor engine against a dense copy of the transition it replaced."""
+
+    N_TRAJ = 6
+
+    def assert_matches_dense(self, cfg):
+        outcomes, rhos, hats, fid, used = dense_run(cfg, self.N_TRAJ)
+        stats = filtering.batch_statistics(cfg, self.N_TRAJ)
+        assert np.array_equal(stats.outcomes, outcomes)
+        assert np.abs(stats.fidelity - fid).max() <= 1e-12
+        assert np.abs(stats.mean_true_state - rhos.mean(axis=1)).max() <= 1e-12
+        assert stats.fallback_counts.tolist() == [int(f.sum()) for f in used]
+        for i in range(self.N_TRAJ):
+            traj = filtering.simulate(cfg, i)
+            assert traj.outcomes == outcomes[i].tolist()
+            assert np.abs(np.stack([s.true_state for s in traj.steps]) - rhos[:, i]).max() <= 1e-12
+            assert np.abs(np.stack([s.estimate for s in traj.steps]) - hats[:, i]).max() <= 1e-12
+            assert np.abs(traj.fidelities() - fid[i]).max() <= 1e-12
+
+    @pytest.mark.parametrize("i", range(40))
+    def test_agrees_with_dense_step(self, i):
+        self.assert_matches_dense(oracle_cfg(i))
+
+    def test_per_step_channel_list(self):
+        rng = np.random.default_rng(41)
+        cfg = SimulationConfig(
+            channel=[channels.random_channel(3, 1 + k % 3, rng) for k in range(5)],
+            rho0=states.random_density(3, 1, rng),
+            rho_hat0=states.random_density(3, 2, rng),
+            steps=5,
+            seed=41,
+        )
+        self.assert_matches_dense(cfg)
+
+    def test_projective_fallback(self):
+        cfg = SimulationConfig(
+            channel=channels.validate_channel([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]),
+            rho0=np.diag([0.5, 0.5, 0.0]),
+            rho_hat0=np.diag([0.0, 0.5, 0.5]),  # no weight on outcome 0
+            steps=4,
+            fallback=np.diag([0.2, 0.3, 0.5]),
+            seed=42,
+        )
+        stats = filtering.batch_statistics(cfg, self.N_TRAJ)
+        assert stats.fallback_counts.sum() > 0
+        self.assert_matches_dense(cfg)
+
+    @pytest.mark.parametrize("i", [1, 2, 4, 5, 7, 8])
+    def test_coarse_steps_keep_n_columns(self, i):
+        cfg = oracle_cfg(i)
+        n = cfg.channel.dim
+        pair = np.repeat(linalg._psd_factor(np.stack([cfg.rho0, cfg.rho_hat0]))[0], 3, axis=0)
+        u = np.stack([filtering._uniforms(cfg, t) for t in range(3)], axis=1)
+        for k in range(cfg.steps):
+            pair = filtering._step(cfg.channel, cfg.partition, pair, u[k], None)[1]
+            assert pair.shape == (6, n, n)
+
+    def test_reruns_are_bit_identical(self):
+        cfg = oracle_cfg(2)
+        a, b = filtering.batch_statistics(cfg, 50), filtering.batch_statistics(cfg, 50)
+        assert np.array_equal(a.fidelity, b.fidelity)
+        assert np.array_equal(a.mean_true_state, b.mean_true_state)
+        assert filtering.trajectory_to_csv_string(filtering.simulate(cfg, 3)) == (
+            filtering.trajectory_to_csv_string(filtering.simulate(cfg, 3))
+        )
+
+    def test_feedback_selector_sees_a_valid_dense_estimate(self):
+        base = oracle_cfg(4)
+        shown = []
+
+        def selector(k, rho_hat):
+            shown.append(rho_hat)
+            states.make_density(rho_hat)  # raises unless Hermitian, unit-trace and PSD
+            return base.channel
+
+        cfg = SimulationConfig(
+            channel=selector, rho0=base.rho0, rho_hat0=base.rho_hat0, steps=6, partition=base.partition, seed=4
+        )
+        traj = filtering.simulate(cfg)
+        assert len(shown) == 6
+        for rho_hat, step in zip(shown, traj.steps):
+            assert np.array_equal(rho_hat, step.estimate)
+        for rho_hat in shown[1:]:  # built by the engine as H H†, made Hermitian
+            assert np.array_equal(rho_hat, rho_hat.conj().T)
 
 
 class TestSimulate:
@@ -249,6 +387,16 @@ class TestBatchStatistics:
         stats = filtering.batch_statistics(cfg, n_traj)
         batch = filtering.simulate_batch(cfg, n_traj)
         for i, traj in enumerate(batch):
+            assert stats.outcomes[i].tolist() == traj.outcomes
+            assert np.abs(stats.fidelity[i] - traj.fidelities()).max() < 1e-12
+
+    def test_rows_across_lockstep_chunks_match_simulate(self):
+        cfg = random_cfg(seed=23, n=3, m=3, steps=4)
+        cfg.partition = channels.random_partition(3, np.random.default_rng(23), 2)
+        n_traj = 2 * filtering._LOCKSTEP_CHUNK + 7
+        stats = filtering.batch_statistics(cfg, n_traj)
+        for i in (0, filtering._LOCKSTEP_CHUNK - 1, filtering._LOCKSTEP_CHUNK, n_traj - 1):
+            traj = filtering.simulate(cfg, i)
             assert stats.outcomes[i].tolist() == traj.outcomes
             assert np.abs(stats.fidelity[i] - traj.fidelities()).max() < 1e-12
 

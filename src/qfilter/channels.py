@@ -22,6 +22,9 @@ fallback rule and error messages.
 from __future__ import annotations
 
 import functools
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,44 +189,51 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
 
 def conditional_update(
     ch: KrausChannel,
-    index: int,
+    index: int | Sequence[int],
     rho,
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Normalized post-jump state for outcome block `index`, with fallback.
+    """Normalized post-jump states for outcome block `index`, with fallback.
 
-    Returns (state, used_fallback).  If the block probability of rho is
-    <= ZERO_PROB_TOL the update is applied to the fallback state xi instead
-    (I/n when not given) and the flag is set; if even xi has vanishing
-    block probability, raises.  For a stack of states the same block is
-    applied to each, and used_fallback is a boolean array over the stack.
+    Returns (state, used_fallback).  `index` is one block index, or a 1-D
+    sequence of k block indices; a sequence gives the results a leading
+    block axis: states (k, ..., n, n) and flags (k, ...).  rho is one
+    density matrix or a stack (..., n, n), and every requested block is
+    applied to every state.  Where the block probability of a state is
+    <= ZERO_PROB_TOL the update of that block is applied to the fallback
+    state xi instead (I/n when not given) and that state's flag for that
+    block is set; if even xi has vanishing probability for such a block,
+    raises.  A single index on a single matrix gives a bool flag.
     """
     rho = _check_dims(ch, rho)
     if partition is None:
         partition = singleton_partition(ch.num_outcomes)
     else:
         _check_partition(ch, partition)
-    if not 0 <= index < partition.num_blocks:
-        raise ValueError(
-            f"block index {index} out of range for {partition.num_blocks} blocks"
-        )
-    block = partition.blocks[index]
-    out = _block_map(ch, block, rho)
+    single = np.ndim(index) == 0
+    blocks = (operator.index(index),) if single else tuple(operator.index(i) for i in index)
+    outcomes, E = _block_selection(partition, blocks)
+    out = _blocks_map(ch, outcomes, E, rho)
     p = out.trace(0, -2, -1).real
     used_fallback = p <= ZERO_PROB_TOL
     if _any(used_fallback):
         xi = maximally_mixed(ch.dim) if fallback is None else np.asarray(fallback, dtype=complex)
-        out_xi = _block_map(ch, block, xi)
-        p_xi = out_xi.trace().real
-        if p_xi <= ZERO_PROB_TOL:
+        out_xi = _blocks_map(ch, outcomes, E, xi)
+        p_xi = out_xi.trace(0, -2, -1).real
+        # a block fails when some state needs its fallback and xi has none either
+        dead = (p_xi <= ZERO_PROB_TOL) & used_fallback.reshape(len(blocks), -1).any(axis=1)
+        if dead.any():
             raise ValueError(
-                f"block {index} has zero probability for the state and for the fallback"
+                f"block {blocks[int(np.argmax(dead))]} has zero probability for the state and for the fallback"
             )
-        out = np.where(used_fallback[..., None, None], out_xi, out)
-        p = np.where(used_fallback, p_xi, p)
+        lead = (len(blocks),) + (1,) * (rho.ndim - 2)  # broadcast xi's results over the stack
+        out = np.where(used_fallback[..., None, None], out_xi.reshape(lead + out_xi.shape[-2:]), out)
+        p = np.where(used_fallback, p_xi.reshape(lead), p)
     out = out + np.conj(out.swapaxes(-1, -2))
     out /= (2 * p)[..., None, None]
+    if single:
+        out, used_fallback = out[0], used_fallback[0]
     return out, (used_fallback if used_fallback.ndim else used_fallback.item())
 
 
@@ -360,6 +370,25 @@ def _block_indicator(partition: OutcomePartition) -> np.ndarray:
     return E
 
 
+@functools.lru_cache
+def _block_selection(partition: OutcomePartition, blocks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, E) for the requested block indices, in their order.
+
+    outcomes are the sorted outcome indices the blocks hold, and E is the
+    (outcomes, blocks) 0/1 matrix that sums per-outcome terms into the
+    blocks.  Raises on an index outside the partition.
+    """
+    for b in blocks:
+        if not 0 <= b < partition.num_blocks:
+            raise ValueError(f"block index {b} out of range for {partition.num_blocks} blocks")
+    E = _block_indicator(partition)[:, list(blocks)]
+    outcomes = np.flatnonzero(E.any(axis=1))
+    E = E[outcomes]
+    for a in (outcomes, E):
+        a.setflags(write=False)
+    return outcomes, E
+
+
 def _check_total(per: np.ndarray) -> None:
     total = per.sum(axis=-1)
     off = abs(total - 1.0) > TRACE_TOL
@@ -367,9 +396,16 @@ def _check_total(per: np.ndarray) -> None:
         raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
 
 
-def _block_map(ch: KrausChannel, block: tuple[int, ...], rho: np.ndarray) -> np.ndarray:
-    ops = ch.operators[list(block)]
-    return np.einsum("mij,...jk,mlk->...il", ops, rho, ops.conj())
+def _blocks_map(ch: KrausChannel, outcomes: np.ndarray, E: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The unnormalized block maps sum_{mu in block j} M_mu rho M_mu†, shape (k, ..., n, n).
+
+    One einsum gives M_mu rho M_mu† for each of the `outcomes`; the (outcomes, k)
+    0/1 matrix E sums them into the k blocks.
+    """
+    ops = ch.operators[outcomes]
+    per = np.einsum("mij,...jk,mlk->m...il", ops, rho, ops.conj())
+    rest = per.shape[1:]
+    return (E.T @ per.reshape(len(outcomes), math.prod(rest))).reshape(E.shape[1:] + rest)
 
 
 def _check_dims(ch: KrausChannel, rho) -> np.ndarray:

@@ -207,7 +207,15 @@ def replay_proof(
 
     probs_rho = outcome_probs(ch, rho, partition)
     probs_sigma = outcome_probs(ch, sigma, partition)
-    fidelity_current = measures.fidelity(sigma, rho)
+    # the reference updates and fidelities of the blocks rho can jump to, in one stacked call each
+    kept = np.flatnonzero(probs_rho > ZERO_PROB_TOL)
+    updates_rho, _ = conditional_update(ch, kept, rho, partition)
+    updates_sigma, used = conditional_update(ch, kept, sigma, partition)
+    fidelities = measures.fidelity(
+        np.concatenate([updates_sigma, sigma[None]]), np.concatenate([updates_rho, rho[None]])
+    ).tolist()
+    fidelity_current = fidelities.pop()
+    position = {int(nu): i for i, nu in enumerate(kept)}
 
     res_a = 0.0
     res_b = 0.0
@@ -215,7 +223,6 @@ def replay_proof(
     cs_lhs = 0.0
     expected_next = 0.0
     blocks: list[BlockReplay] = []
-    fallback_blocks: list[int] = []
 
     for nu, block in enumerate(partition.blocks):
         proj_chi = chi[list(block)]
@@ -228,14 +235,11 @@ def replay_proof(
         overlap_nu: float | None = None
         fidelity_nu: float | None = None
         used_fb = False
-        if p_rho > ZERO_PROB_TOL:
+        if nu in position:
+            i = position[nu]
+            update_sigma, used_fb, fidelity_nu = updates_sigma[i], bool(used[i]), fidelities[i]
             chi_nu = proj_chi / math.sqrt(norm2)
-            update_rho, _ = conditional_update(ch, nu, rho, partition)
-            res_b = max(res_b, float(np.abs(_reduce_to_s(chi_nu) - update_rho).max()))
-            update_sigma, used_fb = conditional_update(ch, nu, sigma, partition)
-            if used_fb:
-                fallback_blocks.append(nu)
-            fidelity_nu = measures.fidelity(update_sigma, update_rho)
+            res_b = max(res_b, float(np.abs(_reduce_to_s(chi_nu) - updates_rho[i]).max()))
             expected_next += p_rho * fidelity_nu
             if p_sigma > ZERO_PROB_TOL:
                 norm2_hat = float(np.vdot(proj_chi_hat, proj_chi_hat).real)
@@ -273,7 +277,7 @@ def replay_proof(
         link_residuals=residuals,
         links_hold=holds,
         all_links_hold=all(holds.values()),
-        fallback_blocks=tuple(fallback_blocks),
+        fallback_blocks=tuple(kept[used].tolist()),
         dilation=dil,
     )
 

@@ -6,9 +6,10 @@ whenever one argument is pure.  The trace distance is the un-normalized
 tr|sigma - rho| by default; pass normalized=True for the 1/2-weighted
 convention (under which D = sqrt(1 - F) for pure states).
 
-Fidelity, trace distance and the Frobenius inner product also take two
-equal-shape stacks (..., n, n) and return one value per pair; a single pair
-of matrices returns a float.
+Fidelity, trace distance, the Frobenius inner product and the relative
+entropy also take two equal-shape stacks (..., n, n) and return one value
+per pair (purity one value per state); a single pair of matrices returns a
+float.
 """
 
 from __future__ import annotations
@@ -63,34 +64,37 @@ def frobenius_inner(sigma, rho) -> float | np.ndarray:
     return f if f.ndim else f.item()
 
 
-def relative_entropy(rho, sigma) -> float:
+def relative_entropy(rho, sigma) -> float | np.ndarray:
     """S(rho || sigma) = tr(rho ln rho) - tr(rho ln sigma), natural log.
 
-    Returns math.inf when rho has support outside the support of sigma
-    (eigenvalues of sigma at or below SUPPORT_TOL count as kernel).
+    Gives math.inf when rho has support outside the support of sigma
+    (eigenvalues of sigma at or below SUPPORT_TOL count as kernel); in a
+    stack the rule applies per pair, so only such pairs read inf.
     """
     rho, sigma = _check_pair(rho, sigma)
-    if rho.ndim != 2:
-        raise ValueError(f"relative entropy takes two matrices, not stacks of shape {rho.shape}")
-    wr = np.linalg.eigvalsh(linalg.require_hermitian(rho))
-    wr = np.clip(wr, 0.0, None)
-    entropy = float(np.sum(wr[wr > 0.0] * np.log(wr[wr > 0.0])))
+    wr = np.clip(np.linalg.eigvalsh(linalg.require_hermitian(rho)), 0.0, None)
+    positive = wr > 0.0
+    entropy = np.where(positive, wr * np.log(np.where(positive, wr, 1.0)), 0.0).sum(axis=-1)
 
     ws, Us = linalg.hermitian_eig(sigma)
     # weight of rho along each eigenvector of sigma
-    r = np.einsum("ij,jk,ki->i", Us.conj().T, rho, Us).real
+    r = np.einsum("...ji,...jk,...ki->...i", Us.conj(), rho, Us).real
     r = np.clip(r, 0.0, None)
     kernel = ws <= SUPPORT_TOL
-    if float(r[kernel].sum()) > SUPPORT_TOL:
-        return math.inf
-    cross = float(np.sum(r[~kernel] * np.log(ws[~kernel])))
-    return entropy - cross
+    outside = np.where(kernel, r, 0.0).sum(axis=-1) > SUPPORT_TOL
+    cross = np.where(kernel, 0.0, r * np.log(np.where(kernel, 1.0, ws))).sum(axis=-1)
+    val = np.where(outside, math.inf, entropy - cross)
+    return val if val.ndim else val.item()
 
 
-def purity(rho) -> float:
-    """tr(rho^2); 1 for pure states, 1/n for the maximally mixed state."""
+def purity(rho) -> float | np.ndarray:
+    """tr(rho^2); 1 for pure states, 1/n for the maximally mixed state.
+
+    A stack (..., n, n) gives one value per state.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    p = (rho @ rho).trace(0, -2, -1).real
+    return p if p.ndim else p.item()
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,21 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
   1/3 - 1/4 = 1/12 > 0,
 * randomized violation search per measure.
 
-Blocks where the estimate has zero probability enter the sums through the
-xi substitution and are recorded in the report, never silently skipped.
-Infinite relative-entropy terms with positive weight make the whole
-expectation infinite; an infinite expectation against a finite current
-value is treated as vacuously non-violating by the search.
+Each check runs once per instance on stacks, not once per block.  A gap
+report makes one ``outcome_probs`` call, then one ``conditional_update``
+call per state with the sequence of blocks where p_nu(rho) > ZERO_PROB_TOL
+(the results carry a leading block axis), then one measure call on those
+block pairs with the current pair (sigma, rho) appended, which gives the
+expectation and the current value together.  Monotonicity is one
+``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
+both pairs; the mean evolution is one stacked update and its p-weighted sum.
+
+The fallback rule applies per block: a block where the estimate has zero
+probability takes the xi substitution, enters the sum, and is recorded in
+the report, never silently skipped; rho's kept blocks never take the
+caller's fallback.  Infinite relative-entropy terms with positive weight
+make the whole expectation infinite; an infinite expectation against a
+finite current value is treated as vacuously non-violating by the search.
 """
 
 from __future__ import annotations
@@ -136,7 +146,7 @@ def expected_next_measure(
     the xi substitution.  Infinite terms with positive weight give an
     infinite sum.
     """
-    value, _ = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
+    value, _, _ = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
     return value
 
 
@@ -154,8 +164,7 @@ def measure_gap_report(
     The report's `passed` judges the gap against the measure's expected
     direction with slack `tol` (see :attr:`GapReport.passed`).
     """
-    lhs, fb = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
-    rhs = MEASURES[measure](sigma, rho)
+    lhs, rhs, fb = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
     return GapReport(
         measure, lhs, rhs, lhs - rhs, partition, fb,
         _fingerprint(ch, sigma, rho, partition), tol,
@@ -175,8 +184,9 @@ def check_fidelity_submartingale(
 
 def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
     """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL."""
-    lhs = measures.fidelity(apply_channel(ch, sigma), apply_channel(ch, rho))
-    rhs = measures.fidelity(sigma, rho)
+    pair = np.array([sigma, rho], dtype=complex)
+    sigmas, rhos = np.stack([apply_channel(ch, pair), pair], axis=1)
+    lhs, rhs = measures.fidelity(sigmas, rhos).tolist()
     return GapReport(
         "fidelity", lhs, rhs, lhs - rhs, None, (),
         _fingerprint(ch, sigma, rho, None), GAP_TOL,
@@ -191,13 +201,9 @@ def check_mean_evolution(
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
     probs = outcome_probs(ch, rho, partition)
-    n = ch.dim
-    acc = np.zeros((n, n), dtype=complex)
-    for nu, p in enumerate(probs):
-        if p <= ZERO_PROB_TOL:
-            continue
-        update, _ = conditional_update(ch, nu, rho, partition)
-        acc += p * update
+    kept = np.flatnonzero(probs > ZERO_PROB_TOL)
+    updates, _ = conditional_update(ch, kept, rho, partition)
+    acc = (probs[kept, None, None] * updates).sum(axis=0)
     return float(np.abs(acc - apply_channel(ch, rho)).max())
 
 
@@ -364,25 +370,29 @@ def _expected_next_detail(
     measure: str,
     partition: OutcomePartition | None,
     fallback: np.ndarray | None,
-) -> tuple[float, tuple[int, ...]]:
+) -> tuple[float, float, tuple[int, ...]]:
+    """(expected next value, current value, blocks whose sigma update took the fallback).
+
+    The blocks kept are those with p_nu(rho) > ZERO_PROB_TOL.  One update
+    call per state covers all of them (rho's never takes `fallback`), and
+    one measure call evaluates the block pairs with the current pair
+    (sigma, rho) appended as the last pair.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    fn = MEASURES[measure]
+    sigma = np.asarray(sigma, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
     probs = outcome_probs(ch, rho, partition)
-    total = 0.0
-    fallback_blocks = []
-    for nu, p in enumerate(probs):
-        if p <= ZERO_PROB_TOL:
-            continue
-        rho_next, _ = conditional_update(ch, nu, rho, partition)
-        sigma_next, used_fb = conditional_update(ch, nu, sigma, partition, fallback)
-        if used_fb:
-            fallback_blocks.append(nu)
-        term = fn(sigma_next, rho_next)
-        if math.isinf(term):
-            return math.inf, tuple(fallback_blocks)
-        total += float(p) * term
-    return total, tuple(fallback_blocks)
+    kept = np.flatnonzero(probs > ZERO_PROB_TOL)
+    rho_next, _ = conditional_update(ch, kept, rho, partition)
+    sigma_next, used_fb = conditional_update(ch, kept, sigma, partition, fallback)
+    values = MEASURES[measure](
+        np.concatenate([sigma_next, sigma[None]]), np.concatenate([rho_next, rho[None]])
+    )
+    # added left to right in block order, as a loop over the blocks adds them;
+    # a positive weight times an infinite term makes the sum infinite
+    lhs = float(sum(probs[kept] * values[:-1]))
+    return lhs, float(values[-1]), tuple(kept[used_fb].tolist())
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None) -> str:

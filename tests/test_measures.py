@@ -162,6 +162,22 @@ class TestRelativeEntropy:
             sig = states.random_density(3, 3, rng)
             assert measures.relative_entropy(rho, sig) >= -1e-12
 
+    def test_stack_agrees_per_pair_and_marks_inf_per_pair(self):
+        rng = np.random.default_rng(13)
+        rhos = [states.random_density(3, r, rng) for r in (1, 2, 3, 3)] + [RHO, SIGMA]
+        sigmas = [states.random_density(3, 3, rng) for _ in range(3)]
+        sigmas += [states.random_density(3, 2, rng), SIGMA, RHO]
+        got = measures.relative_entropy(np.stack(rhos), np.stack(sigmas))
+        assert got.shape == (6,)
+        # full-rank rho against a rank-2 sigma, and the counter-example pair both ways
+        assert np.isinf(got).tolist() == [False, False, False, True, True, True]
+        for value, rho, sig in zip(got, rhos, sigmas):
+            want = measures.relative_entropy(rho, sig)
+            if math.isinf(want):
+                assert math.isinf(value)
+            else:
+                assert abs(value - want) <= 1e-14
+
 
 class TestPurity:
     def test_bounds(self):

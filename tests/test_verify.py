@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfilter import channels, measures, states, verify
+from qfilter.tolerances import ZERO_PROB_TOL
 
 
 def random_instance(rng, n=None, m=None):
@@ -240,3 +241,133 @@ class TestRandomInstances:
         instances = verify.random_instances(3, 2, 5, np.random.default_rng(6), full_rank=True)
         for _, sigma, rho, _ in instances:
             assert np.linalg.matrix_rank(sigma) == np.linalg.matrix_rank(rho) == 3
+
+
+def dense_update(ch, block, state, fallback):
+    """M_block(state) = sum_{mu in block} M_mu state M_mu† / p, with the xi substitution; (update, used)."""
+    def block_map(x):
+        return sum(ch.operators[mu] @ x @ ch.operators[mu].conj().T for mu in block)
+
+    out = block_map(state)
+    used = out.trace().real <= ZERO_PROB_TOL
+    if used:
+        out = block_map(states.maximally_mixed(ch.dim) if fallback is None else fallback)
+    out = (out + out.conj().T) / 2
+    return out / out.trace().real, bool(used)
+
+
+def per_block_expected_next(ch, sigma, rho, measure, partition=None, fallback=None):
+    """The per-block loop the stacked checks replaced: (lhs, rhs, fallback blocks), one block at a time.
+
+    Unlike the old loop it records the fallback blocks after an infinite
+    term too, as the report lists every block that used the fallback.
+    """
+    fn = verify.MEASURES[measure]
+    blocks = channels.singleton_partition(ch.num_outcomes).blocks if partition is None else partition.blocks
+    probs = [float(np.einsum("mij,jk,mik->", ch.operators[list(b)], rho, ch.operators[list(b)].conj()).real)
+             for b in blocks]
+    total, infinite, fallback_blocks = 0.0, False, []
+    for nu, (block, p) in enumerate(zip(blocks, probs)):
+        if p <= ZERO_PROB_TOL:
+            continue
+        rho_next, _ = dense_update(ch, block, rho, None)
+        sigma_next, used_fb = dense_update(ch, block, sigma, fallback)
+        if used_fb:
+            fallback_blocks.append(nu)
+        term = fn(sigma_next, rho_next)
+        infinite = infinite or math.isinf(term)
+        total += p * term
+    return (math.inf if infinite else total), fn(sigma, rho), tuple(fallback_blocks)
+
+
+def oracle_instances():
+    """60 random instances (n in [1, 5], m in [1, 4], rank-deficient states; singleton,
+    trivial and random partitions), zero-probability blocks with and without a given
+    fallback, and the counter-example, whose relative-entropy terms are infinite."""
+    rng = np.random.default_rng(40)
+    out = []
+    for i in range(60):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        ch = channels.random_channel(n, m, rng)
+        sigma = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+        rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+        part = (None, channels.trivial_partition(m), channels.random_partition(m, rng))[i % 3]
+        out.append((ch, sigma, rho, part, None))
+    proj = channels.validate_channel([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+    sigma = np.diag([0.0, 0.3, 0.7]).astype(complex)
+    rho = states.random_density(3, 3, rng)
+    out.append((proj, sigma, rho, None, states.random_density(3, 2, rng)))
+    sigma = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    out.append((proj, sigma, rho, channels.make_partition(3, [[2], [0], [1]]), None))
+    out.append(verify.counterexample_instance() + (None, None))
+    return out
+
+
+class TestStackedChecksAgainstDenseOracle:
+    @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
+    def test_gap_reports_match_the_per_block_loop(self, measure):
+        for ch, sigma, rho, part, xi in oracle_instances():
+            rep = verify.measure_gap_report(ch, sigma, rho, measure, part, xi)
+            lhs, rhs, fb = per_block_expected_next(ch, sigma, rho, measure, part, xi)
+            for got, want in ((rep.lhs, lhs), (rep.rhs, rhs)):
+                if math.isinf(want):
+                    assert math.isinf(got)
+                else:
+                    assert abs(got - want) <= 1e-12
+            assert rep.fallback_blocks == fb
+            assert isinstance(rep.lhs, float) and isinstance(rep.rhs, float)
+
+    def test_instances_cover_fallback_and_infinite_terms(self):
+        insts = oracle_instances()
+        fb = [per_block_expected_next(*inst[:3], "fidelity", *inst[3:])[2] for inst in insts]
+        assert fb[-3] == (0,) and fb[-2] == (1, 2)
+        ch, sigma, rho, _, _ = insts[-1]
+        assert math.isinf(verify.measure_gap_report(ch, sigma, rho, "relative_entropy").lhs)
+
+    def test_mean_evolution_and_monotonicity_match_the_dense_sums(self):
+        for ch, sigma, rho, part, _ in oracle_instances():
+            blocks = channels.singleton_partition(ch.num_outcomes).blocks if part is None else part.blocks
+            kraus = sum(M @ rho @ M.conj().T for M in ch.operators)
+            acc = np.zeros_like(kraus)
+            for block in blocks:
+                p = sum(float(np.trace(ch.operators[mu] @ rho @ ch.operators[mu].conj().T).real) for mu in block)
+                if p > ZERO_PROB_TOL:
+                    acc += p * dense_update(ch, block, rho, None)[0]
+            dev = verify.check_mean_evolution(ch, rho, part)
+            assert dev <= 1e-12
+            assert abs(dev - float(np.abs(acc - kraus).max())) <= 1e-12
+            rep = verify.check_kraus_monotonicity(ch, sigma, rho)
+            image = [sum(M @ x @ M.conj().T for M in ch.operators) for x in (sigma, rho)]
+            assert abs(rep.lhs - measures.fidelity(*image)) <= 1e-12
+            assert abs(rep.rhs - measures.fidelity(sigma, rho)) <= 1e-12
+
+
+class TestCallCounts:
+    """The exact checks stay one stacked call per instance, however many blocks."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fidelity": 0, "conditional_update": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        fid = counted("fidelity", measures.fidelity)
+        monkeypatch.setattr(measures, "fidelity", fid)
+        monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
+        monkeypatch.setattr(verify, "conditional_update", counted("conditional_update", verify.conditional_update))
+        return counts
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_submartingale_check(self, counts, m):
+        ch, sigma, rho = random_instance(np.random.default_rng(m), n=3, m=m)
+        verify.check_fidelity_submartingale(ch, sigma, rho)
+        assert counts == {"fidelity": 1, "conditional_update": 2}
+
+    def test_kraus_monotonicity(self, counts):
+        ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)
+        verify.check_kraus_monotonicity(ch, sigma, rho)
+        assert counts["fidelity"] == 1

@@ -21,18 +21,10 @@ from .filtering import (
     SimulationConfig,
     batch_statistics,
     simulate,
-    simulate_batch,
 )
 from .linalg import Spectrum, complete_isometry, hermitian_eig, psd_sqrt, trace_abs
 from .measures import fidelity, frobenius_inner, purity, relative_entropy, trace_distance
-from .states import (
-    make_density,
-    maximally_mixed,
-    partial_trace,
-    purify,
-    random_density,
-    tensor,
-)
+from .states import make_density, maximally_mixed, random_density
 from .verify import (
     CounterexampleReport,
     GapReport,
@@ -78,9 +70,7 @@ __all__ = [
     "maximally_mixed",
     "measure_gap_report",
     "outcome_probs",
-    "partial_trace",
     "psd_sqrt",
-    "purify",
     "purity",
     "random_channel",
     "random_density",
@@ -89,10 +79,8 @@ __all__ = [
     "relative_entropy",
     "replay_proof",
     "simulate",
-    "simulate_batch",
     "singleton_partition",
     "stinespring",
-    "tensor",
     "trace_abs",
     "trace_distance",
     "trivial_partition",

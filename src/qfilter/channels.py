@@ -178,8 +178,7 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
     per = np.einsum("mij,...jk,mik->...m", ch.operators, rho, ch.operators.conj()).real
     if partition is not None:
         _check_partition(ch, partition)
-        # outcomes first (.T), so each block sums over axis 0 whatever the stack shape
-        per = np.array([per.T[list(b)].sum(axis=0) for b in partition.blocks]).T
+        per = per @ _block_indicator(partition)
     if per.min() < -ZERO_PROB_TOL:
         raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
     per = np.maximum(per, 0.0)

@@ -8,9 +8,10 @@ Subcommands:
 * ``dilate``          dilation + proof-replay report for one instance,
 * ``sweep``           worst gaps over a grid of (n, m, partition size).
 
-Each command reads an optional ``--config`` JSON document; flags override
-file fields, and the resolved configuration is echoed next to the outputs
-for provenance.  Exit codes: 0 success, 1 any inequality-suite failure,
+Each flag's default is registered where the flag is added.  A command reads
+an optional ``--config`` JSON document over those defaults; flags that are
+given override file fields, and the resolved configuration is echoed next to
+the outputs for provenance.  Exit codes: 0 success, 1 any inequality-suite failure,
 2 configuration error (the diagnostic names the offending field).
 """
 
@@ -26,14 +27,7 @@ import numpy as np
 
 from . import dilation as dilation_mod
 from . import filtering, measures, verify
-from .channels import (
-    channel_from_dict,
-    partition_from_dict,
-    random_channel,
-    random_partition,
-    singleton_partition,
-    trivial_partition,
-)
+from .channels import channel_from_dict, partition_from_dict, random_channel
 from .states import make_density, matrix_from_dict, matrix_to_dict, maximally_mixed, random_density
 from .tolerances import GAP_TOL, MEAN_EVOLUTION_TOL
 
@@ -75,124 +69,81 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_instance=False):
+    # Flags are added in the order of their config fields: report.json echoes the config unsorted.
+    def command(name, help, output="."):
+        """A subcommand with --config, --output and --seed; `output` is the default directory."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(config_defaults={})
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--seed", type=int, help="base seed (required for randomized commands)")
-        p.add_argument("--output", help="output directory for CSV/JSON reports")
-        if needs_instance:
-            p.add_argument("--channel", help="channel JSON file")
-            p.add_argument("--random-channel", metavar="N,M", help="generate a random channel")
-            p.add_argument("--state", help="true-state JSON file")
-            p.add_argument("--random-state", metavar="N[,RANK]", help="generate a random true state")
-            p.add_argument("--estimate", help="estimate JSON file (default: maximally mixed)")
-            p.add_argument("--partition", help="partition JSON file")
+        flag(p, "--output", output, "output directory for CSV/JSON reports")
+        flag(p, "--seed", None, "base seed (required for randomized commands)", type=int)
+        return p
+
+    def flag(p, name, default, help, **kwargs):
+        """Add a flag that parses to None when not given.
+
+        `default` is the value of its config field when neither the flag nor
+        the --config file sets it; --help shows it.
+        """
+        if default is not None:
+            help = f"{help} (default {default})"
+        action = p.add_argument(name, default=None, help=help, **kwargs)
+        p.get_default("config_defaults")[action.dest] = default
+
+    def instance(p):
+        flag(p, "--channel", None, "channel JSON file")
+        flag(p, "--random-channel", None, "generate a random channel", metavar="N,M")
+        flag(p, "--state", None, "true-state JSON file")
+        flag(p, "--random-state", None, "generate a random true state", metavar="N[,RANK]")
+        flag(p, "--estimate", None, "estimate JSON file (default: maximally mixed)")
+        flag(p, "--partition", None, "partition JSON file")
 
     def tolerance(p, what):
-        p.add_argument("--tolerance", type=float, help=f"{what} (default {GAP_TOL})")
+        flag(p, "--tolerance", GAP_TOL, what, type=float)
 
-    common(sub.add_parser("counterexample", help="print the embedded counter-example report"))
+    # counterexample and dilate print their reports and write files only with --output
+    command("counterexample", "print the embedded counter-example report", output=None)
 
-    p = sub.add_parser("simulate", help="simulate coupled trajectories, emit CSV per trajectory")
-    common(p, needs_instance=True)
-    p.add_argument("--steps", type=int, help="number of transitions")
-    p.add_argument("--trajectories", type=int, help="number of trajectories (default 1)")
+    p = command("simulate", "simulate coupled trajectories, emit CSV per trajectory")
+    flag(p, "--steps", 10, "number of transitions", type=int)
+    flag(p, "--trajectories", 1, "number of trajectories", type=int)
+    instance(p)
 
-    p = sub.add_parser("verify", help="gap reports over random instances for one measure")
-    common(p)
+    p = command("verify", "gap reports over random instances for one measure")
     tolerance(p, "slack of the wrong-sign verdict on each gap")
-    p.add_argument("--measure", choices=sorted(verify.MEASURES), help="measure to check")
-    p.add_argument("--trials", type=int, help="number of random instances")
-    p.add_argument("--n", type=int, help="state dimension (default 3)")
-    p.add_argument("--m", type=int, help="number of Kraus operators (default 3)")
-    p.add_argument(
-        "--partition-mode",
+    flag(p, "--measure", "fidelity", "measure to check", choices=sorted(verify.MEASURES))
+    flag(p, "--trials", 100, "number of random instances", type=int)
+    flag(p, "--n", 3, "state dimension", type=int)
+    flag(p, "--m", 3, "number of Kraus operators", type=int)
+    flag(
+        p, "--partition-mode", "singleton", "partition used per instance",
         choices=("singleton", "trivial", "random"),
-        help="partition used per instance (default singleton)",
     )
-    p.add_argument(
-        "--include-counterexample",
+    flag(
+        p, "--include-counterexample", False, "prepend the embedded counter-example instance",
         action="store_true",
-        default=None,
-        help="prepend the embedded counter-example instance",
     )
 
-    p = sub.add_parser("dilate", help="dilation and proof-replay report for one instance")
-    common(p, needs_instance=True)
+    p = command("dilate", "dilation and proof-replay report for one instance", output=None)
     tolerance(p, "link tolerance of the proof replay, links (a)-(d)")
+    instance(p)
 
-    p = sub.add_parser("sweep", help="worst gaps over a grid of n, m, partition sizes")
-    common(p)
+    p = command("sweep", "worst gaps over a grid of n, m, partition sizes")
     tolerance(p, "slack of the wrong-sign verdict on each gap")
-    p.add_argument("--n-values", help="comma list of dimensions, e.g. 2,3,4")
-    p.add_argument("--m-values", help="comma list of operator counts")
-    p.add_argument("--partition-sizes", help="comma list of block counts")
-    p.add_argument("--trials", type=int, help="instances per grid cell")
-    p.add_argument("--measure", choices=sorted(verify.MEASURES), help="measure (default fidelity)")
+    flag(p, "--n-values", "2,3", "comma list of dimensions, e.g. 2,3,4")
+    flag(p, "--m-values", "2,3", "comma list of operator counts")
+    flag(p, "--partition-sizes", "1,2", "comma list of block counts")
+    flag(p, "--trials", 20, "instances per grid cell", type=int)
+    flag(p, "--measure", "fidelity", "measure", choices=sorted(verify.MEASURES))
     return parser
 
 
-_DEFAULTS = {
-    "counterexample": {"output": None, "seed": None},
-    "simulate": {
-        "output": ".",
-        "seed": None,
-        "steps": 10,
-        "trajectories": 1,
-        "channel": None,
-        "random_channel": None,
-        "state": None,
-        "random_state": None,
-        "estimate": None,
-        "partition": None,
-    },
-    "verify": {
-        "output": ".",
-        "seed": None,
-        "tolerance": GAP_TOL,
-        "measure": "fidelity",
-        "trials": 100,
-        "n": 3,
-        "m": 3,
-        "partition_mode": "singleton",
-        "include_counterexample": False,
-    },
-    "dilate": {
-        "output": None,  # the replay is printed; files are written only with --output
-        "seed": None,
-        "tolerance": GAP_TOL,
-        "channel": None,
-        "random_channel": None,
-        "state": None,
-        "random_state": None,
-        "estimate": None,
-        "partition": None,
-    },
-    "sweep": {
-        "output": ".",
-        "seed": None,
-        "tolerance": GAP_TOL,
-        "n_values": "2,3",
-        "m_values": "2,3",
-        "partition_sizes": "1,2",
-        "trials": 20,
-        "measure": "fidelity",
-    },
-}
-
-
 def _effective_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, the --config document, and command-line flags."""
-    cfg = dict(_DEFAULTS[args.command])
+    """Merge the command's flag defaults, the --config document, and the flags given."""
+    cfg = dict(args.config_defaults)
     cfg["command"] = args.command
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config: file {path} does not exist")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
-        for key, value in loaded.items():
+    if args.config:
+        for key, value in _load_json(args.config, "config").items():
             if key == "command":
                 continue
             if key not in cfg:
@@ -234,6 +185,13 @@ def _float_field(cfg: dict, name: str) -> float:
     return value
 
 
+def _measure_field(cfg: dict) -> str:
+    measure = cfg["measure"]
+    if not isinstance(measure, str) or measure not in verify.MEASURES:
+        raise ConfigError(f"measure: unknown measure {measure!r}")
+    return measure
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["output"] or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -245,13 +203,19 @@ def _echo_config(cfg: dict, out: Path) -> None:
 
 
 def _load_json(path_str: str, field: str) -> dict:
+    """The JSON object in the file named by config field `field`."""
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"{field}: file {path} does not exist")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{field}: {path} is not valid JSON ({exc})") from exc
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"{field}: cannot read {path} ({exc.strerror})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{field}: {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _child_rng(seed: int, tag: int) -> np.random.Generator:
@@ -385,9 +349,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     seed = _require_seed(cfg)
-    measure = cfg["measure"]
-    if measure not in verify.MEASURES:
-        raise ConfigError(f"measure: unknown measure {measure!r}")
+    measure = _measure_field(cfg)
     trials = _positive("trials", _int_field(cfg, "trials"))
     n, m = _positive("n", _int_field(cfg, "n")), _positive("m", _int_field(cfg, "m"))
     mode = cfg["partition_mode"]
@@ -444,7 +406,7 @@ def _cmd_dilate(cfg: dict) -> int:
     if cfg.get("output"):
         out = _out_dir(cfg)
         _echo_config(cfg, out)
-        dil = rep.dilation
+        dil = dilation_mod.stinespring(ch)  # the replay needs no unitary; the file records it
         report = {
             "config": cfg,
             "replay": rep.to_dict(),
@@ -460,9 +422,7 @@ def _cmd_dilate(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     seed = _require_seed(cfg)
-    measure = cfg["measure"]
-    if measure not in verify.MEASURES:
-        raise ConfigError(f"measure: unknown measure {measure!r}")
+    measure = _measure_field(cfg)
     try:
         n_values = [int(v) for v in str(cfg["n_values"]).split(",")]
         m_values = [int(v) for v in str(cfg["m_values"]).split(",")]
@@ -489,16 +449,7 @@ def _cmd_sweep(cfg: dict) -> int:
                 cell += 1
                 gaps = []
                 violations = 0
-                for child in rng.spawn(trials):
-                    ch = random_channel(n, m, child)
-                    sigma = random_density(n, int(child.integers(1, n + 1)), child)
-                    rho = random_density(n, int(child.integers(1, n + 1)), child)
-                    if p == 1:
-                        partition = trivial_partition(m)
-                    elif p == m:
-                        partition = singleton_partition(m)
-                    else:
-                        partition = random_partition(m, child, p)
+                for ch, sigma, rho, partition in verify.random_instances(n, m, trials, rng, p):
                     rep = verify.measure_gap_report(ch, sigma, rho, measure, partition, tol=tol)
                     if math.isinf(rep.lhs) or math.isinf(rep.rhs):
                         continue

@@ -8,10 +8,12 @@ np.kron(op_E, np.kron(op_Q, op_S)) and the stacked Kraus isometry occupies
 the first n columns of U verbatim.  A vector on S (x) Q (x) E is therefore
 an (m, n, n) array indexed [E, Q, S].
 
-Only the first n columns of U act on |e0>, so lifting a purification psi
-with amplitude matrix A[s, q] through U (x) I_Q gives, per outcome mu, just
-M_mu A: :meth:`Dilation.lift` computes these m blocks from the Kraus stack
-recovered from U, and the dense U (x) I_Q of side n^2 m is never built.
+Only the first n columns of U act on |e0>, and they are the stacked Kraus
+operators, so lifting a purification psi with amplitude matrix A[s, q]
+through U (x) I_Q gives, per outcome mu, just M_mu A.  The replay computes
+these m blocks from the channel's Kraus stack; neither U nor the dense
+U (x) I_Q of side n^2 m is built.  :func:`stinespring` completes the
+isometry to U only for output (``qfilter dilate --output`` writes it).
 
 :func:`replay_proof` reruns, numerically, the inequality chain that makes
 the one-step fidelity gain nonnegative:
@@ -27,7 +29,7 @@ the one-step fidelity gain nonnegative:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,30 +52,11 @@ class Dilation:
     dim: int  # n
     env_dim: int  # m
     unitary: np.ndarray  # (n m, n m)
-    reference: np.ndarray  # |e0> in E
-
-    def projector(self, mu: int) -> np.ndarray:
-        """Orthogonal projector onto S (x) span|mu>."""
-        if not 0 <= mu < self.env_dim:
-            raise ValueError(f"outcome {mu} out of range for env_dim {self.env_dim}")
-        e = np.zeros((self.env_dim, self.env_dim))
-        e[mu, mu] = 1.0
-        return np.kron(e, np.eye(self.dim)).astype(complex)
 
     def recovered_operators(self) -> np.ndarray:
         """The Kraus stack (I (x) <mu|) U (I (x) |e0>), shape (m, n, n)."""
         n = self.dim
         return self.unitary[:, :n].reshape(self.env_dim, n, n)
-
-    def lift(self, psi: np.ndarray) -> np.ndarray:
-        """(U (x) I_Q)(|e0> (x) psi) for psi on S (x) Q, as amplitudes [E, Q, S].
-
-        With A[s, q] the amplitude matrix of psi, the outcome-mu slice is
-        (M_mu A)^T, so the lift costs O(m n^3) time and O(m n^2) memory.
-        """
-        n = self.dim
-        amp = np.asarray(psi).reshape(n, n).T
-        return (self.recovered_operators() @ amp).swapaxes(1, 2)
 
 
 def stinespring(ch: KrausChannel) -> Dilation:
@@ -86,9 +69,7 @@ def stinespring(ch: KrausChannel) -> Dilation:
     dev = float(np.abs(U.conj().T @ U - np.eye(m * n)).max())
     if dev > UNITARY_TOL:
         raise RuntimeError(f"isometry completion lost unitarity: {dev:.3e}")
-    e0 = np.zeros(m, dtype=complex)
-    e0[0] = 1.0
-    return Dilation(n, m, U, e0)
+    return Dilation(n, m, U)
 
 
 def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +119,6 @@ class ProofReplayReport:
     links_hold: dict[str, bool]
     all_links_hold: bool
     fallback_blocks: tuple[int, ...]
-    # the checked dilation the replay lifted through; not written by to_dict
-    dilation: Dilation = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -180,14 +159,13 @@ def replay_proof(
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
-    Builds the Uhlmann pair, lifts each purification with
-    :meth:`Dilation.lift` (the (m, n, n) stack M_mu A; no operator on
-    S (x) Q (x) E is formed), takes each outcome block as a slice of it, and
-    checks links (a)-(e); see the module docstring.  Links (a)-(d) hold
-    within `link_tol`, the identity (e) within OVERLAP_TOL.  Blocks where
-    sigma's probability vanishes take the xi route and are flagged rather
-    than entering the per-block overlap checks.  The report keeps the
-    dilation it built.
+    Builds the Uhlmann pair, lifts each purification straight from the
+    Kraus stack as M_mu A (:func:`_lift`; the unitary completion and every
+    operator on S (x) Q (x) E are skipped), takes each outcome block as a
+    slice of it, and checks links (a)-(e); see the module docstring.  Links
+    (a)-(d) hold within `link_tol`, the identity (e) within OVERLAP_TOL.
+    Blocks where sigma's probability vanishes take the xi route and are
+    flagged rather than entering the per-block overlap checks.
     """
     sigma = make_density(sigma)
     rho = make_density(rho)
@@ -197,12 +175,11 @@ def replay_proof(
     if partition is None:
         partition = singleton_partition(m)
 
-    dil = stinespring(ch)
     psi_sigma, psi_rho = uhlmann_pair(sigma, rho)
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
-    chi = dil.lift(psi_rho)
-    chi_hat = dil.lift(psi_sigma)
+    chi = _lift(ch.operators, psi_rho)
+    chi_hat = _lift(ch.operators, psi_sigma)
     overlap_lifted = float(abs(np.vdot(chi_hat, chi)) ** 2)
 
     probs_rho = outcome_probs(ch, rho, partition)
@@ -278,8 +255,19 @@ def replay_proof(
         links_hold=holds,
         all_links_hold=all(holds.values()),
         fallback_blocks=tuple(kept[used].tolist()),
-        dilation=dil,
     )
+
+
+def _lift(operators: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(U (x) I_Q)(|e0> (x) psi) for psi on S (x) Q, as amplitudes [E, Q, S].
+
+    `operators` is the (m, n, n) Kraus stack, the first n columns of U.
+    With A[s, q] the amplitude matrix of psi, the outcome-mu slice is
+    (M_mu A)^T, so the lift costs O(m n^3) time and O(m n^2) memory.
+    """
+    n = operators.shape[1]
+    amp = np.asarray(psi).reshape(n, n).T
+    return (operators @ amp).swapaxes(1, 2)
 
 
 def _reduce_to_s(chi: np.ndarray) -> np.ndarray:

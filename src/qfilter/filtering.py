@@ -29,8 +29,8 @@ feedback selector, and BatchStatistics.mean_true_state.
 :func:`batch_statistics` runs all trajectories in lockstep and keeps fidelity
 curves plus the batch-mean true state.  simulate(cfg, i) is row i of
 batch_statistics(cfg, n_traj): the same jumps, and fidelities that agree to
-round-off (a trajectory's fidelities() evaluate measures.fidelity on its
-dense states).
+round-off (measures.fidelity on the trajectory's dense states, as
+:func:`write_trajectory_csv` evaluates them).
 """
 
 from __future__ import annotations
@@ -95,18 +95,10 @@ class JointStep:
 @dataclass
 class JointTrajectory:
     steps: list[JointStep]
-    config_fingerprint: str
-    seed: int | None
-    traj_index: int = 0
 
     @property
     def outcomes(self) -> list[int]:
         return [s.outcome for s in self.steps if s.outcome is not None]
-
-    def fidelities(self) -> np.ndarray:
-        return measures.fidelity(
-            np.stack([s.estimate for s in self.steps]), np.stack([s.true_state for s in self.steps])
-        )
 
 
 @dataclass
@@ -194,22 +186,10 @@ def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
             ch = cfg.channel_at(k, records[-1].estimate)
             idx, pair, used = _step(ch, cfg.partition, pair, u[k : k + 1], cfg.fallback)
         except ValueError as exc:
-            partial = JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
-            raise SimulationError(f"step {k} failed: {exc}", partial) from exc
+            raise SimulationError(f"step {k} failed: {exc}", JointTrajectory(records)) from exc
         rho, hat = _hermitian(pair @ pair.conj().swapaxes(-1, -2))  # the dense L L† and H H†
         records.append(JointStep(k + 1, int(idx[0]), rho, hat, bool(used[0])))
-    return JointTrajectory(records, cfg.fingerprint(), cfg.seed, traj_index)
-
-
-def simulate_batch(cfg: SimulationConfig, n_traj: int) -> list[JointTrajectory]:
-    """n_traj independent trajectories; trajectory i uses child seed i.
-
-    Results do not depend on execution order, so this is trivially
-    parallelizable; trajectories are produced sequentially here.
-    """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    return [simulate(cfg, traj_index=i) for i in range(n_traj)]
+    return JointTrajectory(records)
 
 
 @dataclass
@@ -255,7 +235,7 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     each fidelity is one batched SVD of the products L_hat† L_rho, and the
     batch-mean true state is the only state built dense.  Feedback channel
     selectors are not supported here, since each trajectory would need its
-    own channel; use simulate_batch for those.
+    own channel; run simulate(cfg, i) for i in range(n_traj) for those.
     """
     rho0, hat0 = cfg.validate()
     if not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel):
@@ -331,30 +311,6 @@ def trajectory_to_csv_string(traj: JointTrajectory) -> str:
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     return buf.getvalue()
-
-
-def trajectory_to_dict(traj: JointTrajectory, include_states: bool = False) -> dict:
-    """JSON-compatible dump; include_states adds full matrix encodings."""
-    from .states import matrix_to_dict
-
-    steps = []
-    for s in traj.steps:
-        rec = {
-            "k": s.k,
-            "outcome": -1 if s.outcome is None else s.outcome,
-            "fallback_used": bool(s.fallback_used),
-            "fidelity": measures.fidelity(s.estimate, s.true_state),
-        }
-        if include_states:
-            rec["true_state"] = matrix_to_dict(s.true_state)
-            rec["estimate"] = matrix_to_dict(s.estimate)
-        steps.append(rec)
-    return {
-        "config_fingerprint": traj.config_fingerprint,
-        "seed": traj.seed,
-        "traj_index": traj.traj_index,
-        "steps": steps,
-    }
 
 
 def _fmt(x: float) -> str:

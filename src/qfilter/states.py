@@ -1,13 +1,11 @@
-"""Density matrices, pure states, purification, partial traces, random ensembles.
+"""Density matrices: validation, standard and random states, JSON encoding.
 
 States are plain numpy arrays: a density matrix is a Hermitian PSD complex
-array with unit trace, a pure state a unit-norm complex vector.
-:func:`make_density` is the validating constructor.
+array with unit trace.  :func:`make_density` is the validating constructor.
 
 Tensor convention, used consistently across the package: in a composite
 A (x) B the FIRST factor's index varies fastest, i.e. the basis vector
-|a, b> sits at flat index ``a + dim_a * b``.  :func:`tensor` implements this
-(it is ``np.kron`` with the arguments swapped).
+|a, b> sits at flat index ``a + dim_a * b`` (``np.kron(b, a)``).
 """
 
 from __future__ import annotations
@@ -60,48 +58,6 @@ def random_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
-
-
-def purify(rho) -> np.ndarray:
-    """Purification of rho on S (x) Q (dimension n^2).
-
-    Schmidt form sum_i sqrt(l_i) |u_i> (x) |i> over the eigenbasis of rho,
-    eigenvalues ascending, amplitudes real nonnegative.  The partial trace
-    over Q of the returned projector recovers rho.
-    """
-    rho = make_density(rho)
-    w, U = linalg.hermitian_eig(rho)
-    A = U * np.sqrt(np.maximum(w, 0.0))  # A[s, q] = sqrt(w_q) U[s, q], A A† = rho
-    return A.ravel(order="F")
-
-
-def partial_trace(M, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
-    """Partial trace of a matrix on A (x) B (first-factor-fastest layout).
-
-    keep="a" traces out B and returns a dim_a x dim_a matrix; keep="b" the
-    converse.  Trace-preserving, and positivity-preserving on PSD input.
-    """
-    M = np.asarray(M, dtype=complex)
-    d = dim_a * dim_b
-    if M.shape != (d, d):
-        raise ValueError(f"expected shape ({d}, {d}) for dims {dim_a}x{dim_b}, got {M.shape}")
-    M4 = M.reshape(dim_b, dim_a, dim_b, dim_a)  # axes [b, a, b', a']
-    if keep == "a":
-        return np.einsum("ixiy->xy", M4)
-    if keep == "b":
-        return np.einsum("xiyi->xy", M4)
-    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-
-
-def tensor(a, b) -> np.ndarray:
-    """Tensor product on A (x) B with the first factor's index fastest."""
-    return np.kron(np.asarray(b), np.asarray(a))
-
-
-def pure_projector(psi) -> np.ndarray:
-    """|psi><psi| for a state vector psi."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def matrix_to_dict(M) -> dict:

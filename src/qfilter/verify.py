@@ -46,6 +46,7 @@ from .channels import (
     outcome_probs,
     random_channel,
     random_partition,
+    singleton_partition,
     trivial_partition,
     validate_channel,
 )
@@ -296,15 +297,18 @@ def random_instances(
     m: int,
     trials: int,
     rng: np.random.Generator,
-    partition_mode: str = "singleton",
+    partition_mode: str | int = "singleton",
     full_rank: bool = False,
 ) -> Iterator[tuple[KrausChannel, np.ndarray, np.ndarray, OutcomePartition | None]]:
     """Yield `trials` random (channel, sigma, rho, partition) instances.
 
     Each instance draws from its own child of `rng`, in this order: the
     channel, the ranks of sigma and rho (both n when full_rank), sigma, rho,
-    and for partition_mode "random" a random partition.  "singleton" yields
-    partition None, "trivial" the one-block partition.
+    and then any random partition.  partition_mode "singleton" yields
+    partition None, "trivial" the one-block partition and "random" a random
+    partition with a random block count.  A block count p gives the trivial
+    partition for p = 1, the singleton partition for p = m, and otherwise a
+    random partition into p blocks.
     """
     for child in rng.spawn(trials):
         ch = random_channel(n, m, child)
@@ -314,10 +318,12 @@ def random_instances(
         rho = random_density(n, rank_r, child)
         if partition_mode == "singleton":
             partition = None
-        elif partition_mode == "trivial":
+        elif partition_mode in ("trivial", 1):
             partition = trivial_partition(m)
+        elif partition_mode == m:
+            partition = singleton_partition(m)
         else:
-            partition = random_partition(m, child)
+            partition = random_partition(m, child, None if partition_mode == "random" else partition_mode)
         yield ch, sigma, rho, partition
 
 

@@ -1,0 +1,47 @@
+"""Dense reference constructions that tests compare the package against.
+
+The package never forms these operators: the proof replay lifts states
+matrix-free and reduces them with one einsum.  The tests build them here,
+in the package's tensor layout (the first factor's index fastest, so
+A (x) B is np.kron(B, A)), and test_states.py checks the partial trace
+against an index sum.
+"""
+
+import numpy as np
+
+
+def tensor(a, b) -> np.ndarray:
+    """a (x) b with the first factor's index fastest."""
+    return np.kron(np.asarray(b), np.asarray(a))
+
+
+def pure_projector(psi) -> np.ndarray:
+    """|psi><psi| for a state vector psi."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def partial_trace(M, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
+    """Partial trace of a matrix on A (x) B; keep="a" traces out B, keep="b" traces out A."""
+    M = np.asarray(M, dtype=complex)
+    d = dim_a * dim_b
+    if M.shape != (d, d):
+        raise ValueError(f"expected shape ({d}, {d}) for dims {dim_a}x{dim_b}, got {M.shape}")
+    M4 = M.reshape(dim_b, dim_a, dim_b, dim_a)  # axes [b, a, b', a']
+    if keep == "a":
+        return np.einsum("ixiy->xy", M4)
+    if keep == "b":
+        return np.einsum("xiyi->xy", M4)
+    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
+
+
+def basis_vector(m: int, mu: int) -> np.ndarray:
+    """|mu> in C^m; |e0> of the environment is basis_vector(m, 0)."""
+    e = np.zeros(m, dtype=complex)
+    e[mu] = 1.0
+    return e
+
+
+def env_projector(n: int, m: int, mu: int) -> np.ndarray:
+    """Orthogonal projector onto S (x) span|mu> in S (x) E."""
+    return tensor(np.eye(n), pure_projector(basis_vector(m, mu)))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfilter import channels, dilation, states, tolerances, verify
+from qfilter import channels, dilation, linalg, states, tolerances, verify
 from qfilter.cli import run
 
 
@@ -218,20 +218,31 @@ class TestDilateCommand:
         assert replay["links_hold"]["c_uhlmann_margin"] is True
 
     def test_one_dilation_per_output(self, tmp_path, monkeypatch):
-        built = []
-        real = dilation.stinespring
+        # the replay lifts through the Kraus stack; only the written file needs the completed unitary
+        built, completions = [], []
+        real_stinespring, real_complete = dilation.stinespring, linalg.complete_isometry
 
         def counting(ch):
-            built.append(real(ch))
+            built.append(real_stinespring(ch))
             return built[-1]
 
+        def counting_completion(V):
+            completions.append(V.shape)
+            return real_complete(V)
+
         monkeypatch.setattr(dilation, "stinespring", counting)
-        assert run([
-            "dilate", "--random-channel", "3,3", "--random-state", "3,2",
-            "--seed", "3", "--output", str(tmp_path),
-        ]) == 0
-        assert len(built) == 1
-        replay = json.loads((tmp_path / "replay.json").read_text())
+        monkeypatch.setattr(linalg, "complete_isometry", counting_completion)
+        rng = np.random.default_rng(4)
+        ch = channels.random_channel(3, 3, rng)
+        dilation.replay_proof(ch, states.random_density(3, 2, rng), states.random_density(3, 3, rng))
+        assert built == [] and completions == []
+        argv = ["dilate", "--random-channel", "3,3", "--random-state", "3,2", "--seed", "3"]
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        assert built == [] and completions == []
+        assert run(argv + ["--output", "out"]) == 0
+        assert len(built) == 1 and completions == [(9, 3)]
+        replay = json.loads((tmp_path / "out" / "replay.json").read_text())
         assert replay["dilation"]["unitary"] == states.matrix_to_dict(built[0].unitary)
 
     def test_no_output_flag_writes_no_file(self, tmp_path, monkeypatch, capsys):
@@ -289,6 +300,21 @@ class TestSweepCommand:
         assert (tmp_path / "a" / "sweep.csv").read_text().splitlines()[1].endswith(",0")
         assert (tmp_path / "b" / "sweep.csv").read_text().splitlines()[1].endswith(",4")
 
+    def test_cell_matches_the_instance_stream(self, tmp_path):
+        # cell 0 draws from SeedSequence(seed, spawn_key=(0,)) through verify.random_instances
+        assert run([
+            "sweep", "--n-values", "3", "--m-values", "4", "--partition-sizes", "2",
+            "--trials", "6", "--seed", "17", "--output", str(tmp_path),
+        ]) == 0
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(0,)))
+        gaps = [
+            verify.measure_gap_report(ch, sigma, rho, "fidelity", part).gap
+            for ch, sigma, rho, part in verify.random_instances(3, 4, 6, rng, 2)
+        ]
+        assert row[:4] == ["3", "4", "2", "6"]
+        assert float(row[4]) == min(gaps)
+
     def test_one_dimension_and_one_outcome(self, tmp_path):
         assert run([
             "sweep", "--n-values", "1,2", "--m-values", "1,2", "--partition-sizes", "1,2",
@@ -330,9 +356,37 @@ class TestConfigHandling:
         assert run(["verify", "--config", str(cfg_file)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b"\xff\xfe{}")
+        assert run(["verify", "--config", str(cfg_file)]) == 2
+        assert "config error: config: " in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run(["verify", "--config", "/nonexistent/cfg.json"]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+    def test_config_that_is_not_an_object(self, text, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert run(["verify", "--config", str(cfg_file)]) == 2
+        assert "config error: config: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["config", "channel", "state", "estimate", "partition"])
+    def test_directory_in_place_of_a_file(self, field, tmp_path, capsys):
+        argv = ["dilate", "--random-channel", "2,2", "--seed", "1", "--output", str(tmp_path / "out")]
+        if field == "channel":
+            argv = ["dilate", "--seed", "1", "--output", str(tmp_path / "out")]
+        assert run(argv + [f"--{field}", str(tmp_path)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_measure_that_is_not_a_string(self, command, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 1, "measure": ["fidelity"]}))
+        assert run([command, "--config", str(cfg_file), "--output", str(tmp_path / "out")]) == 2
+        assert "config error: measure: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, field",

@@ -6,6 +6,8 @@ import pytest
 
 from qfilter import channels, dilation, measures, states, tolerances, verify
 
+import oracles
+
 
 def random_instance(rng, n=None, m=None):
     n = n or int(rng.integers(2, 5))
@@ -25,7 +27,7 @@ def dense_lift(dil, psi):
     n, m = dil.dim, dil.env_dim
     U4 = dil.unitary.reshape(m, n, m, n)  # [E', S', E, S]
     V = np.einsum("aceg,bf->abcefg", U4, np.eye(n)).reshape(n * n * m, n * n * m)
-    return V @ np.kron(dil.reference, psi)
+    return V @ np.kron(oracles.basis_vector(m, 0), psi)
 
 
 def dense_residuals(ch, sigma, rho, partition):
@@ -102,16 +104,18 @@ class TestStinespring:
             assert np.abs(dil.recovered_operators() - ch.operators).max() < 1e-12
 
     def test_projectors_resolve_identity(self):
+        # P_mu U (I (x) |e0>) = M_mu (x) |mu>: the outcome projectors split U's first n columns
         rng = np.random.default_rng(2)
         ch = channels.random_channel(2, 3, rng)
         dil = dilation.stinespring(ch)
-        total = sum(dil.projector(mu) for mu in range(3))
-        assert np.abs(total - np.eye(6)).max() < 1e-14
-        for mu in range(3):
-            P = dil.projector(mu)
+        projectors = [oracles.env_projector(2, 3, mu) for mu in range(3)]
+        assert np.abs(sum(projectors) - np.eye(6)).max() < 1e-14
+        for mu, P in enumerate(projectors):
             assert np.abs(P @ P - P).max() < 1e-14
             for nu in range(mu + 1, 3):
-                assert np.abs(P @ dil.projector(nu)).max() < 1e-14
+                assert np.abs(P @ projectors[nu]).max() < 1e-14
+            want = oracles.tensor(ch.operators[mu], oracles.basis_vector(3, mu)[:, None])
+            assert np.abs(P @ dil.unitary[:, :2] - want).max() < 1e-14
 
     def test_environment_model_reproduces_block_maps(self):
         # tr_E(P_mu U (rho (x) |e0><e0|) U† P_mu) = M_mu rho M_mu†
@@ -121,11 +125,11 @@ class TestStinespring:
             ch = channels.random_channel(n, m, rng)
             rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
             dil = dilation.stinespring(ch)
-            e0_proj = states.pure_projector(dil.reference)
-            lifted = dil.unitary @ states.tensor(rho, e0_proj) @ dil.unitary.conj().T
+            e0_proj = oracles.pure_projector(oracles.basis_vector(m, 0))
+            lifted = dil.unitary @ oracles.tensor(rho, e0_proj) @ dil.unitary.conj().T
             for mu in range(m):
-                P = dil.projector(mu)
-                block = states.partial_trace(P @ lifted @ P, n, m, keep="a")
+                P = oracles.env_projector(n, m, mu)
+                block = oracles.partial_trace(P @ lifted @ P, n, m, keep="a")
                 want = ch.operators[mu] @ rho @ ch.operators[mu].conj().T
                 assert np.abs(block - want).max() < 1e-12
 
@@ -134,11 +138,11 @@ class TestStinespring:
         ch = channels.random_channel(3, 2, rng)
         rho = states.random_density(3, 3, rng)
         dil = dilation.stinespring(ch)
-        e0_proj = states.pure_projector(dil.reference)
-        lifted = dil.unitary @ states.tensor(rho, e0_proj) @ dil.unitary.conj().T
+        e0_proj = oracles.pure_projector(oracles.basis_vector(2, 0))
+        lifted = dil.unitary @ oracles.tensor(rho, e0_proj) @ dil.unitary.conj().T
         probs = channels.outcome_probs(ch, rho)
         for mu in range(2):
-            p = np.trace(dil.projector(mu) @ lifted).real
+            p = np.trace(oracles.env_projector(3, 2, mu) @ lifted).real
             assert abs(p - probs[mu]) < 1e-12
 
 
@@ -171,8 +175,8 @@ class TestUhlmannPair:
             sigma = states.random_density(n, int(rng.integers(1, n + 1)), rng)
             rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
             a, b = dilation.uhlmann_pair(sigma, rho)
-            assert np.abs(states.partial_trace(states.pure_projector(a), n, n, "a") - sigma).max() < 1e-12
-            assert np.abs(states.partial_trace(states.pure_projector(b), n, n, "a") - rho).max() < 1e-12
+            assert np.abs(oracles.partial_trace(oracles.pure_projector(a), n, n, "a") - sigma).max() < 1e-12
+            assert np.abs(oracles.partial_trace(oracles.pure_projector(b), n, n, "a") - rho).max() < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -260,7 +264,7 @@ class TestMatrixFreeLift:
             part = channels.random_partition(m, rng) if i % 2 else None
             dil = dilation.stinespring(ch)
             for psi in dilation.uhlmann_pair(sigma, rho):
-                lifted = dil.lift(psi)
+                lifted = dilation._lift(ch.operators, psi)
                 assert lifted.shape == (m, n, n)
                 assert np.abs(lifted.reshape(-1) - dense_lift(dil, psi)).max() < 1e-12
             got = dilation.replay_proof(ch, sigma, rho, part).link_residuals

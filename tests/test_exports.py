@@ -1,0 +1,28 @@
+import qfilter
+
+# public names deleted because nothing outside the tests called them
+DELETED = {
+    "partial_trace",
+    "pure_projector",
+    "purify",
+    "simulate_batch",
+    "tensor",
+    "trajectory_to_dict",
+}
+
+
+def test_every_export_resolves():
+    missing = [name for name in qfilter.__all__ if not hasattr(qfilter, name)]
+    assert missing == []
+    assert len(set(qfilter.__all__)) == len(qfilter.__all__)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from qfilter import *", namespace)
+    assert set(qfilter.__all__) <= namespace.keys()
+
+
+def test_no_deleted_name_is_exported():
+    assert DELETED.isdisjoint(qfilter.__all__)
+    assert not any(hasattr(qfilter, name) for name in DELETED)

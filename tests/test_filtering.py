@@ -9,6 +9,18 @@ def projective_qubit_channel():
     return channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
+def fidelities(traj):
+    """F(estimate, true state) of each record of a trajectory, from its dense states."""
+    return measures.fidelity(
+        np.stack([s.estimate for s in traj.steps]), np.stack([s.true_state for s in traj.steps])
+    )
+
+
+def simulate_each(cfg, n_traj):
+    """Trajectories 0..n_traj-1 of cfg, one simulate call each."""
+    return [filtering.simulate(cfg, i) for i in range(n_traj)]
+
+
 def random_cfg(seed=0, n=3, m=2, steps=8, **kwargs):
     rng = np.random.default_rng(seed)
     return SimulationConfig(
@@ -89,7 +101,7 @@ class TestStepJoint:
         # the rank-one projector sends any state with weight on its line to that
         # line, which is rho_1, so F_1 = 1 exactly
         cfg = near_null_cfg()
-        solo = filtering.simulate(cfg, 0).fidelities()
+        solo = fidelities(filtering.simulate(cfg, 0))
         lockstep = filtering.batch_statistics(cfg, 1).fidelity[0]
         assert abs(solo[1] - 1.0) <= tolerances.GAP_TOL
         assert abs(lockstep[1] - 1.0) <= tolerances.GAP_TOL
@@ -164,7 +176,7 @@ class TestFactorEngine:
             assert traj.outcomes == outcomes[i].tolist()
             assert np.abs(np.stack([s.true_state for s in traj.steps]) - rhos[:, i]).max() <= 1e-12
             assert np.abs(np.stack([s.estimate for s in traj.steps]) - hats[:, i]).max() <= 1e-12
-            assert np.abs(traj.fidelities() - fid[i]).max() <= 1e-12
+            assert np.abs(fidelities(traj) - fid[i]).max() <= 1e-12
 
     @pytest.mark.parametrize("i", range(40))
     def test_agrees_with_dense_step(self, i):
@@ -244,7 +256,7 @@ class TestSimulate:
         cfg = random_cfg(seed=5)
         cfg.rho_hat0 = cfg.rho0
         traj = filtering.simulate(cfg)
-        assert np.abs(traj.fidelities() - 1.0).max() < 1e-12
+        assert np.abs(fidelities(traj) - 1.0).max() < 1e-12
 
     def test_deterministic_given_seed(self):
         cfg = random_cfg(seed=6)
@@ -352,23 +364,26 @@ class TestSimulate:
 
 
 class TestSimulateBatch:
+    """Trajectories of one config, one simulate call per trajectory index."""
+
     def test_single_trajectory_equals_simulate(self):
+        # the default index is 0, the first trajectory of a batch
         cfg = random_cfg(seed=12)
-        batch = filtering.simulate_batch(cfg, 1)
-        solo = filtering.simulate(cfg, traj_index=0)
-        assert batch[0].outcomes == solo.outcomes
-        assert filtering.trajectory_to_csv_string(batch[0]) == filtering.trajectory_to_csv_string(solo)
+        first = simulate_each(cfg, 1)[0]
+        solo = filtering.simulate(cfg)
+        assert first.outcomes == solo.outcomes
+        assert filtering.trajectory_to_csv_string(first) == filtering.trajectory_to_csv_string(solo)
 
     def test_batch_reproducible(self):
         cfg = random_cfg(seed=13)
-        a = filtering.simulate_batch(cfg, 4)
-        b = filtering.simulate_batch(cfg, 4)
+        a = simulate_each(cfg, 4)
+        b = simulate_each(cfg, 4)
         for x, y in zip(a, b):
             assert x.outcomes == y.outcomes
 
     def test_trajectories_differ_across_indices(self):
         cfg = random_cfg(seed=14, steps=20)
-        batch = filtering.simulate_batch(cfg, 4)
+        batch = simulate_each(cfg, 4)
         assert len({tuple(t.outcomes) for t in batch}) > 1
 
     def test_mean_fidelity_non_decreasing(self):
@@ -385,10 +400,10 @@ class TestBatchStatistics:
             cfg.partition = channels.random_partition(3, np.random.default_rng(16), 2)
         n_traj = 50
         stats = filtering.batch_statistics(cfg, n_traj)
-        batch = filtering.simulate_batch(cfg, n_traj)
+        batch = simulate_each(cfg, n_traj)
         for i, traj in enumerate(batch):
             assert stats.outcomes[i].tolist() == traj.outcomes
-            assert np.abs(stats.fidelity[i] - traj.fidelities()).max() < 1e-12
+            assert np.abs(stats.fidelity[i] - fidelities(traj)).max() < 1e-12
 
     def test_rows_across_lockstep_chunks_match_simulate(self):
         cfg = random_cfg(seed=23, n=3, m=3, steps=4)
@@ -398,7 +413,7 @@ class TestBatchStatistics:
         for i in (0, filtering._LOCKSTEP_CHUNK - 1, filtering._LOCKSTEP_CHUNK, n_traj - 1):
             traj = filtering.simulate(cfg, i)
             assert stats.outcomes[i].tolist() == traj.outcomes
-            assert np.abs(stats.fidelity[i] - traj.fidelities()).max() < 1e-12
+            assert np.abs(stats.fidelity[i] - fidelities(traj)).max() < 1e-12
 
     def test_fallback_counted(self):
         ch = projective_qubit_channel()
@@ -439,11 +454,3 @@ class TestTrajectoryCsv:
         lines = filtering.trajectory_to_csv_string(traj).splitlines()
         fid = float(lines[1].split(",")[2])
         assert fid == measures.fidelity(traj.steps[0].estimate, traj.steps[0].true_state)
-
-    def test_dict_dump_with_states(self):
-        cfg = random_cfg(seed=21, steps=2)
-        traj = filtering.simulate(cfg)
-        d = filtering.trajectory_to_dict(traj, include_states=True)
-        assert len(d["steps"]) == 3
-        rebuilt = states.matrix_from_dict(d["steps"][1]["true_state"])
-        assert np.array_equal(rebuilt, traj.steps[1].true_state)

@@ -3,6 +3,8 @@ import pytest
 
 from qfilter import states
 
+import oracles
+
 
 def brute_force_partial_trace(M, dim_a, dim_b, keep):
     """Independent index-sum oracle for the first-factor-fastest layout."""
@@ -101,61 +103,35 @@ class TestRandomDensity:
             states.make_density(states.random_density(n, rank, rng))
 
 
-class TestPurify:
-    def test_pure_state(self):
-        psi = states.purify(np.diag([1.0, 0.0]))
-        # |0>_S (x) |q>_Q up to a global phase; the ascending eigenvalue
-        # convention places the unit amplitude in the last Q slot
-        amps = psi.reshape(2, 2)  # [q, s]
-        assert np.abs(amps[:, 1]).max() < 1e-12  # no weight on S = |1>
-        assert abs(np.abs(amps[:, 0]).max() - 1.0) < 1e-12
-        assert abs(abs(psi[2]) - 1.0) < 1e-12
-
-    def test_maximally_mixed_qubit(self):
-        psi = states.purify(np.eye(2) / 2)
-        # Bell-type vector: equal weight on the two s == q slots
-        amps = np.abs(psi.reshape(2, 2))  # [q, s]
-        assert abs(amps[0, 0] - 1 / np.sqrt(2)) < 1e-12
-        assert abs(amps[1, 1] - 1 / np.sqrt(2)) < 1e-12
-        assert amps[0, 1] < 1e-12 and amps[1, 0] < 1e-12
-
-    def test_partial_trace_recovery(self):
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            n = int(rng.integers(2, 6))
-            rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
-            psi = states.purify(rho)
-            recovered = states.partial_trace(states.pure_projector(psi), n, n, keep="a")
-            assert np.abs(recovered - rho).max() < 1e-12
-
-
 class TestPartialTrace:
+    """The dense partial-trace oracle of the dilation tests, against an index sum."""
+
     def test_product_of_basis_states(self):
-        v00 = states.tensor(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        proj = states.pure_projector(v00)
-        out = states.partial_trace(proj, 2, 2, keep="a")
+        v00 = oracles.tensor(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        proj = oracles.pure_projector(v00)
+        out = oracles.partial_trace(proj, 2, 2, keep="a")
         assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-14
 
     def test_bell_projector(self):
         bell = np.zeros(4)
         bell[[0, 3]] = 1 / np.sqrt(2)
-        out = states.partial_trace(states.pure_projector(bell), 2, 2, keep="b")
+        out = oracles.partial_trace(oracles.pure_projector(bell), 2, 2, keep="b")
         assert np.abs(out - np.eye(2) / 2).max() < 1e-14
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(6)
         rho = states.random_density(3, 2, rng)
         sig = states.random_density(2, 2, rng)
-        M = states.tensor(rho, sig)
-        assert np.abs(states.partial_trace(M, 3, 2, "a") - rho).max() < 1e-13
-        assert np.abs(states.partial_trace(M, 3, 2, "b") - sig).max() < 1e-13
+        M = oracles.tensor(rho, sig)
+        assert np.abs(oracles.partial_trace(M, 3, 2, "a") - rho).max() < 1e-13
+        assert np.abs(oracles.partial_trace(M, 3, 2, "b") - sig).max() < 1e-13
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(7)
         for dim_a, dim_b in [(2, 2), (2, 3), (3, 2), (4, 3)]:
             M = rng.standard_normal((dim_a * dim_b,) * 2) + 1j * rng.standard_normal((dim_a * dim_b,) * 2)
             for keep in ("a", "b"):
-                got = states.partial_trace(M, dim_a, dim_b, keep)
+                got = oracles.partial_trace(M, dim_a, dim_b, keep)
                 want = brute_force_partial_trace(M, dim_a, dim_b, keep)
                 assert np.abs(got - want).max() < 1e-13
 
@@ -163,13 +139,13 @@ class TestPartialTrace:
         rng = np.random.default_rng(8)
         M = states.random_density(6, 4, rng)
         for keep in ("a", "b"):
-            out = states.partial_trace(M, 2, 3, keep)
+            out = oracles.partial_trace(M, 2, 3, keep)
             assert abs(np.trace(out) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="expected shape"):
-            states.partial_trace(np.eye(5), 2, 2)
+            oracles.partial_trace(np.eye(5), 2, 2)
 
 
 class TestSerialization:

@@ -237,6 +237,24 @@ class TestRandomInstances:
             else:
                 assert part == channels.random_partition(4, child)
 
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_block_count(self, blocks):
+        # p = 1 is the trivial partition, p = m the singleton one; both draw nothing after rho
+        got = list(verify.random_instances(3, 4, 3, np.random.default_rng(5), blocks))
+        for child, (ch, sigma, rho, part) in zip(np.random.default_rng(5).spawn(3), got):
+            want_ch = channels.random_channel(3, 4, child)
+            rank_s, rank_r = int(child.integers(1, 4)), int(child.integers(1, 4))
+            assert np.array_equal(ch.operators, want_ch.operators)
+            assert np.array_equal(sigma, states.random_density(3, rank_s, child))
+            assert np.array_equal(rho, states.random_density(3, rank_r, child))
+            if blocks == 1:
+                assert part == channels.trivial_partition(4)
+            elif blocks == 4:
+                assert part == channels.singleton_partition(4)
+            else:
+                assert part == channels.random_partition(4, child, 2)
+                assert part.num_blocks == 2
+
     def test_full_rank(self):
         instances = verify.random_instances(3, 2, 5, np.random.default_rng(6), full_rank=True)
         for _, sigma, rho, _ in instances:

@@ -22,7 +22,7 @@ from .filtering import (
     batch_statistics,
     simulate,
 )
-from .linalg import Spectrum, complete_isometry, hermitian_eig, psd_sqrt, trace_abs
+from .linalg import complete_isometry, hermitian_eig, psd_sqrt, trace_abs
 from .measures import fidelity, frobenius_inner, purity, relative_entropy, trace_distance
 from .states import make_density, maximally_mixed, random_density
 from .verify import (
@@ -33,7 +33,6 @@ from .verify import (
     check_mean_evolution,
     counterexample_instance,
     counterexample_report,
-    expected_next_measure,
     measure_gap_report,
     random_search_violation,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "OutcomePartition",
     "ProofReplayReport",
     "SimulationConfig",
-    "Spectrum",
     "apply_channel",
     "batch_statistics",
     "check_fidelity_submartingale",
@@ -61,7 +59,6 @@ __all__ = [
     "conditional_update",
     "counterexample_instance",
     "counterexample_report",
-    "expected_next_measure",
     "fidelity",
     "frobenius_inner",
     "hermitian_eig",

@@ -24,6 +24,15 @@ the one-step fidelity gain nonnegative:
   (d) the probability-weighted overlap sum dominates the total overlap
       (Cauchy-Schwarz),
   (e) the total overlap equals the fidelity of the input pair (Uhlmann).
+
+The jump probabilities p_nu(rho), the conditional updates, their
+fidelities, the current fidelity and the expected next fidelity are read
+from the exact one-step pass of :mod:`qfilter.verify`, the one the fidelity
+gap report reads, so the replayed chain sums the very numbers the checked
+gap sums.  The links read per-outcome quantities of the two (m, n, n)
+lifts, one einsum for their reductions to S (whose traces are the squared
+norms) and one for their inner products, summed into blocks with the 0/1
+block indicator; no loop runs over the blocks.
 """
 
 from __future__ import annotations
@@ -33,16 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, measures
+from . import linalg
 from .channels import (
     KrausChannel,
     OutcomePartition,
-    conditional_update,
+    _block_indicator,
     outcome_probs,
     singleton_partition,
 )
 from .states import make_density
 from .tolerances import GAP_TOL, OVERLAP_TOL, UNITARY_TOL, ZERO_PROB_TOL
+from .verify import _one_step
 
 
 @dataclass(frozen=True)
@@ -161,100 +171,80 @@ def replay_proof(
 
     Builds the Uhlmann pair, lifts each purification straight from the
     Kraus stack as M_mu A (:func:`_lift`; the unitary completion and every
-    operator on S (x) Q (x) E are skipped), takes each outcome block as a
-    slice of it, and checks links (a)-(e); see the module docstring.  Links
-    (a)-(d) hold within `link_tol`, the identity (e) within OVERLAP_TOL.
-    Blocks where sigma's probability vanishes take the xi route and are
-    flagged rather than entering the per-block overlap checks.
+    operator on S (x) Q (x) E are skipped), runs the one-step pass for the
+    fidelity with no fallback, and checks links (a)-(e); see the module
+    docstring.  Links (a)-(d) hold within `link_tol`, the identity (e)
+    within OVERLAP_TOL.  Blocks where sigma's probability vanishes take the
+    xi route and are flagged rather than entering the per-block overlap
+    checks.
     """
-    sigma = make_density(sigma)
-    rho = make_density(rho)
+    psi_sigma, psi_rho = uhlmann_pair(sigma, rho)  # validates both states
     n, m = ch.dim, ch.num_outcomes
-    if sigma.shape != (n, n):
-        raise ValueError(f"state dim {sigma.shape} does not match channel dim {n}")
+    if np.shape(sigma) != (n, n):
+        raise ValueError(f"state dim {np.shape(sigma)} does not match channel dim {n}")
     if partition is None:
         partition = singleton_partition(m)
-
-    psi_sigma, psi_rho = uhlmann_pair(sigma, rho)
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
-    chi = _lift(ch.operators, psi_rho)
-    chi_hat = _lift(ch.operators, psi_sigma)
-    overlap_lifted = float(abs(np.vdot(chi_hat, chi)) ** 2)
-
-    probs_rho = outcome_probs(ch, rho, partition)
+    step = _one_step(ch, sigma, rho, "fidelity", partition)
+    probs_rho, kept = step.probs, step.kept
     probs_sigma = outcome_probs(ch, sigma, partition)
-    # the reference updates and fidelities of the blocks rho can jump to, in one stacked call each
-    kept = np.flatnonzero(probs_rho > ZERO_PROB_TOL)
-    updates_rho, _ = conditional_update(ch, kept, rho, partition)
-    updates_sigma, used = conditional_update(ch, kept, sigma, partition)
-    fidelities = measures.fidelity(
-        np.concatenate([updates_sigma, sigma[None]]), np.concatenate([updates_rho, rho[None]])
-    ).tolist()
-    fidelity_current = fidelities.pop()
-    position = {int(nu): i for i, nu in enumerate(kept)}
 
-    res_a = 0.0
-    res_b = 0.0
-    margin_c = math.inf
-    cs_lhs = 0.0
-    expected_next = 0.0
-    blocks: list[BlockReplay] = []
+    # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>
+    lifts = np.stack([_lift(ch.operators, psi_sigma), _lift(ch.operators, psi_rho)])
+    reduced = np.einsum("xeqs,xeqt->xest", lifts, lifts.conj())
+    inner = np.einsum("eqs,eqs->e", lifts[0].conj(), lifts[1])
+    overlap_lifted = float(abs(inner.sum()) ** 2)
+    E = _block_indicator(partition)
+    norms = np.trace(reduced, axis1=-2, axis2=-1).real @ E  # (2, blocks): sigma's, rho's
+    block_reduced = (E[:, kept].T @ reduced.reshape(2, m, n * n)).reshape(2, len(kept), n, n)
 
-    for nu, block in enumerate(partition.blocks):
-        proj_chi = chi[list(block)]
-        proj_chi_hat = chi_hat[list(block)]
-        norm2 = float(np.vdot(proj_chi, proj_chi).real)
-        res_a = max(res_a, abs(norm2 - probs_rho[nu]))
+    # (b) for rho on every kept block; (c), (d) and sigma's (b) where sigma's block is live too
+    live = probs_sigma[kept] > ZERO_PROB_TOL
+    both = kept[live]
+    res_a = float(np.abs(norms[1] - probs_rho).max())
+    res_b = float(np.abs(block_reduced[1] / norms[1, kept, None, None] - step.rho_next).max())
+    if both.size:
+        sigma_red = block_reduced[0, live] / norms[0, both, None, None]
+        res_b = max(res_b, float(np.abs(sigma_red - step.sigma_next[live]).max()))
+    overlaps = np.abs((inner @ E)[both]) ** 2 / (norms[0, both] * norms[1, both])
+    margin_c = float((step.values[live] - overlaps).min()) if both.size else math.inf
+    cs_lhs = float(sum(probs_rho[both] * overlaps))
+    res_d = cs_lhs - overlap_lifted
+    res_e = abs(overlap_lifted - step.rhs)
 
-        p_rho = float(probs_rho[nu])
-        p_sigma = float(probs_sigma[nu])
-        overlap_nu: float | None = None
-        fidelity_nu: float | None = None
-        used_fb = False
-        if nu in position:
-            i = position[nu]
-            update_sigma, used_fb, fidelity_nu = updates_sigma[i], bool(used[i]), fidelities[i]
-            chi_nu = proj_chi / math.sqrt(norm2)
-            res_b = max(res_b, float(np.abs(_reduce_to_s(chi_nu) - updates_rho[i]).max()))
-            expected_next += p_rho * fidelity_nu
-            if p_sigma > ZERO_PROB_TOL:
-                norm2_hat = float(np.vdot(proj_chi_hat, proj_chi_hat).real)
-                chi_hat_nu = proj_chi_hat / math.sqrt(norm2_hat)
-                res_b = max(
-                    res_b,
-                    float(np.abs(_reduce_to_s(chi_hat_nu) - update_sigma).max()),
-                )
-                overlap_nu = float(abs(np.vdot(chi_hat_nu, chi_nu)) ** 2)
-                margin_c = min(margin_c, fidelity_nu - overlap_nu)
-                cs_lhs += p_rho * overlap_nu
-        blocks.append(BlockReplay(nu, p_rho, p_sigma, overlap_nu, fidelity_nu, used_fb))
-
+    fidelity_of = dict(zip(kept.tolist(), step.values.tolist()))
+    overlap_of = dict(zip(both.tolist(), overlaps.tolist()))
+    fallback_blocks = step.fallback_blocks
+    blocks = [
+        BlockReplay(nu, p, q, overlap_of.get(nu), fidelity_of.get(nu), nu in fallback_blocks)
+        for nu, (p, q) in enumerate(zip(probs_rho.tolist(), probs_sigma.tolist()))
+    ]
     residuals = {
-        "a_block_norms": float(res_a),
-        "b_purifications": float(res_b),
-        "c_uhlmann_margin": float(margin_c),
-        "d_cauchy_schwarz": float(cs_lhs - overlap_lifted),
-        "e_overlap_vs_fidelity": float(abs(overlap_lifted - fidelity_current)),
+        "a_block_norms": res_a,
+        "b_purifications": res_b,
+        "c_uhlmann_margin": margin_c,
+        "d_cauchy_schwarz": res_d,
+        "e_overlap_vs_fidelity": res_e,
     }
     holds = {
-        "a_block_norms": bool(res_a <= link_tol),
-        "b_purifications": bool(res_b <= link_tol),
-        "c_uhlmann_margin": bool(margin_c >= -link_tol),
-        "d_cauchy_schwarz": bool(cs_lhs - overlap_lifted >= -link_tol),
-        "e_overlap_vs_fidelity": bool(abs(overlap_lifted - fidelity_current) <= OVERLAP_TOL),
+        "a_block_norms": res_a <= link_tol,
+        "b_purifications": res_b <= link_tol,
+        "c_uhlmann_margin": margin_c >= -link_tol,
+        "d_cauchy_schwarz": res_d >= -link_tol,
+        "e_overlap_vs_fidelity": res_e <= OVERLAP_TOL,
     }
     return ProofReplayReport(
         overlap_initial=overlap_initial,
         blocks=blocks,
         cauchy_schwarz_lhs=cs_lhs,
         cauchy_schwarz_rhs=overlap_lifted,
-        fidelity_current=fidelity_current,
-        expected_next_fidelity=expected_next,
+        fidelity_current=step.rhs,
+        expected_next_fidelity=step.lhs,
         link_residuals=residuals,
         links_hold=holds,
         all_links_hold=all(holds.values()),
-        fallback_blocks=tuple(kept[used].tolist()),
+        fallback_blocks=fallback_blocks,
     )
 
 
@@ -269,7 +259,3 @@ def _lift(operators: np.ndarray, psi: np.ndarray) -> np.ndarray:
     amp = np.asarray(psi).reshape(n, n).T
     return (operators @ amp).swapaxes(1, 2)
 
-
-def _reduce_to_s(chi: np.ndarray) -> np.ndarray:
-    """Partial trace over Q (x) E of the state with amplitudes chi[e, q, s]."""
-    return np.einsum("eqs,eqt->st", chi, chi.conj())

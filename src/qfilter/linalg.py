@@ -8,18 +8,9 @@ every check then runs across the whole stack.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .tolerances import EIGENVALUE_CLAMP, HERMITICITY_TOL, ISOMETRY_TOL, ZERO_EIGENVALUE_TRIM
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition A = U diag(w) U† with w real ascending and U unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _any(mask) -> bool:
@@ -51,11 +42,10 @@ def require_hermitian(A) -> np.ndarray:
     return A
 
 
-def hermitian_eig(H) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (or stack), eigenvalues ascending."""
+def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
+    """(w, U) with H = U diag(w) U† for a Hermitian matrix (or stack), w real ascending, U unitary."""
     H = require_hermitian(H)
-    w, U = np.linalg.eigh(H)
-    return Spectrum(w, U)
+    return np.linalg.eigh(H)
 
 
 def psd_sqrt(A) -> np.ndarray:

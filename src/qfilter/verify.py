@@ -11,21 +11,29 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
   1/3 - 1/4 = 1/12 > 0,
 * randomized violation search per measure.
 
-Each check runs once per instance on stacks, not once per block.  A gap
-report makes one ``outcome_probs`` call, then one ``conditional_update``
-call per state with the sequence of blocks where p_nu(rho) > ZERO_PROB_TOL
-(the results carry a leading block axis), then one measure call on those
-block pairs with the current pair (sigma, rho) appended, which gives the
-expectation and the current value together.  Monotonicity is one
+Each check runs once per instance on stacks, not once per block.  Every
+exact one-step result reads one pass, :func:`_one_step`: one
+``outcome_probs`` call on rho, one ``conditional_update`` call on the stack
+[sigma, rho] over the blocks where p_nu(rho) > ZERO_PROB_TOL (the results
+carry a leading block axis), and one measure call on those block pairs with
+the current pair (sigma, rho) appended, which gives the expectation and the
+current value together.  The gap reports, the counter-example and
+:func:`qfilter.dilation.replay_proof` all read it, so the replayed chain sums
+the very numbers the checked gap sums.  Monotonicity is one
 ``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
 both pairs; the mean evolution is one stacked update and its p-weighted sum.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
-the report, never silently skipped; rho's kept blocks never take the
-caller's fallback.  Infinite relative-entropy terms with positive weight
-make the whole expectation infinite; an infinite expectation against a
-finite current value is treated as vacuously non-violating by the search.
+the report, never silently skipped; rho's kept blocks have positive
+probability, so rho never takes the caller's fallback.  Infinite
+relative-entropy terms with positive weight make the whole expectation
+infinite; an infinite expectation against a finite current value is
+treated as vacuously non-violating by the search.
+
+A wrong-sign gap fails a run (``qfilter verify``, ``qfilter sweep``) only
+for the fidelity, whose one-step gain is the paper's theorem; for the
+other measures it is reported, never failed.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import hashlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +71,9 @@ MEASURES = {
     "relative_entropy": lambda sigma, rho: measures.relative_entropy(rho, sigma),
 }
 
-#: measures expected to not decrease in mean (sub-martingales); the others
-#: are conjectured super-martingales whose violations the search hunts for.
+#: measures oriented as sub-martingales (not decreasing in mean); the others
+#: are oriented as super-martingales.  Only the fidelity's direction is a
+#: theorem (see :func:`_fails_run`); the search hunts the others' violations.
 SUBMARTINGALE_MEASURES = ("fidelity", "frobenius")
 
 GAP_REPORT_COLUMNS = (
@@ -119,36 +129,16 @@ class GapReport:
             self.fingerprint,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "blocks": None if self.partition is None else [list(b) for b in self.partition.blocks],
-            "fallback_blocks": list(self.fallback_blocks),
-            "fingerprint": self.fingerprint,
-            "passed": self.passed,
-        }
 
+def _fails_run(report: GapReport) -> bool:
+    """Whether a report fails a ``verify`` or ``sweep`` run.
 
-def expected_next_measure(
-    ch: KrausChannel,
-    sigma,
-    rho,
-    measure: str,
-    partition: OutcomePartition | None = None,
-    fallback: np.ndarray | None = None,
-) -> float:
-    """E[ measure(sigma_{k+1}, rho_{k+1}) | sigma, rho ] as an exact finite sum.
-
-    Sums p_nu(rho) * measure(update(sigma), update(rho)) over all blocks with
-    p_nu(rho) > ZERO_PROB_TOL; blocks where sigma's probability vanishes use
-    the xi substitution.  Infinite terms with positive weight give an
-    infinite sum.
+    Only a wrong-sign fidelity gap does: the fidelity's one-step gain is the
+    paper's theorem.  Frobenius is refuted under coarse partitions, the
+    trace distance by the embedded 4/3 instance, and the relative entropy
+    is open, so their wrong-sign gaps are reported, not failed.
     """
-    value, _, _ = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
-    return value
+    return report.measure == "fidelity" and not report.passed
 
 
 def measure_gap_report(
@@ -162,12 +152,17 @@ def measure_gap_report(
 ) -> GapReport:
     """One-step expectation report for any registered measure.
 
-    The report's `passed` judges the gap against the measure's expected
-    direction with slack `tol` (see :attr:`GapReport.passed`).
+    lhs is E[ measure(sigma_{k+1}, rho_{k+1}) | sigma, rho ], the exact sum
+    of p_nu(rho) * measure(update(sigma), update(rho)) over the blocks with
+    p_nu(rho) > ZERO_PROB_TOL (sigma's vanishing blocks use the xi
+    substitution, infinite terms with positive weight give an infinite
+    sum), and rhs is measure(sigma, rho).  The report's `passed` judges the
+    gap against the measure's expected direction with slack `tol` (see
+    :attr:`GapReport.passed`).
     """
-    lhs, rhs, fb = _expected_next_detail(ch, sigma, rho, measure, partition, fallback)
+    step = _one_step(ch, sigma, rho, measure, partition, fallback)
     return GapReport(
-        measure, lhs, rhs, lhs - rhs, partition, fb,
+        measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
         _fingerprint(ch, sigma, rho, partition), tol,
     )
 
@@ -238,10 +233,6 @@ class CounterexampleReport:
     def fidelity_gap(self) -> float:
         return self.f_lhs - self.f_rhs
 
-    @property
-    def trace_distance_excess(self) -> float:
-        return self.d_lhs - self.d_rhs
-
     def to_dict(self) -> dict:
         return {
             "trace_distance": {"lhs": self.d_lhs, "rhs": self.d_rhs},
@@ -259,16 +250,14 @@ def counterexample_report() -> CounterexampleReport:
 
     Trace distance jumps from 1 to an expected 4/3 (so it is not a
     super-martingale) while fidelity gains 1/3 - 1/4.  All four numbers are
-    recomputed here and must match the exact constants within
-    COUNTEREXAMPLE_TOL.
+    recomputed here, each (expected next, current) pair by one pass, and
+    must match the exact constants within COUNTEREXAMPLE_TOL.
     """
     ch, sigma, rho = counterexample_instance()
-    d_lhs = expected_next_measure(ch, sigma, rho, "trace_distance")
-    d_rhs = measures.trace_distance(sigma, rho)
-    f_lhs = expected_next_measure(ch, sigma, rho, "fidelity")
-    f_rhs = measures.fidelity(sigma, rho)
-    s_lhs = expected_next_measure(ch, sigma, rho, "relative_entropy")
-    s_rhs = measures.relative_entropy(rho, sigma)
+    d = _one_step(ch, sigma, rho, "trace_distance")
+    f = _one_step(ch, sigma, rho, "fidelity")
+    s = _one_step(ch, sigma, rho, "relative_entropy")
+    d_lhs, d_rhs, f_lhs, f_rhs, s_lhs, s_rhs = d.lhs, d.rhs, f.lhs, f.rhs, s.lhs, s.rhs
     expected = {
         "d_lhs": (d_lhs, 4.0 / 3.0),
         "d_rhs": (d_rhs, 1.0),
@@ -369,36 +358,47 @@ def write_gap_reports_csv(reports, file) -> None:
             fh.close()
 
 
-def _expected_next_detail(
+class _OneStep(NamedTuple):
+    """The exact one-step pass from (sigma, rho), which every exact one-step result reads.
+
+    The k kept blocks, where p_nu(rho) > ZERO_PROB_TOL, index the updates and values.
+    """
+
+    probs: np.ndarray  # p_nu(rho) for every block
+    kept: np.ndarray  # (k,) the kept blocks
+    sigma_next: np.ndarray  # (k, n, n) sigma's updates, xi's where sigma's block vanishes
+    rho_next: np.ndarray  # (k, n, n) rho's updates
+    values: np.ndarray  # (k,) the measure on the kept block pairs
+    lhs: float  # the expected next value, sum_nu p_nu(rho) * values[nu]
+    rhs: float  # the current value, measure(sigma, rho)
+    fallback_blocks: tuple[int, ...]  # the kept blocks whose sigma update took the fallback
+
+
+def _one_step(
     ch: KrausChannel,
     sigma,
     rho,
     measure: str,
-    partition: OutcomePartition | None,
-    fallback: np.ndarray | None,
-) -> tuple[float, float, tuple[int, ...]]:
-    """(expected next value, current value, blocks whose sigma update took the fallback).
-
-    The blocks kept are those with p_nu(rho) > ZERO_PROB_TOL.  One update
-    call per state covers all of them (rho's never takes `fallback`), and
-    one measure call evaluates the block pairs with the current pair
-    (sigma, rho) appended as the last pair.
-    """
+    partition: OutcomePartition | None = None,
+    fallback: np.ndarray | None = None,
+) -> _OneStep:
+    """The one-step pass of the module docstring; `fallback` is sigma's xi."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    sigma = np.asarray(sigma, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
+    sigma, rho = measures._check_pair(sigma, rho)
     probs = outcome_probs(ch, rho, partition)
     kept = np.flatnonzero(probs > ZERO_PROB_TOL)
-    rho_next, _ = conditional_update(ch, kept, rho, partition)
-    sigma_next, used_fb = conditional_update(ch, kept, sigma, partition, fallback)
+    updates, used = conditional_update(ch, kept, np.stack([sigma, rho]), partition, fallback)
+    sigma_next, rho_next = updates[:, 0], updates[:, 1]
     values = MEASURES[measure](
         np.concatenate([sigma_next, sigma[None]]), np.concatenate([rho_next, rho[None]])
     )
     # added left to right in block order, as a loop over the blocks adds them;
     # a positive weight times an infinite term makes the sum infinite
     lhs = float(sum(probs[kept] * values[:-1]))
-    return lhs, float(values[-1]), tuple(kept[used_fb].tolist())
+    fallback_blocks = tuple(kept[used[:, 0]].tolist())
+    rhs = float(values[-1])
+    return _OneStep(probs, kept, sigma_next, rho_next, values[:-1], lhs, rhs, fallback_blocks)
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None) -> str:

@@ -138,6 +138,24 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["violations"] >= 1
 
+    def test_frobenius_violations_reported_not_failed(self, tmp_path):
+        # tr(rho sigma) takes the wrong sign under the trivial partition;
+        # only the fidelity's one-step gain is a theorem
+        assert run([
+            "verify", "--measure", "frobenius", "--partition-mode", "trivial", "--trials", "30",
+            "--seed", "22", "--output", str(tmp_path),
+        ]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == 11 and report["passed"] is True
+
+    def test_fidelity_violation_fails(self, tmp_path):
+        # a negative slack demands a fidelity gain above 1, which no instance has
+        assert run([
+            "verify", "--trials", "3", "--seed", "1", "--tolerance", "-1", "--output", str(tmp_path),
+        ]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == 3 and report["passed"] is False
+
     def test_partition_modes(self, tmp_path):
         for mode in ("singleton", "trivial", "random"):
             out = tmp_path / mode
@@ -300,6 +318,15 @@ class TestSweepCommand:
         assert (tmp_path / "a" / "sweep.csv").read_text().splitlines()[1].endswith(",0")
         assert (tmp_path / "b" / "sweep.csv").read_text().splitlines()[1].endswith(",4")
 
+    def test_frobenius_violations_reported_not_failed(self, tmp_path):
+        assert run([
+            "sweep", "--measure", "frobenius", "--trials", "6", "--seed", "43", "--output", str(tmp_path),
+        ]) == 0
+        rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [",".join(r[:3]) for r in rows if r[6] != "0"] == ["2,3,1", "2,3,2", "3,3,1"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["wrong_sign_total"] == sum(int(r[6]) for r in rows) > 0
+
     def test_cell_matches_the_instance_stream(self, tmp_path):
         # cell 0 draws from SeedSequence(seed, spawn_key=(0,)) through verify.random_instances
         assert run([
@@ -380,6 +407,22 @@ class TestConfigHandling:
             argv = ["dilate", "--seed", "1", "--output", str(tmp_path / "out")]
         assert run(argv + [f"--{field}", str(tmp_path)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "simulate"])
+    def test_output_that_is_not_a_string(self, command, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 1, "output": [1]}))
+        argv = [command, "--config", str(cfg_file)]
+        if command == "simulate":
+            argv += ["--random-channel", "2,2"]
+        assert run(argv) == 2
+        assert "config error: output: " in capsys.readouterr().err
+
+    def test_output_that_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        for out in ("taken", "taken/sub"):
+            assert run(["verify", "--seed", "1", "--trials", "2", "--output", str(tmp_path / out)]) == 2
+            assert "config error: output: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_measure_that_is_not_a_string(self, command, tmp_path, capsys):

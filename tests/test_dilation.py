@@ -201,7 +201,7 @@ class TestReplayProof:
         assert rep.all_links_hold
         gap = rep.expected_next_fidelity - rep.fidelity_current
         assert abs(gap - 1.0 / 12.0) < 1e-9
-        want = verify.expected_next_measure(ch, sigma, rho, "fidelity")
+        want = verify.measure_gap_report(ch, sigma, rho, "fidelity").lhs
         assert abs(rep.expected_next_fidelity - want) < 1e-12
 
     def test_random_instances_hold(self):
@@ -228,6 +228,27 @@ class TestReplayProof:
             verified = verify.check_fidelity_submartingale(ch, sigma, rho)
             assert abs(gap - verified.gap) < 1e-9
             assert gap >= -1e-9
+
+    def test_chain_sums_the_checked_gap(self):
+        # the replay reads the gap check's one-step pass, so its sums are the check's, bit for bit
+        rng = np.random.default_rng(16)
+        cases = []
+        for i in range(30):
+            ch, sigma, rho = random_instance(rng)
+            m = ch.num_outcomes
+            part = (None, channels.trivial_partition(m), channels.random_partition(m, rng))[i % 3]
+            cases.append((ch, sigma, rho, part))
+        proj = channels.validate_channel([np.diag(np.eye(3)[k]) for k in range(3)])
+        rho = states.random_density(3, 3, rng)
+        cases.append((projective_channel(), np.diag([0.0, 1.0]), np.diag([0.5, 0.5]), None))
+        cases.append((proj, np.diag([0.0, 0.0, 1.0]), rho, channels.make_partition(3, [[2], [0], [1]])))
+        for ch, sigma, rho, part in cases:
+            rep = dilation.replay_proof(ch, sigma, rho, part)
+            checked = verify.check_fidelity_submartingale(ch, sigma, rho, part)
+            assert rep.expected_next_fidelity == checked.lhs
+            assert rep.fidelity_current == checked.rhs
+            assert rep.fallback_blocks == checked.fallback_blocks
+        assert rep.fallback_blocks == (1, 2)  # sigma falls back under a permuted partition
 
     def test_fallback_blocks_flagged(self):
         ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

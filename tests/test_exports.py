@@ -2,12 +2,20 @@ import qfilter
 
 # public names deleted because nothing outside the tests called them
 DELETED = {
+    "Spectrum",
+    "expected_next_measure",
     "partial_trace",
     "pure_projector",
     "purify",
     "simulate_batch",
     "tensor",
     "trajectory_to_dict",
+}
+
+# attributes deleted for the same reason, by the class that had them
+DELETED_ATTRIBUTES = {
+    qfilter.GapReport: ("to_dict",),
+    qfilter.CounterexampleReport: ("trace_distance_excess",),
 }
 
 
@@ -26,3 +34,9 @@ def test_star_import():
 def test_no_deleted_name_is_exported():
     assert DELETED.isdisjoint(qfilter.__all__)
     assert not any(hasattr(qfilter, name) for name in DELETED)
+
+
+def test_no_deleted_attribute_is_back():
+    assert not any(hasattr(cls, name) for cls, names in DELETED_ATTRIBUTES.items() for name in names)
+    assert not hasattr(qfilter.linalg, "Spectrum")
+    assert not hasattr(qfilter.verify, "expected_next_measure")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilter import channels, measures, states, verify
+from qfilter import channels, dilation, measures, states, verify
 from qfilter.tolerances import ZERO_PROB_TOL
 
 
@@ -18,14 +18,16 @@ def random_instance(rng, n=None, m=None):
 
 
 class TestExpectedNextMeasure:
+    """The expected next value is the gap report's lhs."""
+
     def test_counterexample_trace_distance(self):
         ch, sigma, rho = verify.counterexample_instance()
-        got = verify.expected_next_measure(ch, sigma, rho, "trace_distance")
+        got = verify.measure_gap_report(ch, sigma, rho, "trace_distance").lhs
         assert abs(got - 4.0 / 3.0) < 1e-14
 
     def test_counterexample_fidelity(self):
         ch, sigma, rho = verify.counterexample_instance()
-        got = verify.expected_next_measure(ch, sigma, rho, "fidelity")
+        got = verify.measure_gap_report(ch, sigma, rho, "fidelity").lhs
         assert abs(got - 1.0 / 3.0) < 1e-14
 
     def test_unitary_channel_is_invariant(self):
@@ -35,7 +37,7 @@ class TestExpectedNextMeasure:
         sigma = states.random_density(3, 2, rng)
         rho = states.random_density(3, 3, rng)
         for name, fn in verify.MEASURES.items():
-            got = verify.expected_next_measure(ch, sigma, rho, name)
+            got = verify.measure_gap_report(ch, sigma, rho, name).lhs
             want = fn(sigma, rho)
             if math.isinf(want):
                 assert math.isinf(got), name
@@ -45,11 +47,11 @@ class TestExpectedNextMeasure:
     def test_unknown_measure(self):
         ch, sigma, rho = verify.counterexample_instance()
         with pytest.raises(ValueError, match="unknown measure"):
-            verify.expected_next_measure(ch, sigma, rho, "bures")
+            verify.measure_gap_report(ch, sigma, rho, "bures")
 
     def test_infinite_terms_propagate(self):
         ch, sigma, rho = verify.counterexample_instance()
-        assert math.isinf(verify.expected_next_measure(ch, sigma, rho, "relative_entropy"))
+        assert math.isinf(verify.measure_gap_report(ch, sigma, rho, "relative_entropy").lhs)
 
 
 class TestFidelitySubmartingale:
@@ -365,7 +367,7 @@ class TestCallCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"fidelity": 0, "conditional_update": 0}
+        counts = {"fidelity": 0, "conditional_update": 0, "outcome_probs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -376,14 +378,30 @@ class TestCallCounts:
         fid = counted("fidelity", measures.fidelity)
         monkeypatch.setattr(measures, "fidelity", fid)
         monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
-        monkeypatch.setattr(verify, "conditional_update", counted("conditional_update", verify.conditional_update))
+        # every module that could call them by name, whether it imports them or not
+        for name in ("conditional_update", "outcome_probs"):
+            fn = counted(name, getattr(channels, name))
+            for module in (verify, dilation):
+                monkeypatch.setattr(module, name, fn, raising=False)
         return counts
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_submartingale_check(self, counts, m):
         ch, sigma, rho = random_instance(np.random.default_rng(m), n=3, m=m)
         verify.check_fidelity_submartingale(ch, sigma, rho)
-        assert counts == {"fidelity": 1, "conditional_update": 2}
+        assert counts == {"fidelity": 1, "conditional_update": 1, "outcome_probs": 1}
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_proof_replay(self, counts, m):
+        # the one-step pass, plus the outcome_probs(sigma) call that probability_estimate needs
+        rng = np.random.default_rng(m)
+        ch, sigma, rho = random_instance(rng, n=3, m=m)
+        dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
+        assert counts == {"fidelity": 1, "conditional_update": 1, "outcome_probs": 2}
+
+    def test_counterexample_report(self, counts):
+        verify.counterexample_report()
+        assert counts == {"fidelity": 1, "conditional_update": 3, "outcome_probs": 3}
 
     def test_kraus_monotonicity(self, counts):
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)

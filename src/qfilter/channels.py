@@ -288,7 +288,7 @@ def _factor_probs(
     per = _sq_norms(T)
     if partition is not None:
         _check_partition(ch, partition)
-        per = per @ _block_indicator(partition)
+        per = _block_sums(per, partition)
     _check_total(per)
     return T, per
 
@@ -322,7 +322,7 @@ def _factor_update(
     if _any(used):
         xi = maximally_mixed(n) if fallback is None else np.asarray(fallback, dtype=complex)
         X = _kraus_products(ch, _psd_factor(xi)[0][None])
-        p_xi = (_sq_norms(X) @ _block_indicator(partition))[0, idx[used]]
+        p_xi = _block_sums(_sq_norms(X), partition)[0, idx[used]]
         if _any(p_xi <= ZERO_PROB_TOL):
             bad = int(idx[used][p_xi <= ZERO_PROB_TOL][0])
             raise ValueError(f"block {bad} has zero probability for the state and for the fallback")
@@ -357,6 +357,20 @@ def _lower_triangle(n: int) -> np.ndarray:
     mask = np.tri(n)
     mask.setflags(write=False)
     return mask
+
+
+def _block_sums(per: np.ndarray, partition: OutcomePartition) -> np.ndarray:
+    """per[..., mu] summed over each block, in the order the block lists its outcomes.
+
+    Every row takes the same additions wherever it sits in a stack, which
+    the simulation engine relies on to give equal factors equal results.  A
+    product with :func:`_block_indicator` does not: BLAS may sum the last rows
+    of a stack in another order, so a block of three or more outcomes can
+    differ in the last bit from one row to the next.
+    """
+    order = [mu for block in partition.blocks for mu in block]
+    starts = np.cumsum([0] + [len(block) for block in partition.blocks[:-1]])
+    return np.add.reduceat(per[..., order], starts, axis=-1)
 
 
 @functools.lru_cache

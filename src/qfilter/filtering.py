@@ -8,11 +8,13 @@ feedback rule that sees only (k, rho_hat_k).
 
 Randomness: one uniform per step, inverse-CDF over the exact outcome
 probabilities (residual mass goes to the last block).  Trajectory i of a
-batch uses the child generator SeedSequence(seed, spawn_key=(i,)) and draws
-its `steps` uniforms in one call (the same values as one draw per step), so
-batches are reproducible and order-independent.
+batch draws the first `steps` doubles of numpy's generator for the child
+SeedSequence(seed, spawn_key=(i,)), so batches are reproducible and
+order-independent.  No generator object is built: :func:`_uniforms` runs
+numpy's SeedSequence hashing and PCG64 stream for every trajectory at once,
+bit for bit (numpy/random/bit_generator.pyx and src/pcg64/pcg64.h).
 
-One engine runs the chain: a step function on stacks of B pairs of states,
+One engine runs the chain: a step function on stacks of pairs of states,
 each state carried as a square factor L with rho = L L†.  The factors of
 rho0, rho_hat0 (and of the fallback, when it is used) come from one
 eigendecomposition with the PSD check of :func:`qfilter.linalg.psd_sqrt`;
@@ -20,7 +22,11 @@ after that no state is decomposed again.  A jump of block b maps L to
 [M_mu L]_{mu in b} / ||.||_F, a coarse block's k n columns compressed back
 to n by a QR, so the engine cannot produce a state that is not positive
 semidefinite.  The fidelity of a pair is (sum of singular values of
-L_hat† L)^2, one SVD.
+L_hat† L)^2, one SVD.  The states after k steps depend only on the outcome
+history, and every kernel does the same arithmetic on a row wherever it
+sits in a stack, so trajectories with equal histories carry bit-equal
+factors: the engine keeps one pair per distinct history, plus the map from
+trajectories to histories, and advances each history once.
 
 Dense states appear only where the API hands them out: JointStep.true_state
 and JointStep.estimate (L L†, made Hermitian), the estimate shown to a
@@ -35,6 +41,7 @@ round-off (measures.fidelity on the trajectory's dense states, as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from dataclasses import dataclass
@@ -43,15 +50,29 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import measures
-from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update
+from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update, _kraus_products
 from .linalg import _any, _psd_factor
 from .states import make_density
 from .tolerances import ZERO_PROB_TOL
 
-# Trajectories per _step call in batch_statistics: a step's temporaries (the
-# m Kraus products of each factor, the gathered blocks and their QR) then stay
-# near a megabyte however large the batch, at no measurable cost in speed.
-_LOCKSTEP_CHUNK = 256
+# Distinct histories per kernel call inside _step.  A step's temporaries (the m Kraus
+# products of each factor, the gathered blocks and their QR) then stay near
+# 100 kB at n = m = 3 however many histories a batch carries.  The last
+# chunk's size changes from step to step, and with chunks of 256 the heap
+# fragmented: a 20 s lockstep benchmark run peaked 0.3 MB higher in RSS, for
+# about 10% more throughput.
+_LOCKSTEP_CHUNK = 64
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 0xFFFFFFFF
+# below this many keys _uniforms builds numpy's generators: one costs about
+# 20 us, the vectorized pass about 130 us up to a few dozen keys
+_FEW_KEYS = 6
 
 ChannelSource = Union[KrausChannel, Sequence[KrausChannel], Callable[[int, np.ndarray], KrausChannel]]
 
@@ -129,6 +150,8 @@ class SimulationConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.seed is None:
             raise ValueError("a seed is required for reproducible simulation")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.fallback is not None:
             make_density(self.fallback)
         if not isinstance(self.channel, KrausChannel) and not callable(self.channel):
@@ -172,21 +195,25 @@ class SimulationConfig:
 def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
     """Run one trajectory of cfg.steps transitions, deterministic given the seed.
 
-    The generator is the child SeedSequence(cfg.seed, spawn_key=(traj_index,)),
-    so simulate(cfg, i) is exactly trajectory i of a batch.  The engine is
-    :func:`_step` on a batch of one; each record holds the dense states L L†,
-    and a feedback selector is shown the record's estimate.
+    The uniforms are those of the child SeedSequence(cfg.seed,
+    spawn_key=(traj_index,)), so simulate(cfg, i) is exactly trajectory i of
+    a batch.  The engine is :func:`_step` on a batch of one (one trajectory,
+    one history); each record holds the dense states L L†, and a feedback
+    selector is shown the record's estimate.
     """
     rho0, hat0 = cfg.validate()
-    u = _uniforms(cfg, traj_index)
-    pair = _psd_factor(np.stack([rho0, hat0]))[0]
+    if not isinstance(traj_index, (int, np.integer)) or traj_index < 0:
+        raise ValueError(f"traj_index must be a non-negative integer, got {traj_index!r}")
+    u = _uniforms(cfg.seed, [traj_index], cfg.steps)
+    factors, inv = _psd_factor(np.stack([rho0, hat0]))[0][:, None], np.zeros(1, dtype=np.intp)
     records = [JointStep(0, None, rho0, hat0, False)]
     for k in range(cfg.steps):
         try:
             ch = cfg.channel_at(k, records[-1].estimate)
-            idx, pair, used = _step(ch, cfg.partition, pair, u[k : k + 1], cfg.fallback)
+            idx, inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
         except ValueError as exc:
             raise SimulationError(f"step {k} failed: {exc}", JointTrajectory(records)) from exc
+        pair = factors[:, 0]
         rho, hat = _hermitian(pair @ pair.conj().swapaxes(-1, -2))  # the dense L L† and H H†
         records.append(JointStep(k + 1, int(idx[0]), rho, hat, bool(used[0])))
     return JointTrajectory(records)
@@ -228,14 +255,17 @@ class BatchStatistics:
 def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     """Advance n_traj trajectories in lockstep on stacked factors.
 
-    Row i is simulate(cfg, i): the same child generator, one uniform per
-    step, the same step function, run on chunks of _LOCKSTEP_CHUNK
-    trajectories.  The states stay (n_traj, n, n) factors throughout (a
-    coarse block's columns compressed back to n by a QR, see :func:`_step`):
-    each fidelity is one batched SVD of the products L_hat† L_rho, and the
-    batch-mean true state is the only state built dense.  Feedback channel
-    selectors are not supported here, since each trajectory would need its
-    own channel; run simulate(cfg, i) for i in range(n_traj) for those.
+    Row i is simulate(cfg, i): the same uniforms (all drawn in one pass by
+    :func:`_uniforms`) and the same step function.  The engine carries one
+    pair of (n, n) factors per distinct outcome history, not per trajectory
+    (a coarse block's columns compressed back to n by a QR, see
+    :func:`_step`), so each history's probabilities, update and fidelity (one
+    batched SVD of the products L_hat† L_rho per step) are computed once and
+    gathered to its trajectories.  The batch-mean true state is the only
+    state built dense, from every trajectory's factor in trajectory order.
+    Feedback channel selectors are not supported here, since each trajectory
+    would need its own channel; run simulate(cfg, i) for i in range(n_traj)
+    for those.
     """
     rho0, hat0 = cfg.validate()
     if not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel):
@@ -244,13 +274,15 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
     steps = cfg.steps
-    u = np.stack([_uniforms(cfg, i) for i in range(n_traj)], axis=1)  # (steps, n_traj)
+    u = _uniforms(cfg.seed, np.arange(n_traj), steps)  # (steps, n_traj)
 
     n = len(rho0)
-    factors = _psd_factor(np.stack([rho0, hat0]))[0]
+    # (2, n_traj, n, n): true states and estimates, one row per distinct history in use
+    factors = np.empty((2, n_traj, n, n), dtype=complex)
+    factors[:, 0] = _psd_factor(np.stack([rho0, hat0]))[0]
+    inv = np.zeros(n_traj, dtype=np.intp)  # the history of each trajectory
     fid = np.empty((n_traj, steps + 1))
-    fid[:, 0] = _fidelity(factors[1:], factors[:1])
-    factors = np.repeat(factors[:, None], n_traj, axis=1)  # (2, n_traj, n, n): true states, estimates
+    fid[:, 0] = _fidelity(factors[1, :1], factors[0, :1])
     outcomes = np.empty((n_traj, steps), dtype=np.int64)
     mean_true = np.empty((steps + 1, n, n), dtype=complex)
     mean_true[0] = rho0
@@ -258,16 +290,12 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
 
     for k in range(steps):
         ch = cfg.channel_at(k, hat0)
-        for start in range(0, n_traj, _LOCKSTEP_CHUNK):
-            s = slice(start, start + _LOCKSTEP_CHUNK)
-            idx, pair, used = _step(ch, cfg.partition, factors[:, s].reshape(-1, n, n), u[k, s], cfg.fallback)
-            factors[:, s] = pair.reshape(2, -1, n, n)
-            outcomes[s, k] = idx
-            fallback_counts[k] += used.sum()
-        rho = factors[0]
-        fid[:, k + 1] = _fidelity(factors[1], rho)
-        # sum_b L_b L_b† as one product of the factors' columns side by side
-        side = rho.transpose(1, 0, 2).reshape(n, -1)
+        outcomes[:, k], inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
+        fallback_counts[k] = used.sum()
+        live = slice(int(inv.max()) + 1)
+        fid[:, k + 1] = _fidelity(factors[1, live], factors[0, live])[inv]
+        # sum_b L_b L_b† as one product of the trajectories' factors side by side
+        side = factors[0].transpose(1, 0, 2)[:, inv].reshape(n, -1)
         mean_true[k + 1] = _hermitian(side @ side.conj().T) / n_traj
 
     return BatchStatistics(fid, outcomes, mean_true, fallback_counts)
@@ -317,41 +345,184 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _uniforms(cfg: SimulationConfig, traj_index: int) -> np.ndarray:
-    """The cfg.steps uniforms of trajectory traj_index, from its child generator."""
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(traj_index,))).random(cfg.steps)
+def _uniforms(seed: int, keys, steps: int) -> np.ndarray:
+    """The first `steps` uniforms of each child generator, shape (steps, len(keys)).
+
+    Column j equals np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=(keys[j],))).random(steps) bit for bit, for a non-negative
+    integer seed and keys below 2^64.  A child's entropy is the seed's words, padded to
+    the pool size, then the key's words: its pool is that of
+    SeedSequence(seed) mixed with each key word by four hashmix/mix rounds,
+    the hash constant having made 16 + 4 (seed words - 4)^+ rounds already.
+    generate_state then hashes the pool into the four 64-bit words (s,
+    initseq) that seed PCG64: state_0 = (inc + s) M + inc with
+    inc = 2 initseq + 1, all mod 2^128.  Draw k = 1 .. steps is the XSL-RR
+    output of state_k = M^k state_0 + (M^(k-1) + ... + 1) inc, shifted
+    right by 11 and scaled by 2^-53, so every draw of every child comes
+    from one pass of uint64 limb arithmetic.  That pass costs about as much
+    as _FEW_KEYS generators, so fewer keys (simulate's one) take numpy's
+    generators themselves.
+    """
+    if len(keys) < _FEW_KEYS:
+        rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in keys)
+        return np.array([rng.random(steps) for rng in rngs]).T.reshape(steps, len(keys))
+    seed, keys = int(seed), np.asarray(keys, dtype=np.uint64)
+    top = int(keys.max())
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _MASK32
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(keys), axis=1)
+    for w in range(max(1, -(-top.bit_length() // 32))):
+        rest = keys >> (32 * w)
+        value, hash_const = _hashmix((rest & _MASK32).astype(np.uint32), hash_const, _MULT_A, len(pool))
+        mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * value
+        mixed ^= mixed >> 16
+        # a key of fewer words has no word w (0 has the one word 0)
+        pool = mixed if w == 0 else np.where(rest != 0, mixed, pool)
+    state = _hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 2 * len(pool))[0].astype(np.uint64)
+    s_hi, s_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << 32  # little-endian pairs of 32-bit words
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    seeded = _add128(inc, (s_hi, s_lo))
+    # state_k = M^(k+1) (inc + s) + (M^k + ... + 1) inc for k = 1 .. steps: both products in one call
+    base_hi, base_lo = np.stack([seeded[0], inc[0]])[:, None], np.stack([seeded[1], inc[1]])[:, None]
+    jumps = _pcg_jumps(steps)
+    out = np.empty((steps, len(keys)))
+    width = max(1, 4096 // max(steps, 1))  # keys per pass: temporaries of 2 x 4096 limbs
+    for s in (slice(start, start + width) for start in range(0, len(keys), width)):
+        hi, lo = _mul128(base_hi[..., s], base_lo[..., s], *jumps)
+        hi, lo = _add128((hi[0], lo[0]), (hi[1], lo[1]))
+        x = hi ^ lo
+        rot = hi >> 58
+        out[:, s] = (x >> rot | x << (64 - rot & 63)) >> 11
+    out *= 2.0**-53
+    return out
+
+
+def _hashmix(values: np.ndarray, hash_const: int, mult: int, rounds: int) -> tuple[np.ndarray, int]:
+    """numpy's SeedSequence hashmix of row i of values with the i-th successive hash constant.
+
+    Returns the (rounds, B) uint32 results and the hash constant after the
+    rounds; values broadcasts against (rounds, 1).
+    """
+    pre = []
+    for _ in range(rounds):
+        pre.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+    pre = np.array(pre, dtype=np.uint32)[:, None]
+    value = (values ^ pre) * (pre * np.uint32(mult))
+    return value ^ value >> 16, hash_const
+
+
+@functools.lru_cache
+def _pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """M^(k+1) and M^k + ... + M + 1 mod 2^128 for k = 1 .. steps.
+
+    Returned as read-only (high, low) uint64 limbs of shape (2, steps, 1).
+    """
+    jump, shift = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(steps):
+        total = (total + power) % (1 << 128)
+        power = power * _PCG_MULT % (1 << 128)
+        jump.append(power)
+        shift.append(total)
+    hi = np.array([[v >> 64 for v in row] for row in (jump, shift)], dtype=np.uint64).reshape(2, steps, 1)
+    lo = np.array([[v & (1 << 64) - 1 for v in row] for row in (jump, shift)], dtype=np.uint64).reshape(2, steps, 1)
+    hi.setflags(write=False)
+    lo.setflags(write=False)
+    return hi, lo
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """The low 128 bits of a b, on (high, low) uint64 limbs, elementwise."""
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return hi + a_hi * b_lo + a_lo * b_hi, p00 & _MASK32 | mid << 32
+
+
+def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128 on (high, low) uint64 limbs, elementwise."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
 
 
 def _step(
     ch: KrausChannel,
     partition: OutcomePartition | None,
-    pair: np.ndarray,
+    factors: np.ndarray,
+    inv: np.ndarray,
     u: np.ndarray,
     fallback: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One transition of B coupled chains, given B uniforms and a (2B, n, n) factor stack.
+    """One transition, in place, of B coupled chains that share H distinct outcome histories.
 
-    Rows :B of `pair` are the true states' factors L_b, rows B: the
-    estimates' H_b, so rho_b = L_b L_b† and rho_hat_b = H_b H_b†.  Each jump
-    index is the inverse CDF of u over rho's exact block probabilities
-    ||[M_mu L]_block||_F^2, residual mass going to the last block; a block
-    of probability <= ZERO_PROB_TOL is never chosen (the most probable one
-    is).  Both factors then take the same block update, [M_mu L]_block over
-    its Frobenius norm, a coarse block compressed back to n columns by QR;
-    the estimate falls back to xi's factor where its own block probability
-    vanishes.  Returns (indices, the new pair stack, the estimates' fallback
-    flags), indices and flags of length B.
+    factors is a (2, B, n, n) stack whose first H rows hold the histories:
+    factors[0, h] = L_h and factors[1, h] = H_h, so the true state is
+    L_h L_h† and the estimate H_h H_h†.  Trajectory b has history inv[b]
+    (inv takes every value in range(H)) and uniform u[b].  Each jump index is
+    the inverse CDF of u[b] over its history's exact block probabilities
+    ||[M_mu L]_block||_F^2, residual mass going to the last block; a block of
+    probability <= ZERO_PROB_TOL is never chosen (the most probable one is).
+    Each new history (parent, block) is then updated once: both factors take
+    the block update, [M_mu L]_block over its Frobenius norm, a coarse block
+    compressed back to n columns by QR, and the estimate falls back to xi's
+    factor where its own block probability vanishes.
+
+    The kernels run on at most _LOCKSTEP_CHUNK histories at a time.  Between
+    the sampling and the update only the probabilities are kept: the
+    parents' Kraus products are recomputed chunk by chunk, unless the
+    parents fit in one chunk, whose products are still at hand.  The new
+    histories, in increasing (parent, block) order, overwrite the first H'
+    rows: every parent has a child, so new history j has a parent h <= j,
+    and writing the chunks from the last one down never overwrites a parent
+    still to be read.  Where each history has one trajectory (always in
+    simulate's batch of one), each child keeps its parent's row.  Returns
+    (indices, the new inv, the estimates' fallback flags), each of length B.
     """
-    B = len(u)
-    T, probs = _factor_probs(ch, pair, partition)
-    true_probs = probs[:B]
+    n, H = factors.shape[-1], int(inv.max()) + 1
+    nb = ch.num_outcomes if partition is None else partition.num_blocks
+    probs = np.empty((2, H, nb))
+    for s in _chunks(H):
+        T, p = _factor_probs(ch, factors[:, s].reshape(-1, n, n), partition)
+        probs[:, s] = p.reshape(2, -1, nb)
+    true_probs = probs[0]
     # u past every cut but the last lands in the last block, residual mass included
-    idx = (u[:, None] >= true_probs.cumsum(axis=-1)[:, :-1]).sum(axis=-1)
-    degenerate = true_probs[np.arange(B), idx] <= ZERO_PROB_TOL
+    idx = (u[:, None] >= true_probs.cumsum(axis=-1)[inv, :-1]).sum(axis=-1)
+    degenerate = true_probs[inv, idx] <= ZERO_PROB_TOL
     if _any(degenerate):
-        idx[degenerate] = true_probs[degenerate].argmax(axis=-1)
-    pair, used = _factor_update(ch, np.concatenate([idx, idx]), T, probs, partition, fallback)
-    return idx, pair, used[B:]
+        idx[degenerate] = true_probs[inv[degenerate]].argmax(axis=-1)
+    if H == len(inv):
+        # one trajectory per history, so one child each, which keeps its parent's row
+        parent, block = None, np.empty_like(idx)
+        block[inv] = idx
+    else:
+        # the new histories: the distinct keys parent * nb + block, in increasing order
+        keys = inv * nb + idx
+        taken = np.zeros(H * nb, dtype=bool)
+        taken[keys] = True
+        parent, block = np.divmod(np.flatnonzero(taken), nb)
+        inv = (np.cumsum(taken) - 1)[keys]
+    used = np.empty(len(block), dtype=bool)
+    for s in reversed(_chunks(len(block))):
+        rows = s if parent is None else parent[s]
+        # the products of a single chunk of parents are still at hand
+        if H > _LOCKSTEP_CHUNK:
+            products = _kraus_products(ch, factors[:, rows].reshape(-1, n, n))
+        elif parent is None:
+            products = T
+        else:
+            products = T.reshape(2, H, *T.shape[1:])[:, rows].reshape(-1, *T.shape[1:])
+        b = np.concatenate([block[s], block[s]])
+        pair, flags = _factor_update(ch, b, products, probs[:, rows].reshape(-1, nb), partition, fallback)
+        factors[:, s] = pair.reshape(2, -1, n, n)
+        used[s] = flags[len(b) // 2 :]
+    return idx, inv, used[inv]
+
+
+def _chunks(count: int) -> list[slice]:
+    """Slices of at most _LOCKSTEP_CHUNK rows covering range(count)."""
+    return [slice(start, min(start + _LOCKSTEP_CHUNK, count)) for start in range(0, count, _LOCKSTEP_CHUNK)]
 
 
 def _fidelity(hat: np.ndarray, rho: np.ndarray) -> np.ndarray:

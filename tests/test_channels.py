@@ -98,6 +98,16 @@ class TestOutcomeProbs:
             for nu, block in enumerate(part.blocks):
                 assert abs(coarse[nu] - fine[list(block)].sum()) < 1e-12
 
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    def test_engine_block_sums_do_not_depend_on_the_stack_row(self, m):
+        rng = np.random.default_rng(m)
+        per = np.repeat(rng.random((1, m)), 37, axis=0)
+        for part in (channels.trivial_partition(m), channels.random_partition(m, rng, 2)):
+            sums = channels._block_sums(per, part)
+            assert (sums == sums[0]).all()
+            assert np.array_equal(channels._block_sums(per[:1], part)[0], sums[0])
+            assert np.abs(sums - per @ channels._block_indicator(part)).max() <= 1e-15
+
 
 class TestConditionalUpdate:
     def test_counterexample_first_jump(self):

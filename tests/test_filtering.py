@@ -123,9 +123,19 @@ def dense_step(ch, partition, rho, hat, u, fallback):
     return idx, new_rho, new_hat, used
 
 
-def dense_run(cfg, n_traj):
-    """(outcomes, true states, estimates, fidelities, fallback flags) of dense_step on each trajectory's uniforms."""
-    u = np.stack([filtering._uniforms(cfg, i) for i in range(n_traj)], axis=1)
+def numpy_uniforms(seed, keys, steps):
+    """(steps, len(keys)) uniforms from numpy's own child generators, one per key: the stream oracle."""
+    return np.stack(
+        [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,))).random(steps) for key in keys], axis=1
+    ).reshape(steps, len(keys))
+
+
+def dense_run(cfg, n_traj, keys=None):
+    """(outcomes, true states, estimates, fidelities, fallback flags) of dense_step on each trajectory's uniforms.
+
+    Trajectory i draws from the child generator of keys[i] (default i).
+    """
+    u = numpy_uniforms(cfg.seed, range(n_traj) if keys is None else keys, cfg.steps)
     rho = np.repeat(states.make_density(cfg.rho0)[None], n_traj, axis=0)
     hat = np.repeat(states.make_density(cfg.rho_hat0)[None], n_traj, axis=0)
     outcomes, rhos, hats, used = [], [rho], [hat], []
@@ -210,11 +220,16 @@ class TestFactorEngine:
     def test_coarse_steps_keep_n_columns(self, i):
         cfg = oracle_cfg(i)
         n = cfg.channel.dim
-        pair = np.repeat(linalg._psd_factor(np.stack([cfg.rho0, cfg.rho_hat0]))[0], 3, axis=0)
-        u = np.stack([filtering._uniforms(cfg, t) for t in range(3)], axis=1)
+        factors = np.repeat(linalg._psd_factor(np.stack([cfg.rho0, cfg.rho_hat0]))[0][:, None], 3, axis=1)
+        inv = np.arange(3)  # one history per trajectory
+        u = numpy_uniforms(cfg.seed, range(3), cfg.steps)
         for k in range(cfg.steps):
-            pair = filtering._step(cfg.channel, cfg.partition, pair, u[k], None)[1]
-            assert pair.shape == (6, n, n)
+            _, inv, _ = filtering._step(cfg.channel, cfg.partition, factors, inv, u[k], None)
+            assert factors.shape == (2, 3, n, n)
+            assert np.array_equal(inv, np.arange(3))
+            rho, hat = factors @ factors.conj().swapaxes(-1, -2)
+            assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1).max() <= 1e-12
+            assert np.abs(np.trace(hat, axis1=-2, axis2=-1) - 1).max() <= 1e-12
 
     def test_reruns_are_bit_identical(self):
         cfg = oracle_cfg(2)
@@ -348,6 +363,25 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed"):
             filtering.simulate(cfg)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", 2.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        cfg = random_cfg(seed=3)
+        cfg.seed = seed
+        for run in (lambda: filtering.simulate(cfg), lambda: filtering.batch_statistics(cfg, 2)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got " + repr(seed)):
+                run()
+
+    def test_numpy_integer_seed(self):
+        cfg = random_cfg(seed=3)
+        want = filtering.trajectory_to_csv_string(filtering.simulate(cfg, 1))
+        cfg.seed = np.int64(3)
+        assert filtering.trajectory_to_csv_string(filtering.simulate(cfg, 1)) == want
+
+    @pytest.mark.parametrize("traj_index", [-1, 1.0])
+    def test_traj_index_must_be_a_non_negative_integer(self, traj_index):
+        with pytest.raises(ValueError, match="traj_index must be a non-negative integer"):
+            filtering.simulate(random_cfg(seed=3), traj_index)
+
     def test_step_error_carries_partial_trajectory(self):
         ch = projective_qubit_channel()
         cfg = SimulationConfig(
@@ -454,3 +488,131 @@ class TestTrajectoryCsv:
         lines = filtering.trajectory_to_csv_string(traj).splitlines()
         fid = float(lines[1].split(",")[2])
         assert fid == measures.fidelity(traj.steps[0].estimate, traj.steps[0].true_state)
+
+
+STREAM_SEEDS = [0, 1, 12345, 2**31 + 7, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 99, np.int64(7)]
+
+
+class TestUniforms:
+    """The vectorized stream against numpy's own child generators, bit for bit."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+    def test_matches_numpy_child_generators(self, seed):
+        # fewer than _FEW_KEYS keys take numpy's generators, the rest the vectorized pass
+        for n_traj in (1, 3, filtering._FEW_KEYS, 257, 1000):
+            for steps in (0, 1, 10, 25):
+                got = filtering._uniforms(seed, np.arange(n_traj), steps)
+                assert got.shape == (steps, n_traj)
+                assert np.array_equal(got, numpy_uniforms(seed, range(n_traj), steps))
+
+    @pytest.mark.parametrize("keys", [[2**33 + 5], [300, 2**32 - 1, 2**32, 0], [2**64 - 1, 7]])
+    def test_keys_of_several_words(self, keys):
+        keys = keys + list(range(filtering._FEW_KEYS))  # enough keys for the vectorized pass
+        for seed in (5, 2**130 + 99):
+            assert np.array_equal(filtering._uniforms(seed, keys, 10), numpy_uniforms(seed, keys, 10))
+
+    def test_simulate_with_a_two_word_spawn_key(self):
+        cfg = random_cfg(seed=12, n=3, m=3, steps=8)
+        key = 2**33 + 5
+        outcomes, rhos, hats, fid, _ = dense_run(cfg, 1, keys=[key])
+        traj = filtering.simulate(cfg, key)
+        assert traj.outcomes == outcomes[0].tolist()
+        assert np.abs(fidelities(traj) - fid[0]).max() <= 1e-12
+        assert traj.outcomes != filtering.simulate(cfg, 5).outcomes  # the high word counts
+
+
+def per_trajectory_stats(cfg, n_traj, chunk=256):
+    """(fidelity, outcomes, mean_true_state, fallback_counts) with one stack row per trajectory.
+
+    The lockstep run without history sharing: every trajectory is its own
+    history, advanced by _step in chunks of `chunk` trajectories, and the
+    fidelity and the mean are taken over the trajectory stack.
+    """
+    rho0, hat0 = cfg.validate()
+    n = len(rho0)
+    u = numpy_uniforms(cfg.seed, range(n_traj), cfg.steps)
+    factors = np.repeat(linalg._psd_factor(np.stack([rho0, hat0]))[0][:, None], n_traj, axis=1)
+    fid = [filtering._fidelity(factors[1], factors[0])]
+    outcomes = np.empty((n_traj, cfg.steps), dtype=np.int64)
+    mean, fallbacks = [rho0], []
+    for k in range(cfg.steps):
+        count = 0
+        for start in range(0, n_traj, chunk):
+            s = slice(start, start + chunk)
+            own = np.arange(len(u[k, s]))
+            outcomes[s, k], inv, used = filtering._step(
+                cfg.channel_at(k, None), cfg.partition, factors[:, s], own, u[k, s], cfg.fallback
+            )
+            assert np.array_equal(inv, own)
+            count += used.sum()
+        fallbacks.append(count)
+        fid.append(filtering._fidelity(factors[1], factors[0]))
+        side = factors[0].transpose(1, 0, 2).reshape(n, -1)
+        mean.append(filtering._hermitian(side @ side.conj().T) / n_traj)
+    return np.stack(fid, axis=1), outcomes, np.stack(mean), np.array(fallbacks, dtype=np.int64)
+
+
+class TestHistorySharing:
+    """batch_statistics, one pair per distinct history, against one row per trajectory: equal bit for bit."""
+
+    def assert_same(self, cfg, n_traj=40):
+        stats = filtering.batch_statistics(cfg, n_traj)
+        fid, outcomes, mean, fallbacks = per_trajectory_stats(cfg, n_traj)
+        assert np.array_equal(stats.fidelity, fid)
+        assert np.array_equal(stats.outcomes, outcomes)
+        assert np.array_equal(stats.mean_true_state, mean)
+        assert np.array_equal(stats.fallback_counts, fallbacks)
+        return stats
+
+    @pytest.mark.parametrize("i", range(40))
+    def test_oracle_configs(self, i):
+        self.assert_same(oracle_cfg(i))
+
+    def test_projective_fallback(self):
+        cfg = SimulationConfig(
+            channel=channels.validate_channel([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]),
+            rho0=np.diag([0.5, 0.5, 0.0]),
+            rho_hat0=np.diag([0.0, 0.5, 0.5]),
+            steps=4,
+            fallback=np.diag([0.2, 0.3, 0.5]),
+            seed=42,
+        )
+        assert self.assert_same(cfg).fallback_counts.sum() > 0
+
+    def test_per_step_channel_list(self):
+        rng = np.random.default_rng(41)
+        cfg = SimulationConfig(
+            channel=[channels.random_channel(3, 1 + k % 3, rng) for k in range(5)],
+            rho0=states.random_density(3, 1, rng),
+            rho_hat0=states.random_density(3, 2, rng),
+            steps=5,
+            seed=41,
+        )
+        self.assert_same(cfg)
+
+    @pytest.mark.parametrize("blocks", [16, 12], ids=["fine", "coarse"])
+    def test_sixteen_outcomes_diverge_at_once(self, blocks):
+        cfg = random_cfg(seed=43, n=3, m=16, steps=4)
+        if blocks < 16:
+            cfg.partition = channels.random_partition(16, np.random.default_rng(43), blocks)
+        stats = self.assert_same(cfg, n_traj=300)
+        assert len({tuple(row) for row in stats.outcomes[:, :2].tolist()}) > 100
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trivial_partition_of_eight_outcomes(self, seed):
+        # one history throughout: its 8-outcome block sum must not depend on the stack row
+        rng = np.random.default_rng(seed)
+        cfg = SimulationConfig(
+            channel=channels.random_channel(2, 8, rng),
+            rho0=states.random_density(2, 1, rng),
+            rho_hat0=states.random_density(2, 1, rng),
+            steps=3,
+            partition=channels.trivial_partition(8),
+            seed=seed,
+        )
+        self.assert_same(cfg, n_traj=7)
+
+    def test_batch_crossing_the_chunk_boundary(self):
+        cfg = random_cfg(seed=44, n=3, m=3, steps=6)
+        cfg.partition = channels.random_partition(3, np.random.default_rng(44), 2)
+        self.assert_same(cfg, n_traj=600)

@@ -13,16 +13,16 @@ block.  When a block has vanishing probability for the state being updated,
 the update is applied to a fallback state xi instead (I/n by default).
 
 The state functions take one density matrix or a stack of shape (..., n, n);
-every check runs across the whole stack.  The simulation engine's private
-block update (:func:`_factor_probs`, :func:`_factor_update`) works on square
-factors L of the states rho = L L† instead, with the same probability check,
-fallback rule and error messages.
+every check runs across the whole stack.  They read one kernel,
+:func:`_dense_blocks`, whose block maps are both the updates and, by their
+traces, the probabilities.  The simulation engine's block update
+(:func:`_factor_probs`, :func:`_factor_update`) works on square factors L of
+rho = L L† instead, with the same block sum, checks and fallback rule.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -174,16 +174,7 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
     tolerated) and must sum to one within TRACE_TOL.  A stack of states gives
     shape (..., blocks).
     """
-    rho = _check_dims(ch, rho)
-    per = np.einsum("mij,...jk,mik->...m", ch.operators, rho, ch.operators.conj()).real
-    if partition is not None:
-        _check_partition(ch, partition)
-        per = per @ _block_indicator(partition)
-    if per.min() < -ZERO_PROB_TOL:
-        raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
-    per = np.maximum(per, 0.0)
-    _check_total(per)
-    return per
+    return _probabilities(_dense_blocks(ch, rho, partition)[1])
 
 
 def conditional_update(
@@ -205,35 +196,19 @@ def conditional_update(
     block is set; if even xi has vanishing probability for such a block,
     raises.  A single index on a single matrix gives a bool flag.
     """
-    rho = _check_dims(ch, rho)
     if partition is None:
         partition = singleton_partition(ch.num_outcomes)
-    else:
-        _check_partition(ch, partition)
+    maps, p = _dense_blocks(ch, rho, partition)
     single = np.ndim(index) == 0
     blocks = (operator.index(index),) if single else tuple(operator.index(i) for i in index)
-    outcomes, E = _block_selection(partition, blocks)
-    out = _blocks_map(ch, outcomes, E, rho)
-    p = out.trace(0, -2, -1).real
-    used_fallback = p <= ZERO_PROB_TOL
-    if _any(used_fallback):
-        xi = maximally_mixed(ch.dim) if fallback is None else np.asarray(fallback, dtype=complex)
-        out_xi = _blocks_map(ch, outcomes, E, xi)
-        p_xi = out_xi.trace(0, -2, -1).real
-        # a block fails when some state needs its fallback and xi has none either
-        dead = (p_xi <= ZERO_PROB_TOL) & used_fallback.reshape(len(blocks), -1).any(axis=1)
-        if dead.any():
-            raise ValueError(
-                f"block {blocks[int(np.argmax(dead))]} has zero probability for the state and for the fallback"
-            )
-        lead = (len(blocks),) + (1,) * (rho.ndim - 2)  # broadcast xi's results over the stack
-        out = np.where(used_fallback[..., None, None], out_xi.reshape(lead + out_xi.shape[-2:]), out)
-        p = np.where(used_fallback, p_xi.reshape(lead), p)
-    out = out + np.conj(out.swapaxes(-1, -2))
-    out /= (2 * p)[..., None, None]
+    for b in blocks:
+        if not 0 <= b < partition.num_blocks:
+            raise ValueError(f"block index {b} out of range for {partition.num_blocks} blocks")
+    out, used = _dense_updates(ch, maps, p, np.array(blocks, dtype=int), partition, fallback)
+    out, used = np.moveaxis(out, -3, 0), np.moveaxis(used, -1, 0)
     if single:
-        out, used_fallback = out[0], used_fallback[0]
-    return out, (used_fallback if used_fallback.ndim else used_fallback.item())
+        out, used = out[0], used[0]
+    return out, (used if used.ndim else used.item())
 
 
 def random_channel(n: int, m: int, rng: np.random.Generator) -> KrausChannel:
@@ -263,6 +238,67 @@ def channel_from_dict(d: dict) -> KrausChannel:
     return validate_channel([matrix_from_dict(m) for m in d["operators"]])
 
 
+def _dense_blocks(ch: KrausChannel, rho, partition: OutcomePartition | None = None):
+    """(block maps sum_{mu in block} M_mu rho M_mu†, traces) of a state or stack.
+
+    Shapes (..., blocks, n, n) and (..., blocks), one block per outcome when
+    partition is None.  The traces are the unclamped block probabilities
+    and the normalisers of the updates.  A state gets the same bits alone
+    and in any row of a stack.
+    """
+    rho = _check_dims(ch, rho)
+    if partition is not None:
+        _check_partition(ch, partition)
+    per = np.einsum("mij,...jk,mlk->...mil", ch.operators, rho, ch.operators.conj())
+    per = _block_sums(per, partition, axis=-3)
+    return per, np.trace(per, axis1=-2, axis2=-1).real
+
+
+def _probabilities(per: np.ndarray) -> np.ndarray:
+    """Checked block probabilities: round-off down to -ZERO_PROB_TOL is clamped
+    to zero, and each row must sum to one within TRACE_TOL."""
+    if per.min() < -ZERO_PROB_TOL:
+        raise ValueError(f"negative outcome probability {per.min():.3e}; invalid state?")
+    per = np.maximum(per, 0.0)
+    total = per.sum(axis=-1)
+    off = abs(total - 1.0) > TRACE_TOL
+    if _any(off):
+        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
+    return per
+
+
+def _dense_updates(
+    ch: KrausChannel, maps: np.ndarray, p: np.ndarray, blocks: np.ndarray, partition=None, fallback=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Updates (A + A†) / 2p (..., k, n, n) and fallback flags (..., k) of the
+    `blocks` of (A, p) = :func:`_dense_blocks`; where p <= ZERO_PROB_TOL the
+    block takes the fallback's map and probability (:func:`_fallback`)."""
+    maps, p = maps[..., blocks, :, :], p[..., blocks]
+    used = p <= ZERO_PROB_TOL
+    if _any(used):
+        needed = blocks[used.reshape(-1, len(blocks)).any(axis=0)]
+        maps_xi, p_xi = _fallback(ch, fallback, needed, lambda xi: _dense_blocks(ch, xi, partition))
+        maps = np.where(used[..., None, None], maps_xi[blocks], maps)
+        p = np.where(used, p_xi[blocks], p)
+    out = maps + np.conj(maps.swapaxes(-1, -2))
+    out /= (2 * p)[..., None, None]
+    return out, used
+
+
+def _fallback(ch: KrausChannel, fallback, needed: np.ndarray, kernel):
+    """kernel(xi) -> (results, xi's block probabilities) for the fallback xi, I/n when not given.
+
+    The one fallback rule: raises when xi has zero probability for one of
+    the `needed` blocks, those where a state's own probability vanished.
+    """
+    xi = maximally_mixed(ch.dim) if fallback is None else np.asarray(fallback, dtype=complex)
+    out, p_xi = kernel(xi)
+    dead = p_xi[needed] <= ZERO_PROB_TOL
+    if _any(dead):
+        raise ValueError(f"block {needed[dead][0]} has zero probability for the state and for the fallback")
+    return out, p_xi
+
+
 def _kraus_products(ch: KrausChannel, L: np.ndarray) -> np.ndarray:
     """The products M_mu L_b of a (B, n, r) factor stack, transposed: T[b, s, mu] = (M_mu L_b)^T[s].
 
@@ -280,8 +316,8 @@ def _factor_probs(
     """(the products of :func:`_kraus_products`, block probabilities) of the states L L†.
 
     p_mu = ||M_mu L||_F^2 = tr(M_mu L L† M_mu†): a sum of squares, never
-    negative, summed over each block and checked to sum to one within
-    TRACE_TOL as in :func:`outcome_probs`.  The products are returned for
+    negative, summed over each block and checked by :func:`_probabilities`
+    as in :func:`outcome_probs`.  The products are returned for
     :func:`_factor_update` to reuse.
     """
     T = _kraus_products(ch, L)
@@ -289,8 +325,7 @@ def _factor_probs(
     if partition is not None:
         _check_partition(ch, partition)
         per = _block_sums(per, partition)
-    _check_total(per)
-    return T, per
+    return T, _probabilities(per)
 
 
 def _factor_update(
@@ -320,14 +355,14 @@ def _factor_update(
     p = probs[np.arange(B), idx]
     used = p <= ZERO_PROB_TOL
     if _any(used):
-        xi = maximally_mixed(n) if fallback is None else np.asarray(fallback, dtype=complex)
-        X = _kraus_products(ch, _psd_factor(xi)[0][None])
-        p_xi = _block_sums(_sq_norms(X), partition)[0, idx[used]]
-        if _any(p_xi <= ZERO_PROB_TOL):
-            bad = int(idx[used][p_xi <= ZERO_PROB_TOL][0])
-            raise ValueError(f"block {bad} has zero probability for the state and for the fallback")
+
+        def products(xi):
+            X = _kraus_products(ch, _psd_factor(xi)[0][None])
+            return X, _block_sums(_sq_norms(X), partition)[0]
+
+        X, p_xi = _fallback(ch, fallback, idx[used], products)
         T = np.where(used[:, None, None, None], X, T)
-        p[used] = p_xi
+        p[used] = p_xi[idx[used]]
     taken = set(idx.tolist())
     out = np.empty((B, n, n), dtype=complex)
     for v in taken:
@@ -359,66 +394,30 @@ def _lower_triangle(n: int) -> np.ndarray:
     return mask
 
 
-def _block_sums(per: np.ndarray, partition: OutcomePartition) -> np.ndarray:
-    """per[..., mu] summed over each block, in the order the block lists its outcomes.
+def _block_sums(per: np.ndarray, partition: OutcomePartition | None, axis: int = -1) -> np.ndarray:
+    """per summed over each block along the outcome `axis`, in the order the block lists its outcomes.
 
-    Every row takes the same additions wherever it sits in a stack, which
-    the simulation engine relies on to give equal factors equal results.  A
-    product with :func:`_block_indicator` does not: BLAS may sum the last rows
-    of a stack in another order, so a block of three or more outcomes can
-    differ in the last bit from one row to the next.
+    The package's one block sum; partition None leaves per as it is.  Every
+    row of a stack takes the same additions wherever it sits, so equal
+    states get equal results; a BLAS product with a 0/1 block matrix may
+    sum the last rows of a stack in another order.
     """
-    order = [mu for block in partition.blocks for mu in block]
+    layout = _block_layout(partition)
+    if layout is None:
+        return per
+    order, starts = layout
+    return np.add.reduceat(np.take(per, order, axis=axis), starts, axis=axis)
+
+
+@functools.lru_cache
+def _block_layout(partition: OutcomePartition | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(outcome order, block starts) for :func:`_block_sums`; None when there is nothing to sum."""
+    if partition is None or all(block == (mu,) for mu, block in enumerate(partition.blocks)):
+        return None
+    order = np.array([mu for block in partition.blocks for mu in block])
     starts = np.cumsum([0] + [len(block) for block in partition.blocks[:-1]])
-    return np.add.reduceat(per[..., order], starts, axis=-1)
-
-
-@functools.lru_cache
-def _block_indicator(partition: OutcomePartition) -> np.ndarray:
-    """The (m, blocks) 0/1 matrix E with E[mu, j] = 1 when mu is in block j: p_blocks = p E."""
-    E = np.zeros((partition.m, partition.num_blocks))
-    for j, block in enumerate(partition.blocks):
-        E[list(block), j] = 1.0
-    E.setflags(write=False)
-    return E
-
-
-@functools.lru_cache
-def _block_selection(partition: OutcomePartition, blocks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(outcomes, E) for the requested block indices, in their order.
-
-    outcomes are the sorted outcome indices the blocks hold, and E is the
-    (outcomes, blocks) 0/1 matrix that sums per-outcome terms into the
-    blocks.  Raises on an index outside the partition.
-    """
-    for b in blocks:
-        if not 0 <= b < partition.num_blocks:
-            raise ValueError(f"block index {b} out of range for {partition.num_blocks} blocks")
-    E = _block_indicator(partition)[:, list(blocks)]
-    outcomes = np.flatnonzero(E.any(axis=1))
-    E = E[outcomes]
-    for a in (outcomes, E):
-        a.setflags(write=False)
-    return outcomes, E
-
-
-def _check_total(per: np.ndarray) -> None:
-    total = per.sum(axis=-1)
-    off = abs(total - 1.0) > TRACE_TOL
-    if _any(off):
-        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
-
-
-def _blocks_map(ch: KrausChannel, outcomes: np.ndarray, E: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The unnormalized block maps sum_{mu in block j} M_mu rho M_mu†, shape (k, ..., n, n).
-
-    One einsum gives M_mu rho M_mu† for each of the `outcomes`; the (outcomes, k)
-    0/1 matrix E sums them into the k blocks.
-    """
-    ops = ch.operators[outcomes]
-    per = np.einsum("mij,...jk,mlk->m...il", ops, rho, ops.conj())
-    rest = per.shape[1:]
-    return (E.T @ per.reshape(len(outcomes), math.prod(rest))).reshape(E.shape[1:] + rest)
+    order.flags.writeable = starts.flags.writeable = False  # cached: every caller shares them
+    return order, starts
 
 
 def _check_dims(ch: KrausChannel, rho) -> np.ndarray:

@@ -29,10 +29,11 @@ The jump probabilities p_nu(rho), the conditional updates, their
 fidelities, the current fidelity and the expected next fidelity are read
 from the exact one-step pass of :mod:`qfilter.verify`, the one the fidelity
 gap report reads, so the replayed chain sums the very numbers the checked
-gap sums.  The links read per-outcome quantities of the two (m, n, n)
-lifts, one einsum for their reductions to S (whose traces are the squared
-norms) and one for their inner products, summed into blocks with the 0/1
-block indicator; no loop runs over the blocks.
+gap sums.  The pass also gives p_nu(sigma), from the same block maps.  The
+links read per-outcome quantities of the two (m, n, n) lifts, one einsum
+for their reductions to S (whose traces are the squared norms) and one for
+their inner products, summed into blocks with the package's one block sum,
+``channels._block_sums``; no loop runs over the blocks.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from . import linalg
 from .channels import (
     KrausChannel,
     OutcomePartition,
-    _block_indicator,
-    outcome_probs,
-    singleton_partition,
+    _block_sums,
+    _probabilities,
 )
 from .states import make_density
 from .tolerances import GAP_TOL, OVERLAP_TOL, UNITARY_TOL, ZERO_PROB_TOL
@@ -179,25 +179,22 @@ def replay_proof(
     checks.
     """
     psi_sigma, psi_rho = uhlmann_pair(sigma, rho)  # validates both states
-    n, m = ch.dim, ch.num_outcomes
+    n = ch.dim
     if np.shape(sigma) != (n, n):
         raise ValueError(f"state dim {np.shape(sigma)} does not match channel dim {n}")
-    if partition is None:
-        partition = singleton_partition(m)
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
     step = _one_step(ch, sigma, rho, "fidelity", partition)
     probs_rho, kept = step.probs, step.kept
-    probs_sigma = outcome_probs(ch, sigma, partition)
+    probs_sigma = _probabilities(step.probs_sigma)
 
     # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>
     lifts = np.stack([_lift(ch.operators, psi_sigma), _lift(ch.operators, psi_rho)])
     reduced = np.einsum("xeqs,xeqt->xest", lifts, lifts.conj())
     inner = np.einsum("eqs,eqs->e", lifts[0].conj(), lifts[1])
     overlap_lifted = float(abs(inner.sum()) ** 2)
-    E = _block_indicator(partition)
-    norms = np.trace(reduced, axis1=-2, axis2=-1).real @ E  # (2, blocks): sigma's, rho's
-    block_reduced = (E[:, kept].T @ reduced.reshape(2, m, n * n)).reshape(2, len(kept), n, n)
+    norms = _block_sums(np.trace(reduced, axis1=-2, axis2=-1).real, partition)  # (2, blocks): sigma's, rho's
+    block_reduced = _block_sums(reduced, partition, axis=-3)[:, kept]
 
     # (b) for rho on every kept block; (c), (d) and sigma's (b) where sigma's block is live too
     live = probs_sigma[kept] > ZERO_PROB_TOL
@@ -207,7 +204,7 @@ def replay_proof(
     if both.size:
         sigma_red = block_reduced[0, live] / norms[0, both, None, None]
         res_b = max(res_b, float(np.abs(sigma_red - step.sigma_next[live]).max()))
-    overlaps = np.abs((inner @ E)[both]) ** 2 / (norms[0, both] * norms[1, both])
+    overlaps = np.abs(_block_sums(inner, partition)[both]) ** 2 / (norms[0, both] * norms[1, both])
     margin_c = float((step.values[live] - overlaps).min()) if both.size else math.inf
     cs_lhs = float(sum(probs_rho[both] * overlaps))
     res_d = cs_lhs - overlap_lifted

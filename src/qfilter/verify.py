@@ -12,16 +12,16 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
 * randomized violation search per measure.
 
 Each check runs once per instance on stacks, not once per block.  Every
-exact one-step result reads one pass, :func:`_one_step`: one
-``outcome_probs`` call on rho, one ``conditional_update`` call on the stack
-[sigma, rho] over the blocks where p_nu(rho) > ZERO_PROB_TOL (the results
-carry a leading block axis), and one measure call on those block pairs with
-the current pair (sigma, rho) appended, which gives the expectation and the
+exact one-step result reads one pass, :func:`_one_step`: one call of the
+dense block kernel of :mod:`qfilter.channels` on the stack [sigma, rho],
+whose block maps give both states' probabilities and updates, and one
+measure call on the pairs of the blocks where p_nu(rho) > ZERO_PROB_TOL
+with the current pair appended, which gives the expectation and the
 current value together.  The gap reports, the counter-example and
 :func:`qfilter.dilation.replay_proof` all read it, so the replayed chain sums
 the very numbers the checked gap sums.  Monotonicity is one
 ``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
-both pairs; the mean evolution is one stacked update and its p-weighted sum.
+both pairs; the mean evolution is one kernel call and its p-weighted sum.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -50,9 +50,10 @@ from . import measures
 from .channels import (
     KrausChannel,
     OutcomePartition,
+    _dense_blocks,
+    _dense_updates,
+    _probabilities,
     apply_channel,
-    conditional_update,
-    outcome_probs,
     random_channel,
     random_partition,
     singleton_partition,
@@ -196,9 +197,10 @@ def check_mean_evolution(
 
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
-    probs = outcome_probs(ch, rho, partition)
+    maps, p = _dense_blocks(ch, rho, partition)
+    probs = _probabilities(p)
     kept = np.flatnonzero(probs > ZERO_PROB_TOL)
-    updates, _ = conditional_update(ch, kept, rho, partition)
+    updates, _ = _dense_updates(ch, maps, p, kept, partition)
     acc = (probs[kept, None, None] * updates).sum(axis=0)
     return float(np.abs(acc - apply_channel(ch, rho)).max())
 
@@ -365,6 +367,7 @@ class _OneStep(NamedTuple):
     """
 
     probs: np.ndarray  # p_nu(rho) for every block
+    probs_sigma: np.ndarray  # p_nu(sigma) for every block, unchecked and unclamped
     kept: np.ndarray  # (k,) the kept blocks
     sigma_next: np.ndarray  # (k, n, n) sigma's updates, xi's where sigma's block vanishes
     rho_next: np.ndarray  # (k, n, n) rho's updates
@@ -386,19 +389,19 @@ def _one_step(
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
     sigma, rho = measures._check_pair(sigma, rho)
-    probs = outcome_probs(ch, rho, partition)
+    maps, p = _dense_blocks(ch, np.stack([sigma, rho]), partition)
+    probs = _probabilities(p[1])
     kept = np.flatnonzero(probs > ZERO_PROB_TOL)
-    updates, used = conditional_update(ch, kept, np.stack([sigma, rho]), partition, fallback)
-    sigma_next, rho_next = updates[:, 0], updates[:, 1]
+    (sigma_next, rho_next), used = _dense_updates(ch, maps, p, kept, partition, fallback)
     values = MEASURES[measure](
         np.concatenate([sigma_next, sigma[None]]), np.concatenate([rho_next, rho[None]])
     )
     # added left to right in block order, as a loop over the blocks adds them;
     # a positive weight times an infinite term makes the sum infinite
     lhs = float(sum(probs[kept] * values[:-1]))
-    fallback_blocks = tuple(kept[used[:, 0]].tolist())
+    fallback_blocks = tuple(kept[used[0]].tolist())
     rhs = float(values[-1])
-    return _OneStep(probs, kept, sigma_next, rho_next, values[:-1], lhs, rhs, fallback_blocks)
+    return _OneStep(probs, p[0], kept, sigma_next, rho_next, values[:-1], lhs, rhs, fallback_blocks)
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None) -> str:

@@ -1,8 +1,9 @@
 """Dense reference constructions that tests compare the package against.
 
 The package never forms these operators: the proof replay lifts states
-matrix-free and reduces them with one einsum.  The tests build them here,
-in the package's tensor layout (the first factor's index fastest, so
+matrix-free and reduces them with one einsum, and blocks are summed with
+``np.add.reduceat``, not with a 0/1 block matrix.  The tests build them
+here, in the package's tensor layout (the first factor's index fastest, so
 A (x) B is np.kron(B, A)), and test_states.py checks the partial trace
 against an index sum.
 """
@@ -45,3 +46,11 @@ def basis_vector(m: int, mu: int) -> np.ndarray:
 def env_projector(n: int, m: int, mu: int) -> np.ndarray:
     """Orthogonal projector onto S (x) span|mu> in S (x) E."""
     return tensor(np.eye(n), pure_projector(basis_vector(m, mu)))
+
+
+def block_indicator(partition) -> np.ndarray:
+    """The (m, blocks) 0/1 matrix E with E[mu, j] = 1 when mu is in block j: p_blocks = p E."""
+    E = np.zeros((partition.m, partition.num_blocks))
+    for j, block in enumerate(partition.blocks):
+        E[list(block), j] = 1.0
+    return E

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qfilter import channels, states, tolerances
 
 
@@ -106,7 +107,24 @@ class TestOutcomeProbs:
             sums = channels._block_sums(per, part)
             assert (sums == sums[0]).all()
             assert np.array_equal(channels._block_sums(per[:1], part)[0], sums[0])
-            assert np.abs(sums - per @ channels._block_indicator(part)).max() <= 1e-15
+            assert np.abs(sums - per @ oracles.block_indicator(part)).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    def test_dense_results_do_not_depend_on_the_stack_row(self, m):
+        # every row of a stack of one state gets the bits the state gets alone
+        rng = np.random.default_rng(100 + m)
+        for n in (1, 2, 3, 4, 5):
+            ch = channels.random_channel(n, m, rng)
+            rho = states.random_density(n, n, rng)
+            stack = np.repeat(rho[None], 37, axis=0)
+            for part in (channels.trivial_partition(m), channels.random_partition(m, rng, 2)):
+                probs, alone = channels.outcome_probs(ch, stack, part), channels.outcome_probs(ch, rho, part)
+                assert np.array_equal(probs, np.broadcast_to(alone, probs.shape))
+                for nu in range(part.num_blocks):
+                    states_, used = channels.conditional_update(ch, nu, stack, part)
+                    alone, used_alone = channels.conditional_update(ch, nu, rho, part)
+                    assert np.array_equal(states_, np.broadcast_to(alone, states_.shape))
+                    assert not used.any() and not used_alone
 
 
 class TestConditionalUpdate:

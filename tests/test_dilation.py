@@ -276,6 +276,34 @@ class TestReplayProof:
         assert "cauchy_schwarz" in encoded
 
 
+class TestOneProbabilityPerBlock:
+    """A block's probability is one number wherever the package reports it."""
+
+    @pytest.mark.parametrize("mode", ["singleton", "trivial", "random"])
+    def test_replay_update_and_probs_agree(self, mode):
+        rng = np.random.default_rng({"singleton": 21, "trivial": 22, "random": 23}[mode])
+        for _ in range(10):
+            ch, sigma, rho = random_instance(rng)
+            m = ch.num_outcomes
+            part = {
+                "singleton": channels.singleton_partition(m),
+                "trivial": channels.trivial_partition(m),
+                "random": channels.random_partition(m, rng),
+            }[mode]
+            rep = dilation.replay_proof(ch, sigma, rho, part)
+            p_rho = channels.outcome_probs(ch, rho, part)
+            p_sigma = channels.outcome_probs(ch, sigma, part)
+            assert [b.probability for b in rep.blocks] == p_rho.tolist()
+            assert [b.probability_estimate for b in rep.blocks] == p_sigma.tolist()
+            for nu, block in enumerate(part.blocks):
+                if p_rho[nu] <= tolerances.ZERO_PROB_TOL:
+                    continue
+                block_map = sum(ch.operators[mu] @ rho @ ch.operators[mu].conj().T for mu in block)
+                update, used = channels.conditional_update(ch, nu, rho, part)
+                assert not used
+                assert np.abs(p_rho[nu] * update - block_map).max() <= 1e-15
+
+
 class TestMatrixFreeLift:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(12)

@@ -363,11 +363,16 @@ class TestStackedChecksAgainstDenseOracle:
 
 
 class TestCallCounts:
-    """The exact checks stay one stacked call per instance, however many blocks."""
+    """The exact checks stay one stacked call per instance, however many blocks.
+
+    Each exact check and each replay makes one pass of the dense block
+    kernel, which gives the probabilities and the updates together, and
+    calls neither public wrapper around it.
+    """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"fidelity": 0, "conditional_update": 0, "outcome_probs": 0}
+        counts = {"fidelity": 0, "kernel": 0, "conditional_update": 0, "outcome_probs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -379,9 +384,9 @@ class TestCallCounts:
         monkeypatch.setattr(measures, "fidelity", fid)
         monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
         # every module that could call them by name, whether it imports them or not
-        for name in ("conditional_update", "outcome_probs"):
-            fn = counted(name, getattr(channels, name))
-            for module in (verify, dilation):
+        for name, key in (("_dense_blocks", "kernel"), ("conditional_update",) * 2, ("outcome_probs",) * 2):
+            fn = counted(key, getattr(channels, name))
+            for module in (channels, verify, dilation):
                 monkeypatch.setattr(module, name, fn, raising=False)
         return counts
 
@@ -389,19 +394,25 @@ class TestCallCounts:
     def test_submartingale_check(self, counts, m):
         ch, sigma, rho = random_instance(np.random.default_rng(m), n=3, m=m)
         verify.check_fidelity_submartingale(ch, sigma, rho)
-        assert counts == {"fidelity": 1, "conditional_update": 1, "outcome_probs": 1}
+        assert counts == {"fidelity": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+
+    def test_mean_evolution(self, counts):
+        rng = np.random.default_rng(5)
+        ch, _, rho = random_instance(rng, n=3, m=5)
+        verify.check_mean_evolution(ch, rho, channels.random_partition(5, rng))
+        assert counts == {"fidelity": 0, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_proof_replay(self, counts, m):
-        # the one-step pass, plus the outcome_probs(sigma) call that probability_estimate needs
+        # sigma's block probabilities come from the one-step pass too
         rng = np.random.default_rng(m)
         ch, sigma, rho = random_instance(rng, n=3, m=m)
         dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
-        assert counts == {"fidelity": 1, "conditional_update": 1, "outcome_probs": 2}
+        assert counts == {"fidelity": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_counterexample_report(self, counts):
         verify.counterexample_report()
-        assert counts == {"fidelity": 1, "conditional_update": 3, "outcome_probs": 3}
+        assert counts == {"fidelity": 1, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}
 
     def test_kraus_monotonicity(self, counts):
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)

@@ -19,6 +19,7 @@ identity (of the measures' wrong-sign gaps only the fidelity's fail a run),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,7 +64,10 @@ def run(argv) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The qfilter parser, built once per process: parsing never mutates it,
+    and each run copies its command's config defaults."""
     parser = argparse.ArgumentParser(
         prog="qfilter",
         description="quantum Markov chains, filters, and sub-martingale checks",

@@ -30,10 +30,13 @@ fidelities, the current fidelity and the expected next fidelity are read
 from the exact one-step pass of :mod:`qfilter.verify`, the one the fidelity
 gap report reads, so the replayed chain sums the very numbers the checked
 gap sums.  The pass also gives p_nu(sigma), from the same block maps.  The
-links read per-outcome quantities of the two (m, n, n) lifts, one einsum
-for their reductions to S (whose traces are the squared norms) and one for
-their inner products, summed into blocks with the package's one block sum,
-``channels._block_sums``; no loop runs over the blocks.
+links read per-outcome quantities of the two (m, n, n) lifts: their
+reductions to S (whose traces are the squared norms), one batched matrix
+product, and their inner products, one einsum, summed into blocks with the
+package's one block sum, ``channels._block_sums``; no loop runs over the
+blocks.  Both purifications come from one stacked square root, so a replay
+makes three stacked eigendecomposition calls: this one and the fidelity's
+two.
 """
 
 from __future__ import annotations
@@ -92,8 +95,7 @@ def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     rho = make_density(rho)
     if sigma.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {rho.shape}")
-    sqrt_sigma = linalg.psd_sqrt(sigma)
-    sqrt_rho = linalg.psd_sqrt(rho)
+    sqrt_sigma, sqrt_rho = linalg.psd_sqrt(np.stack([sigma, rho]))
     P, _, Qh = np.linalg.svd(sqrt_sigma @ sqrt_rho)
     amp_sigma = sqrt_sigma @ P  # amp[s, q]: amplitudes on S (x) Q
     amp_rho = sqrt_rho @ Qh.conj().T
@@ -190,7 +192,7 @@ def replay_proof(
 
     # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>
     lifts = np.stack([_lift(ch.operators, psi_sigma), _lift(ch.operators, psi_rho)])
-    reduced = np.einsum("xeqs,xeqt->xest", lifts, lifts.conj())
+    reduced = _reduce(lifts)
     inner = np.einsum("eqs,eqs->e", lifts[0].conj(), lifts[1])
     overlap_lifted = float(abs(inner.sum()) ** 2)
     norms = _block_sums(np.trace(reduced, axis1=-2, axis2=-1).real, partition)  # (2, blocks): sigma's, rho's
@@ -256,3 +258,11 @@ def _lift(operators: np.ndarray, psi: np.ndarray) -> np.ndarray:
     amp = np.asarray(psi).reshape(n, n).T
     return (operators @ amp).swapaxes(1, 2)
 
+
+def _reduce(lifts: np.ndarray) -> np.ndarray:
+    """The reductions to S, tr_Q |chi_mu><chi_mu|, of each outcome slice of [..., E, Q, S] lifts.
+
+    One batched product per slice, A^T conj(A) for the (Q, S) amplitudes A:
+    O(m n^3) per lift, shape (..., m, n, n).
+    """
+    return lifts.swapaxes(-1, -2) @ lifts.conj()

@@ -1,11 +1,12 @@
 """Dense reference constructions that tests compare the package against.
 
 The package never forms these operators: the proof replay lifts states
-matrix-free and reduces them with one einsum, and blocks are summed with
-``np.add.reduceat``, not with a 0/1 block matrix.  The tests build them
+matrix-free and reduces them with matrix products, and blocks are summed
+with ``np.add.reduceat``, not with a 0/1 block matrix.  The tests build them
 here, in the package's tensor layout (the first factor's index fastest, so
 A (x) B is np.kron(B, A)), and test_states.py checks the partial trace
-against an index sum.
+against an index sum.  The per-outcome maps and the lifts' reductions are
+index sums here (einsum), the package's kernels matrix products.
 """
 
 import numpy as np
@@ -54,3 +55,22 @@ def block_indicator(partition) -> np.ndarray:
     for j, block in enumerate(partition.blocks):
         E[list(block), j] = 1.0
     return E
+
+
+def per_outcome(operators, rho) -> np.ndarray:
+    """M_mu rho M_mu† for every outcome of an (m, n, n) Kraus stack: shape (..., m, n, n)."""
+    operators = np.asarray(operators)
+    return np.einsum("mij,...jk,mlk->...mil", operators, rho, operators.conj())
+
+
+def block_maps(operators, rho, partition) -> np.ndarray:
+    """sum_{mu in block} M_mu rho M_mu† for every block of `partition` (None: one block per outcome)."""
+    per = per_outcome(operators, rho)
+    if partition is None:
+        return per
+    return np.stack([per[..., list(block), :, :].sum(axis=-3) for block in partition.blocks], axis=-3)
+
+
+def lift_reductions(lifts) -> np.ndarray:
+    """tr_Q of each outcome slice of [..., E, Q, S] lift amplitudes: shape (..., m, n, n)."""
+    return np.einsum("...eqs,...eqt->...est", lifts, np.conj(lifts))

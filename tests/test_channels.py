@@ -111,20 +111,45 @@ class TestOutcomeProbs:
 
     @pytest.mark.parametrize("m", [3, 8, 16])
     def test_dense_results_do_not_depend_on_the_stack_row(self, m):
-        # every row of a stack of one state gets the bits the state gets alone
+        # every row of a stack of one state gets the bits the state gets alone, in a
+        # contiguous stack and in every other row of a larger one (the products run per 2-D slice)
         rng = np.random.default_rng(100 + m)
-        for n in (1, 2, 3, 4, 5):
+        for n in (1, 2, 3, 4, 5, 8, 16):
             ch = channels.random_channel(n, m, rng)
             rho = states.random_density(n, n, rng)
-            stack = np.repeat(rho[None], 37, axis=0)
-            for part in (channels.trivial_partition(m), channels.random_partition(m, rng, 2)):
-                probs, alone = channels.outcome_probs(ch, stack, part), channels.outcome_probs(ch, rho, part)
-                assert np.array_equal(probs, np.broadcast_to(alone, probs.shape))
-                for nu in range(part.num_blocks):
-                    states_, used = channels.conditional_update(ch, nu, stack, part)
-                    alone, used_alone = channels.conditional_update(ch, nu, rho, part)
-                    assert np.array_equal(states_, np.broadcast_to(alone, states_.shape))
-                    assert not used.any() and not used_alone
+            interleaved = np.stack([rho, states.random_density(n, n, rng)] * 37)[::2]
+            assert not interleaved.flags.c_contiguous
+            for stack in (np.repeat(rho[None], 37, axis=0), interleaved):
+                for part in (channels.trivial_partition(m), channels.random_partition(m, rng, 2)):
+                    probs, alone = channels.outcome_probs(ch, stack, part), channels.outcome_probs(ch, rho, part)
+                    assert np.array_equal(probs, np.broadcast_to(alone, probs.shape))
+                    for nu in range(part.num_blocks):
+                        states_, used = channels.conditional_update(ch, nu, stack, part)
+                        alone, used_alone = channels.conditional_update(ch, nu, rho, part)
+                        assert np.array_equal(states_, np.broadcast_to(alone, states_.shape))
+                        assert not used.any() and not used_alone
+                mapped = channels.apply_channel(ch, stack)
+                assert np.array_equal(mapped, np.broadcast_to(channels.apply_channel(ch, rho), mapped.shape))
+
+
+class TestPerOutcomeKernel:
+    """The dense kernel's matrix products against the index-sum oracle."""
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 4), (5, 3), (8, 8), (16, 1), (16, 8)])
+    def test_block_maps_and_channel_match_the_oracle(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        ch = channels.random_channel(n, m, rng)
+        stack = np.stack([states.random_density(n, int(rng.integers(1, n + 1)), rng) for _ in range(4)])
+        parts = (None, channels.singleton_partition(m), channels.trivial_partition(m), channels.random_partition(m, rng))
+        for rho in (stack[0], stack, stack[::2]):
+            for part in parts:
+                maps, traces = channels._dense_blocks(ch, rho, part)
+                want = oracles.block_maps(ch.operators, rho, part)
+                assert maps.shape == want.shape
+                assert np.abs(maps - want).max() <= 1e-14
+                assert np.abs(traces - np.trace(want, axis1=-2, axis2=-1).real).max() <= 1e-14
+            mapped = channels.apply_channel(ch, rho)
+            assert np.abs(mapped - oracles.per_outcome(ch.operators, rho).sum(axis=-3)).max() <= 1e-14
 
 
 class TestConditionalUpdate:
@@ -273,7 +298,7 @@ class TestMixtureIdentity:
                     continue
                 upd, _ = channels.conditional_update(ch, nu, rho, part)
                 acc += p * upd
-            assert np.abs(acc - channels.apply_channel(ch, rho)).max() < 1e-12
+            assert np.abs(acc - oracles.per_outcome(ch.operators, rho).sum(axis=0)).max() < 1e-12
 
 
 class TestPartitions:

@@ -457,3 +457,17 @@ class TestConfigHandling:
 
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_back_to_back_runs_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; nothing one run parses may reach the next
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["verify", "--trials", "2", "--n", "2", "--measure", "frobenius", "--seed", "5",
+                    "--output", str(first)]) == 0
+        assert run(["--help"]) == 0
+        assert run(["verify", "--trials", "2", "--seed", "6", "--output", str(second)]) == 0
+        assert run(["verify", "--help"]) == 0
+        one = json.loads((first / "config.json").read_text())
+        two = json.loads((second / "config.json").read_text())
+        assert (one["n"], one["measure"], one["seed"]) == (2, "frobenius", 5)
+        assert (two["n"], two["measure"], two["seed"]) == (3, "fidelity", 6)
+        assert two == {**one, "trials": 2, "n": 3, "measure": "fidelity", "seed": 6, "output": str(second)}

@@ -322,6 +322,18 @@ class TestMatrixFreeLift:
             for key in got:
                 assert got[key] == want[key] or abs(got[key] - want[key]) < 1e-12, (i, key)
 
+    @pytest.mark.parametrize("n, m", [(1, 3), (3, 2), (16, 8)])
+    def test_reductions_match_the_oracle(self, n, m):
+        # the lifts' reductions to S: a batched product against the index sum, and
+        # each outcome's reduction is that outcome's map of the purified state
+        rng = np.random.default_rng(16 + n + m)
+        ch, sigma, rho = random_instance(rng, n, m)
+        lifts = np.stack([dilation._lift(ch.operators, psi) for psi in dilation.uhlmann_pair(sigma, rho)])
+        reduced = dilation._reduce(lifts)
+        assert reduced.shape == (2, m, n, n)
+        assert np.abs(reduced - oracles.lift_reductions(lifts)).max() <= 1e-14
+        assert np.abs(reduced - oracles.per_outcome(ch.operators, np.stack([sigma, rho]))).max() <= 1e-14
+
     def test_one_dimensional_system(self):
         rng = np.random.default_rng(13)
         ch = channels.random_channel(1, 3, rng)

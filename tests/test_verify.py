@@ -410,6 +410,16 @@ class TestCallCounts:
         dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
         assert counts == {"fidelity": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
+    def test_proof_replay_eigendecompositions(self, monkeypatch):
+        # one stacked square root for the Uhlmann pair, two for the fidelity of the pass
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        rng = np.random.default_rng(8)
+        ch, sigma, rho = random_instance(rng, n=3, m=4)
+        dilation.replay_proof(ch, sigma, rho)
+        assert calls == [(2, 3, 3), (5, 3, 3), (5, 3, 3)]
+
     def test_counterexample_report(self, counts):
         verify.counterexample_report()
         assert counts == {"fidelity": 1, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}

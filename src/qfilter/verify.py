@@ -11,17 +11,25 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
   1/3 - 1/4 = 1/12 > 0,
 * randomized violation search per measure.
 
-Each check runs once per instance on stacks, not once per block.  Every
-exact one-step result reads one pass, :func:`_one_step`: one call of the
-dense block kernel of :mod:`qfilter.channels` on the stack [sigma, rho],
-whose block maps give both states' probabilities and updates, and one
-measure call on the pairs of the blocks where p_nu(rho) > ZERO_PROB_TOL
-with the current pair appended, which gives the expectation and the
-current value together.  The gap reports, the counter-example and
-:func:`qfilter.dilation.replay_proof` all read it, so the replayed chain sums
-the very numbers the checked gap sums.  Monotonicity is one
-``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
-both pairs; the mean evolution is one kernel call and its p-weighted sum.
+Each check runs on stacks, not once per block, and a run over many
+instances makes one pass for them all.  Every exact one-step result reads
+one pass, :func:`_one_step`, over B instances of one (n, m): Kraus stacks
+(B, m, n, n), states [sigma, rho] and one partition each.  The dense block
+kernel of :mod:`qfilter.channels` runs once per distinct partition on the
+stack of its instances; its block maps give both states' probabilities
+and updates.  Only the kept rows, the (instance, block) pairs where
+p_nu(rho) > ZERO_PROB_TOL, are gathered (no padding) and updated, and one
+measure call takes them with the B current pairs appended, which gives
+every expectation and current value together.  Each instance's p * value
+terms are added in block order, so an instance gets the same bits in a
+batch as alone.  A single instance is a batch of one: the gap reports,
+the mean evolution, the counter-example and
+:func:`qfilter.dilation.replay_proof` read it so, and the replayed chain
+sums the very numbers the checked gap sums.  ``qfilter verify`` (gap
+reports and mean evolutions), each ``qfilter sweep`` cell and
+:func:`random_search_violation` make one pass per run or cell.
+Monotonicity is one ``apply_channel`` call on the stack [sigma, rho] and
+one fidelity call for both pairs.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -50,16 +58,19 @@ from . import measures
 from .channels import (
     KrausChannel,
     OutcomePartition,
+    _channel_ginibre,
     _dense_blocks,
     _dense_updates,
+    _haar_channels,
+    _kraus_map,
     _probabilities,
     apply_channel,
-    random_channel,
     random_partition,
     singleton_partition,
     trivial_partition,
     validate_channel,
 )
+from .linalg import _any
 from .states import random_density
 from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL, ZERO_PROB_TOL
 
@@ -161,11 +172,9 @@ def measure_gap_report(
     gap against the measure's expected direction with slack `tol` (see
     :attr:`GapReport.passed`).
     """
-    step = _one_step(ch, sigma, rho, measure, partition, fallback)
-    return GapReport(
-        measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
-        _fingerprint(ch, sigma, rho, partition), tol,
-    )
+    sigma, rho = np.asarray(sigma, dtype=complex), np.asarray(rho, dtype=complex)
+    [step] = _one_step(ch.operators[None], sigma[None], rho[None], measure, [partition], fallback)
+    return _gap_report(step, measure, ch, sigma, rho, partition, tol)
 
 
 def check_fidelity_submartingale(
@@ -197,11 +206,9 @@ def check_mean_evolution(
 
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
-    maps, p = _dense_blocks(ch, rho, partition)
-    probs = _probabilities(p)
-    kept = np.flatnonzero(probs > ZERO_PROB_TOL)
-    updates, _ = _dense_updates(ch, maps, p, kept, partition)
-    acc = (probs[kept, None, None] * updates).sum(axis=0)
+    rho = np.asarray(rho, dtype=complex)
+    kept = _kept_blocks(ch.operators[None], rho[None, None], [partition])
+    acc = (kept.weights[:, None, None] * kept.updates[0]).sum(axis=0)
     return float(np.abs(acc - apply_channel(ch, rho)).max())
 
 
@@ -256,9 +263,10 @@ def counterexample_report() -> CounterexampleReport:
     must match the exact constants within COUNTEREXAMPLE_TOL.
     """
     ch, sigma, rho = counterexample_instance()
-    d = _one_step(ch, sigma, rho, "trace_distance")
-    f = _one_step(ch, sigma, rho, "fidelity")
-    s = _one_step(ch, sigma, rho, "relative_entropy")
+    [d], [f], [s] = (
+        _one_step(ch.operators[None], sigma[None], rho[None], measure, [None])
+        for measure in ("trace_distance", "fidelity", "relative_entropy")
+    )
     d_lhs, d_rhs, f_lhs, f_rhs, s_lhs, s_rhs = d.lhs, d.rhs, f.lhs, f.rhs, s.lhs, s.rhs
     expected = {
         "d_lhs": (d_lhs, 4.0 / 3.0),
@@ -299,10 +307,13 @@ def random_instances(
     partition None, "trivial" the one-block partition and "random" a random
     partition with a random block count.  A block count p gives the trivial
     partition for p = 1, the singleton partition for p = m, and otherwise a
-    random partition into p blocks.
+    random partition into p blocks.  The channels are built after the
+    draws, with one stacked QR and one stacked check, and each is the
+    channel ``random_channel`` draws from its child alone, bit for bit.
     """
+    draws = []
     for child in rng.spawn(trials):
-        ch = random_channel(n, m, child)
+        kraus = _channel_ginibre(n, m, child)
         rank_s = n if full_rank else int(child.integers(1, n + 1))
         rank_r = n if full_rank else int(child.integers(1, n + 1))
         sigma = random_density(n, rank_s, child)
@@ -315,7 +326,10 @@ def random_instances(
             partition = singleton_partition(m)
         else:
             partition = random_partition(m, child, None if partition_mode == "random" else partition_mode)
-        yield ch, sigma, rho, partition
+        draws.append((kraus, sigma, rho, partition))
+    if draws:
+        kraus, sigmas, rhos, partitions = zip(*draws)
+        yield from zip(_haar_channels(np.stack(kraus), n), sigmas, rhos, partitions)
 
 
 def random_search_violation(
@@ -337,13 +351,14 @@ def random_search_violation(
 
     Instances come from :func:`random_instances`, one child generator per
     trial, so the search is reproducible and parallelizes by trial index.
+    They take one stacked pass; the counter-example, of another shape,
+    takes its own.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    instances = [counterexample_instance()] if include_counterexample else []
+    reports = [measure_gap_report(*counterexample_instance(), measure)] if include_counterexample else []
     full_rank = measure == "relative_entropy"
-    instances += [inst[:3] for inst in random_instances(n, m, trials, rng, full_rank=full_rank)]
-    reports = (measure_gap_report(ch, sigma, rho, measure) for ch, sigma, rho in instances)
+    reports += _gap_reports(list(random_instances(n, m, trials, rng, full_rank=full_rank)), measure)[0]
     return [r for r in reports if not r.passed]
 
 
@@ -358,6 +373,36 @@ def write_gap_reports_csv(reports, file) -> None:
     finally:
         if own:
             fh.close()
+
+
+def _gap_reports(instances, measure: str, tol: float = GAP_TOL) -> tuple[list[GapReport], list[_OneStep]]:
+    """The gap reports of (channel, sigma, rho, partition) instances of one (n, m), from one
+    stacked :func:`_one_step`, and their passes; an empty list of instances gives none."""
+    if not instances:
+        return [], []
+    chs, sigmas, rhos, partitions = zip(*instances)
+    steps = _one_step(np.array([ch.operators for ch in chs]), sigmas, rhos, measure, partitions)
+    reports = [_gap_report(step, measure, *inst, tol) for step, inst in zip(steps, instances)]
+    return reports, steps
+
+
+def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol) -> GapReport:
+    return GapReport(
+        measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
+        _fingerprint(ch, sigma, rho, partition), tol,
+    )
+
+
+def _mean_evolution_deviations(instances, steps: list[_OneStep]) -> list[float]:
+    """:func:`check_mean_evolution` of each (channel, sigma, rho, partition) instance, read from its pass.
+
+    Each instance's sum stays its own, over its kept blocks in block order;
+    K(rho) is one stacked product for all.
+    """
+    acc = np.stack([(step.probs[step.kept, None, None] * step.rho_next).sum(axis=0) for step in steps])
+    operators = np.array([ch.operators for ch, *_ in instances])
+    rho = np.array([inst[2] for inst in instances], dtype=complex)
+    return np.abs(acc - _kraus_map(operators, rho)).max(axis=(-2, -1)).tolist()
 
 
 class _OneStep(NamedTuple):
@@ -378,30 +423,93 @@ class _OneStep(NamedTuple):
 
 
 def _one_step(
-    ch: KrausChannel,
+    operators: np.ndarray,
     sigma,
     rho,
     measure: str,
-    partition: OutcomePartition | None = None,
+    partitions,
     fallback: np.ndarray | None = None,
-) -> _OneStep:
-    """The one-step pass of the module docstring; `fallback` is sigma's xi."""
+) -> list[_OneStep]:
+    """The one-step pass of the module docstring for B instances; `fallback` is sigma's xi.
+
+    `operators` (B, m, n, n) holds each instance's Kraus stack, sigma and rho
+    (B, n, n) its states, and `partitions` its partition.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    sigma, rho = measures._check_pair(sigma, rho)
-    maps, p = _dense_blocks(ch, np.stack([sigma, rho]), partition)
-    probs = _probabilities(p[1])
-    kept = np.flatnonzero(probs > ZERO_PROB_TOL)
-    (sigma_next, rho_next), used = _dense_updates(ch, maps, p, kept, partition, fallback)
-    values = MEASURES[measure](
-        np.concatenate([sigma_next, sigma[None]]), np.concatenate([rho_next, rho[None]])
-    )
-    # added left to right in block order, as a loop over the blocks adds them;
-    # a positive weight times an infinite term makes the sum infinite
-    lhs = float(sum(probs[kept] * values[:-1]))
-    fallback_blocks = tuple(kept[used[0]].tolist())
-    rhs = float(values[-1])
-    return _OneStep(probs, p[0], kept, sigma_next, rho_next, values[:-1], lhs, rhs, fallback_blocks)
+    states = np.array(measures._check_pair(sigma, rho))
+    kept = _kept_blocks(operators, states, partitions, fallback)
+    values = MEASURES[measure](*np.concatenate([kept.updates, states], axis=1))
+    K = len(kept.weights)
+    terms = kept.weights * values[:K]
+    sigma_next, rho_next = kept.updates
+    fell_back = _any(kept.used[0])
+    steps: list = [None] * len(partitions)
+    for idx, probs, traces, keep, blocks, start in kept.groups:
+        lo = 0
+        for j, (i, row) in enumerate(zip(idx, keep.tolist())):
+            count = sum(row)
+            own, rows = blocks[lo : lo + count], slice(start + lo, start + lo + count)
+            # added left to right in block order, as a loop over the blocks adds them;
+            # a positive weight times an infinite term makes the sum infinite
+            lhs = float(sum(terms[rows]))
+            fallback_blocks = tuple(own[kept.used[0, rows]].tolist()) if fell_back else ()
+            steps[i] = _OneStep(
+                probs[j], traces[0, j], own, sigma_next[rows], rho_next[rows], values[rows],
+                lhs, float(values[K + i]), fallback_blocks,
+            )
+            lo += count
+    return steps
+
+
+class _Kept(NamedTuple):
+    """A stacked pass's kept blocks: each instance's blocks where p_nu(rho) > ZERO_PROB_TOL.
+
+    The K rows are (instance, kept block) pairs, grouped by partition; each
+    instance's rows are one contiguous run, in block order.
+    """
+
+    # per distinct partition: (its instances; their p_nu(rho) (b, blocks), checked; every state's
+    # block traces (s, b, blocks), unchecked; the kept mask (b, blocks); the kept blocks of its
+    # rows; its first row)
+    groups: list
+    weights: np.ndarray  # (K,) p_nu(rho) of each row
+    updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
+    used: np.ndarray  # (s, K) the updates that took the fallback
+
+
+def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
+    """The dense block kernel over B instances (B, m, n, n) with s states each (s, B, n, n), the last rho.
+
+    One kernel call per distinct partition on its instances' stack gives
+    every state's block maps and traces; rho's probabilities are checked,
+    and only the kept rows are gathered and updated, the one fallback rule
+    applied to them.
+    """
+    by_partition: dict = {}
+    for i, partition in enumerate(partitions):
+        by_partition.setdefault(partition, []).append(i)
+    groups, weights, updates, used = [], [], [], []
+    start = 0
+    for partition, idx in by_partition.items():
+        ops, sts = (operators, states) if len(by_partition) == 1 else (operators[idx], states[:, idx])
+        maps, p = _dense_blocks(ops, sts, partition)
+        probs = _probabilities(p[-1])
+        keep = probs > ZERO_PROB_TOL
+        inst, blk = keep.nonzero()
+        if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather
+            rows, traces = maps.reshape((len(sts), -1) + maps.shape[-2:]), p.reshape(len(sts), -1)
+        else:
+            rows, traces = maps[:, inst, blk], p[:, inst, blk]
+        out, flags = _dense_updates(ops, rows, traces, blk, partition, fallback, inst)
+        groups.append((idx, probs, p, keep, blk, start))
+        start += len(blk)
+        weights.append(traces[-1])  # rho's kept traces are its probabilities: positive, so unclamped
+        updates.append(out)
+        used.append(flags)
+    if len(groups) == 1:
+        return _Kept(groups, weights[0], updates[0], used[0])
+    return _Kept(groups, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1))
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None) -> str:

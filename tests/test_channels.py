@@ -36,6 +36,24 @@ class TestValidateChannel:
         with pytest.raises(ValueError, match="shape"):
             channels.validate_channel([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [np.eye(3), np.zeros((3, 3))],
+            [np.eye(3), np.full((3, 3), np.nan)],
+            [np.zeros((3, 3)), np.full((3, 3), np.inf)],
+            [np.eye(3) / 2, np.eye(3) / 2],
+        ],
+    )
+    def test_stacked_check_raises_the_messages_of_one_channel(self, bad):
+        # random_instances checks all its channels at once; a bad one mid-stack gets its own message
+        with pytest.raises(ValueError) as one:
+            channels.validate_channel(bad)
+        good = np.stack(counterexample_ops()).astype(complex)
+        with pytest.raises(ValueError) as stacked:
+            channels._freeze(np.stack([good, np.array(bad, dtype=complex), good]))
+        assert str(stacked.value) == str(one.value)
+
     def test_operators_frozen(self):
         ch = channels.validate_channel(counterexample_ops())
         with pytest.raises(ValueError):
@@ -132,6 +150,44 @@ class TestOutcomeProbs:
                 assert np.array_equal(mapped, np.broadcast_to(channels.apply_channel(ch, rho), mapped.shape))
 
 
+class TestAcrossInstances:
+    """A stack of channels, each with its own states, gives every channel the bits it gets alone."""
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_dense_results_across_instances(self, m):
+        rng = np.random.default_rng(200 + m)
+        for n in (1, 2, 3, 5, 8):
+            chs = [channels.random_channel(n, m, rng) for _ in range(6)]
+            ops = np.stack([ch.operators for ch in chs])
+            pairs = np.stack([
+                [states.random_density(n, int(rng.integers(1, n + 1)), rng) for _ in range(2)] for _ in chs
+            ])
+            for part in (None, channels.trivial_partition(m), channels.random_partition(m, rng)):
+                maps, traces = channels._dense_blocks(ops[:, None], pairs, part)
+                for i, ch in enumerate(chs):
+                    alone = channels._dense_blocks(ch.operators, pairs[i], part)
+                    assert maps[i].tobytes() == alone[0].tobytes()
+                    assert traces[i].tobytes() == alone[1].tobytes()
+            mapped = channels._kraus_map(ops, pairs[:, 1])
+            for i, ch in enumerate(chs):
+                assert mapped[i].tobytes() == channels.apply_channel(ch, pairs[i, 1]).tobytes()
+
+    def test_fallback_rows_take_their_own_channel_across_instances(self):
+        # two projective channels in one stack: each row that falls back maps xi with its own channel
+        rng = np.random.default_rng(9)
+        chs = [channels.validate_channel([np.outer(u, u.conj()) for u in channels.haar_unitary(2, rng).T]) for _ in range(2)]
+        ops = np.stack([ch.operators for ch in chs])
+        maps, traces = channels._dense_blocks(ops, np.eye(2) / 2)
+        maps, traces = maps.copy(), traces.copy()
+        traces[:, 1] = 0.0  # block 1 vanished for both states
+        out, used = channels._dense_updates(ops, maps[:, 1], traces[:, 1], np.array(1), channels=np.arange(2))
+        assert used.tolist() == [True, True]
+        for i, ch in enumerate(chs):
+            alone, flag = channels.conditional_update(ch, 1, ch.operators[0])  # a state with no weight on block 1
+            assert flag
+            assert out[i].tobytes() == alone.tobytes()
+
+
 class TestPerOutcomeKernel:
     """The dense kernel's matrix products against the index-sum oracle."""
 
@@ -143,7 +199,7 @@ class TestPerOutcomeKernel:
         parts = (None, channels.singleton_partition(m), channels.trivial_partition(m), channels.random_partition(m, rng))
         for rho in (stack[0], stack, stack[::2]):
             for part in parts:
-                maps, traces = channels._dense_blocks(ch, rho, part)
+                maps, traces = channels._dense_blocks(ch.operators, rho, part)
                 want = oracles.block_maps(ch.operators, rho, part)
                 assert maps.shape == want.shape
                 assert np.abs(maps - want).max() <= 1e-14

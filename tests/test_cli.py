@@ -164,6 +164,16 @@ class TestVerifyCommand:
                 "--partition-mode", mode, "--output", str(out),
             ]) == 0
 
+    def test_relative_entropy_cells_count_every_trial(self, tmp_path):
+        # sigma and rho are drawn at full rank, so no relative entropy is infinite
+        assert run([
+            "sweep", "--measure", "relative_entropy", "--n-values", "2,3,4", "--m-values", "2,3",
+            "--trials", "20", "--seed", "4", "--output", str(tmp_path),
+        ]) == 0
+        rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        assert all(r[3] == "20" and r[4] != "nan" for r in rows)
+
     def test_tolerance_reaches_the_verdict(self, tmp_path):
         # the counter-example's trace-distance gap is 1/3: wrong-sign at the default slack only
         def violations(*extra):
@@ -299,13 +309,26 @@ class TestSweepCommand:
         assert len(lines) == 5  # 2 dims x 1 m x 2 partition sizes
 
     @pytest.mark.filterwarnings("error")
-    def test_empty_cell_writes_nan_without_warnings(self, tmp_path):
-        # every relative entropy in cell (3, 3, 2) is infinite, so it has no gap to reduce
+    def test_empty_cell_writes_nan_without_warnings(self, tmp_path, monkeypatch):
+        # drawn at random rank, not at the full rank the sweep draws this measure at, every
+        # relative entropy in cell (3, 3, 2) is infinite, so the cell has no gap to reduce
+        draw = verify.random_instances
+        monkeypatch.setattr(verify, "random_instances", lambda *args: draw(*args[:5]))
         assert run([
             "sweep", "--measure", "relative_entropy", "--trials", "5",
             "--seed", "1", "--output", str(tmp_path),
         ]) == 0
         assert "3,3,2,0,nan,nan,0" in (tmp_path / "sweep.csv").read_text().splitlines()
+
+    def test_relative_entropy_cells_count_every_trial(self, tmp_path):
+        # sigma and rho are drawn at full rank, so no relative entropy is infinite
+        assert run([
+            "sweep", "--measure", "relative_entropy", "--n-values", "2,3,4", "--m-values", "2,3",
+            "--trials", "20", "--seed", "4", "--output", str(tmp_path),
+        ]) == 0
+        rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        assert all(r[3] == "20" and r[4] != "nan" for r in rows)
 
     def test_tolerance_reaches_the_verdict(self, tmp_path):
         # a negative slack demands a fidelity gain above 1, which no instance has

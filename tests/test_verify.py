@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilter import channels, dilation, measures, states, verify
+from qfilter import channels, cli, dilation, measures, states, verify
 from qfilter.tolerances import ZERO_PROB_TOL
 
 
@@ -262,6 +262,29 @@ class TestRandomInstances:
         for _, sigma, rho, _ in instances:
             assert np.linalg.matrix_rank(sigma) == np.linalg.matrix_rank(rho) == 3
 
+    @pytest.mark.parametrize(
+        "n, m, trials, mode, full_rank",
+        [(3, 4, 200, "random", False), (1, 3, 5, "random", False), (3, 1, 5, "singleton", False),
+         (3, 2, 5, "random", True), (3, 4, 5, 4, False)],
+    )
+    def test_stacked_draws_match_the_per_child_draws(self, n, m, trials, mode, full_rank):
+        # the channels come from one stacked QR; each must be the channel its child draws alone,
+        # sliced from a Haar unitary of its own
+        got = list(verify.random_instances(n, m, trials, np.random.default_rng(7), mode, full_rank))
+        assert len(got) == trials
+        for child, (ch, sigma, rho, part) in zip(np.random.default_rng(7).spawn(trials), got):
+            U = channels.haar_unitary(n * m, child)
+            rank_s = n if full_rank else int(child.integers(1, n + 1))
+            rank_r = n if full_rank else int(child.integers(1, n + 1))
+            assert np.array_equal(ch.operators, np.stack([U[mu * n : (mu + 1) * n, :n] for mu in range(m)]))
+            assert not ch.operators.flags.writeable
+            assert np.array_equal(sigma, states.random_density(n, rank_s, child))
+            assert np.array_equal(rho, states.random_density(n, rank_r, child))
+            if mode == "random":
+                assert part == channels.random_partition(m, child)
+            else:
+                assert part == (None if mode == "singleton" else channels.singleton_partition(m))
+
 
 def dense_update(ch, block, state, fallback):
     """M_block(state) = sum_{mu in block} M_mu state M_mu† / p, with the xi substitution; (update, used)."""
@@ -420,6 +443,15 @@ class TestCallCounts:
         dilation.replay_proof(ch, sigma, rho)
         assert calls == [(2, 3, 3), (5, 3, 3), (5, 3, 3)]
 
+    def test_verify_run(self, counts, tmp_path):
+        # one stacked pass for the run: one kernel call per distinct partition, its mean
+        # evolution read from that pass, and one fidelity call for every instance
+        argv = ["verify", "--partition-mode", "random", "--trials", "12", "--seed", "3", "--output", str(tmp_path)]
+        assert cli.run(argv) == 0
+        parts = {part for *_, part in verify.random_instances(3, 3, 12, np.random.default_rng(3), "random")}
+        assert 1 < len(parts) < 12
+        assert counts == {"fidelity": 1, "kernel": len(parts), "conditional_update": 0, "outcome_probs": 0}
+
     def test_counterexample_report(self, counts):
         verify.counterexample_report()
         assert counts == {"fidelity": 1, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}
@@ -428,3 +460,98 @@ class TestCallCounts:
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)
         verify.check_kraus_monotonicity(ch, sigma, rho)
         assert counts["fidelity"] == 1
+
+
+def batch_of(n, m, rng, count=8):
+    """`count` random instances of one (n, m), rank-deficient states, partitions None, trivial,
+    singleton and random (with random block counts) in turn."""
+    out = []
+    for i in range(count):
+        ch = channels.random_channel(n, m, rng)
+        sigma = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+        rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+        part = (None, channels.trivial_partition(m), channels.singleton_partition(m), channels.random_partition(m, rng))[i % 4]
+        out.append((ch, sigma, rho, part))
+    return out
+
+
+def mixed_batch():
+    """(3, 3) instances with two mid-batch: a projective one whose sigma takes the fallback on
+    block 0, and a diagonal one with an infinite relative-entropy term beside a finite one."""
+    rng = np.random.default_rng(50)
+    batch = batch_of(3, 3, rng, 10)
+    proj = channels.validate_channel([np.diag(np.eye(3)[k]) for k in range(3)])
+    batch.insert(3, (proj, np.diag([0.0, 0.3, 0.7]).astype(complex), states.random_density(3, 3, rng), None))
+    r = 1 / np.sqrt(2)
+    diag = channels.validate_channel([np.diag([1.0, r, 0.0]), np.diag([0.0, r, r]), np.diag([0.0, 0.0, r])])
+    batch.insert(6, (diag, np.diag([0.0, 0.5, 0.5]).astype(complex), np.diag([0.5, 0.5, 0.0]).astype(complex), None))
+    return batch
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestAcrossInstances:
+    """A stacked pass over B instances gives each instance the bits of its batch of one."""
+
+    @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
+    @pytest.mark.parametrize("n, m", [(3, 3), (1, 3), (3, 1), (2, 4)])
+    def test_batch_equals_batches_of_one_across_instances(self, measure, n, m):
+        batch = mixed_batch() if (n, m) == (3, 3) else batch_of(n, m, np.random.default_rng(10 * n + m))
+        reports, steps = verify._gap_reports(batch, measure)
+        assert len({part for *_, part in batch}) > 1
+        for inst, rep, step in zip(batch, reports, steps):
+            [alone], [alone_step] = verify._gap_reports([inst], measure)
+            single = verify.measure_gap_report(*inst[:3], measure, inst[3])
+            assert rep.csv_row() == alone.csv_row() == single.csv_row()
+            assert bits([rep.lhs, rep.rhs, rep.gap]) == bits([alone.lhs, alone.rhs, alone.gap])
+            assert rep.fallback_blocks == alone.fallback_blocks
+            for got, want in zip(step, alone_step):  # every field of the pass, bit for bit
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_batch_covers_fallback_and_infinite_terms_across_instances(self):
+        reports, steps = verify._gap_reports(mixed_batch(), "relative_entropy")
+        assert reports[3].fallback_blocks == (0,)
+        assert [r.fallback_blocks for i, r in enumerate(reports) if i != 3] == [()] * 11
+        values = steps[6].values
+        assert math.isinf(values[0]) and math.isfinite(values[1]) and math.isinf(reports[6].lhs)
+        assert any(math.isfinite(r.lhs) for r in reports)
+
+    def test_mean_evolution_deviations_across_instances(self):
+        batch = mixed_batch()
+        _, steps = verify._gap_reports(batch, "fidelity")
+        got = verify._mean_evolution_deviations(batch, steps)
+        want = [verify.check_mean_evolution(ch, rho, part) for ch, _, rho, part in batch]
+        assert bits(got) == bits(want)
+
+    def test_near_null_instance_raises_alone_and_across_instances(self):
+        # the benchmark's near-null instance: a projective channel and an estimate whose outcome-0
+        # probability is in [1e-12, 1e-8], whose update of that block is not positive semidefinite
+        rng = np.random.default_rng(0)
+        basis = channels.haar_unitary(3, rng)
+        labels = np.concatenate([np.arange(2), rng.integers(0, 2, 1)])
+        rng.shuffle(labels)
+        proj = channels.validate_channel([basis[:, labels == k] @ basis[:, labels == k].conj().T for k in (0, 1)])
+        inside, outside = basis[:, labels == 0], basis[:, labels != 0]
+        eps = 10.0 ** rng.uniform(-12.0, -8.0)
+        a = inside @ states.random_density(inside.shape[1], 1, rng) @ inside.conj().T
+        k = outside.shape[1]
+        b = outside @ states.random_density(k, int(rng.integers(1, k + 1)), rng) @ outside.conj().T
+        near_null = (proj, (1.0 - eps) * b + eps * a, states.random_density(3, int(rng.integers(1, 4)), rng), None)
+        with pytest.raises(ValueError, match="not positive semidefinite") as alone:
+            verify.measure_gap_report(*near_null[:3], "fidelity")
+        batch = batch_of(3, 2, rng)
+        batch.insert(5, near_null)
+        with pytest.raises(ValueError) as together:
+            verify._gap_reports(batch, "fidelity")
+        assert str(together.value) == str(alone.value)
+
+    def test_search_reads_one_pass_across_instances(self):
+        # the search's reports are the batch-of-one reports of the same instances
+        found = verify.random_search_violation("trace_distance", 3, 2, 40, np.random.default_rng(12), True)
+        instances = [verify.counterexample_instance()]
+        instances += [inst[:3] for inst in verify.random_instances(3, 2, 40, np.random.default_rng(12))]
+        reports = [verify.measure_gap_report(*inst, "trace_distance") for inst in instances]
+        assert found == [r for r in reports if not r.passed] and found
+        assert verify.random_search_violation("fidelity", 3, 2, 0, np.random.default_rng(0)) == []

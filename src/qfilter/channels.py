@@ -20,7 +20,9 @@ from two matrix products, O(m n^3) per state (:func:`_per_outcome`, which
 :func:`apply_channel` sums over all outcomes).  The kernel takes an
 operator stack: one channel's (m, n, n), or one Kraus stack per instance
 (..., m, n, n), so the exact checks of :mod:`qfilter.verify` run many
-instances in one call, each with the bits it gets alone.  Random channels
+instances in one call, each with the bits it gets alone; instances of
+several partitions share one product and take one block sum
+(:func:`_block_maps`) per partition.  Random channels
 come from one stacked QR and one stacked check (:func:`_haar_channels`,
 :func:`_freeze`); a single channel is a stack of one.  The simulation engine's
 block update (:func:`_factor_probs`, :func:`_factor_update`) works on
@@ -302,11 +304,20 @@ def _dense_blocks(operators: np.ndarray, rho, partition: OutcomePartition | None
     probabilities and the normalisers of the updates.  A state gets the same
     bits alone and in any row of a stack.
     """
-    rho = _check_dims(operators, rho)
+    return _block_maps(operators, _per_outcome(operators, _check_dims(operators, rho)), partition)
+
+
+def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartition | None):
+    """The (block maps, traces) of :func:`_dense_blocks` from the per-outcome maps `per` (..., m, n, n).
+
+    `per` comes from :func:`_per_outcome` under `operators`, or is rows of
+    such a stack: the products do not depend on the partition, so
+    instances of several partitions share one product.
+    """
     if partition is not None:
         _check_partition(operators, partition)
-    per = _block_sums(_per_outcome(operators, rho), partition, axis=-3)
-    return per, per.trace(0, -2, -1).real
+    maps = _block_sums(per, partition, axis=-3)
+    return maps, maps.trace(0, -2, -1).real
 
 
 def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dilation as dilation_mod
-from . import filtering, measures, verify
+from . import filtering, verify
 from .channels import channel_from_dict, partition_from_dict, random_channel
 from .states import make_density, matrix_from_dict, matrix_to_dict, maximally_mixed, random_density
 from .tolerances import GAP_TOL, MEAN_EVOLUTION_TOL
@@ -336,13 +337,9 @@ def _cmd_simulate(cfg: dict) -> int:
     )
     out = _out_dir(cfg)
     _echo_config(cfg, out)
-    last = []
-    for i in range(n_traj):
-        traj = filtering.simulate(sim_cfg, traj_index=i)
-        filtering.write_trajectory_csv(traj, out / f"trajectory_{i:04d}.csv")
-        last.append(traj.steps[-1])
-    # one stacked call: each pair gets the bits it gets alone
-    final = measures.fidelity(np.stack([s.estimate for s in last]), np.stack([s.true_state for s in last]))
+    # the trajectories step in lockstep, a group at a time, and each CSV is the one
+    # write_trajectory_csv(simulate(sim_cfg, i)) writes; the final fidelities are its last rows'
+    final = filtering._write_trajectory_csvs(sim_cfg, n_traj, lambda i: out / f"trajectory_{i:04d}.csv")
     report = {
         "config": cfg,
         "config_fingerprint": sim_cfg.fingerprint(),
@@ -446,31 +443,30 @@ def _cmd_sweep(cfg: dict) -> int:
     full_rank = measure == "relative_entropy"
     out = _out_dir(cfg)
     _echo_config(cfg, out)
+    # cell i draws from SeedSequence(seed, spawn_key=(i,)); the cells of one (n, m) share one pass
+    cells = [(n, m, p) for n in n_values for m in m_values for p in p_values if p <= m]
+    shapes: dict = {}
+    for cell, (n, m, p) in enumerate(cells):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
+        shapes.setdefault((n, m), []).extend(verify.random_instances(n, m, trials, rng, p, full_rank))
+    reports = {shape: iter(verify._gap_reports(instances, measure, tol)[0]) for shape, instances in shapes.items()}
     rows = []
     total_violations = 0
     failed = False
-    cell = 0
-    for n in n_values:
-        for m in m_values:
-            for p in p_values:
-                if p > m:
-                    continue
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
-                cell += 1
-                gaps = []
-                violations = 0
-                instances = list(verify.random_instances(n, m, trials, rng, p, full_rank))
-                for rep in verify._gap_reports(instances, measure, tol)[0]:
-                    if math.isinf(rep.lhs) or math.isinf(rep.rhs):
-                        continue
-                    gaps.append(rep.gap)
-                    violations += not rep.passed
-                    failed = failed or verify._fails_run(rep)
-                total_violations += violations
-                # a cell with no finite instance has no gap statistics
-                min_gap = format(float(np.min(gaps)), ".17g") if gaps else "nan"
-                mean_gap = format(float(np.mean(gaps)), ".17g") if gaps else "nan"
-                rows.append(f"{n},{m},{p},{len(gaps)},{min_gap},{mean_gap},{violations}")
+    for n, m, p in cells:
+        gaps = []
+        violations = 0
+        for rep in itertools.islice(reports[n, m], trials):
+            if math.isinf(rep.lhs) or math.isinf(rep.rhs):
+                continue
+            gaps.append(rep.gap)
+            violations += not rep.passed
+            failed = failed or verify._fails_run(rep)
+        total_violations += violations
+        # a cell with no finite instance has no gap statistics
+        min_gap = format(float(np.min(gaps)), ".17g") if gaps else "nan"
+        mean_gap = format(float(np.mean(gaps)), ".17g") if gaps else "nan"
+        rows.append(f"{n},{m},{p},{len(gaps)},{min_gap},{mean_gap},{violations}")
     (out / "sweep.csv").write_text(
         "n,m,partition_size,instances,min_gap,mean_gap,wrong_sign\n" + "\n".join(rows) + "\n"
     )

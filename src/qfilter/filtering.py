@@ -28,15 +28,22 @@ sits in a stack, so trajectories with equal histories carry bit-equal
 factors: the engine keeps one pair per distinct history, plus the map from
 trajectories to histories, and advances each history once.
 
+One driver, :func:`_lockstep`, advances any set of trajectories of a config
+together, one step call per step for all of them, and every run reads it.
 Dense states appear only where the API hands them out: JointStep.true_state
 and JointStep.estimate (L L†, made Hermitian), the estimate shown to a
-feedback selector, and BatchStatistics.mean_true_state.
-:func:`simulate` runs the engine with B = 1 and keeps every state;
-:func:`batch_statistics` runs all trajectories in lockstep and keeps fidelity
-curves plus the batch-mean true state.  simulate(cfg, i) is row i of
-batch_statistics(cfg, n_traj): the same jumps, and fidelities that agree to
-round-off (measures.fidelity on the trajectory's dense states, as
-:func:`write_trajectory_csv` evaluates them).
+feedback selector, the records of the CSV writer and
+BatchStatistics.mean_true_state.  :func:`simulate` runs the driver with one
+trajectory and keeps every state; :func:`batch_statistics` runs all
+trajectories and keeps fidelity curves plus the batch-mean true state; the
+command line's trajectory CSVs (:func:`_write_trajectory_csvs`) run a group
+of trajectories at a time and take each measure column in one call over
+the group's records.  simulate(cfg, i) is row i of batch_statistics(cfg,
+n_traj): the same jumps, and fidelities that agree to round-off
+(measures.fidelity on the trajectory's dense states, as
+:func:`write_trajectory_csv` evaluates them).  Every CSV the group writer
+writes is, byte for byte, the one write_trajectory_csv(simulate(cfg, i))
+writes.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ from .tolerances import ZERO_PROB_TOL
 # fragmented: a 20 s lockstep benchmark run peaked 0.3 MB higher in RSS, for
 # about 10% more throughput.
 _LOCKSTEP_CHUNK = 64
+# Matrix entries of trajectory records that the CSV writer holds at once, unless one
+# trajectory has more.  The measure calls' temporaries take several times the records'
+# memory: in groups of 64 trajectories of 101 records at n = 3, a 1000-trajectory
+# `qfilter simulate` peaked 8 MB higher in RSS than one trajectory at a time, and at
+# this budget (9 trajectories a group) no higher.
+_GROUP_ENTRIES = 2**13
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
@@ -197,25 +210,21 @@ def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
 
     The uniforms are those of the child SeedSequence(cfg.seed,
     spawn_key=(traj_index,)), so simulate(cfg, i) is exactly trajectory i of
-    a batch.  The engine is :func:`_step` on a batch of one (one trajectory,
-    one history); each record holds the dense states L L†, and a feedback
-    selector is shown the record's estimate.
+    a batch.  The engine is :func:`_lockstep` on a batch of one (one
+    trajectory, one history); each record holds the dense states L L†, and a
+    feedback selector is shown the record's estimate.
     """
     rho0, hat0 = cfg.validate()
     if not isinstance(traj_index, (int, np.integer)) or traj_index < 0:
         raise ValueError(f"traj_index must be a non-negative integer, got {traj_index!r}")
-    u = _uniforms(cfg.seed, [traj_index], cfg.steps)
-    factors, inv = _psd_factor(np.stack([rho0, hat0]))[0][:, None], np.zeros(1, dtype=np.intp)
+    run = _lockstep(cfg, rho0, hat0, [traj_index], dense=True)
+    next(run)  # the inputs, kept as given
     records = [JointStep(0, None, rho0, hat0, False)]
-    for k in range(cfg.steps):
-        try:
-            ch = cfg.channel_at(k, records[-1].estimate)
-            idx, inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
-        except ValueError as exc:
-            raise SimulationError(f"step {k} failed: {exc}", JointTrajectory(records)) from exc
-        pair = factors[:, 0]
-        rho, hat = _hermitian(pair @ pair.conj().swapaxes(-1, -2))  # the dense L L† and H H†
-        records.append(JointStep(k + 1, int(idx[0]), rho, hat, bool(used[0])))
+    try:
+        for idx, _, used, pairs in run:
+            records.append(JointStep(len(records), int(idx[0]), pairs[0, 0], pairs[1, 0], bool(used[0])))
+    except ValueError as exc:
+        raise SimulationError(f"step {len(records) - 1} failed: {exc}", JointTrajectory(records)) from exc
     return JointTrajectory(records)
 
 
@@ -256,9 +265,9 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     """Advance n_traj trajectories in lockstep on stacked factors.
 
     Row i is simulate(cfg, i): the same uniforms (all drawn in one pass by
-    :func:`_uniforms`) and the same step function.  The engine carries one
-    pair of (n, n) factors per distinct outcome history, not per trajectory
-    (a coarse block's columns compressed back to n by a QR, see
+    :func:`_uniforms`) and the same driver, :func:`_lockstep`.  The engine
+    carries one pair of (n, n) factors per distinct outcome history, not per
+    trajectory (a coarse block's columns compressed back to n by a QR, see
     :func:`_step`), so each history's probabilities, update and fidelity (one
     batched SVD of the products L_hat† L_rho per step) are computed once and
     gathered to its trajectories.  The batch-mean true state is the only
@@ -268,37 +277,60 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     for those.
     """
     rho0, hat0 = cfg.validate()
-    if not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel):
+    if _feedback(cfg):
         raise ValueError("feedback channel selectors are not supported by batch_statistics")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-
-    steps = cfg.steps
-    u = _uniforms(cfg.seed, np.arange(n_traj), steps)  # (steps, n_traj)
-
-    n = len(rho0)
-    # (2, n_traj, n, n): true states and estimates, one row per distinct history in use
-    factors = np.empty((2, n_traj, n, n), dtype=complex)
-    factors[:, 0] = _psd_factor(np.stack([rho0, hat0]))[0]
-    inv = np.zeros(n_traj, dtype=np.intp)  # the history of each trajectory
+    steps, n = cfg.steps, len(rho0)
     fid = np.empty((n_traj, steps + 1))
-    fid[:, 0] = _fidelity(factors[1, :1], factors[0, :1])
     outcomes = np.empty((n_traj, steps), dtype=np.int64)
     mean_true = np.empty((steps + 1, n, n), dtype=complex)
     mean_true[0] = rho0
     fallback_counts = np.zeros(steps, dtype=np.int64)
-
-    for k in range(steps):
-        ch = cfg.channel_at(k, hat0)
-        outcomes[:, k], inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
-        fallback_counts[k] = used.sum()
-        live = slice(int(inv.max()) + 1)
-        fid[:, k + 1] = _fidelity(factors[1, live], factors[0, live])[inv]
-        # sum_b L_b L_b† as one product of the trajectories' factors side by side
-        side = factors[0].transpose(1, 0, 2)[:, inv].reshape(n, -1)
-        mean_true[k + 1] = _hermitian(side @ side.conj().T) / n_traj
+    for k, (idx, inv, used, live) in enumerate(_lockstep(cfg, rho0, hat0, np.arange(n_traj))):
+        fid[:, k] = _fidelity(live[1], live[0])[inv]
+        if k:
+            outcomes[:, k - 1] = idx
+            fallback_counts[k - 1] = used.sum()
+            # sum_b L_b L_b† as one product of the trajectories' factors side by side
+            side = live[0].transpose(1, 0, 2)[:, inv].reshape(n, -1)
+            mean_true[k] = _hermitian(side @ side.conj().T) / n_traj
 
     return BatchStatistics(fid, outcomes, mean_true, fallback_counts)
+
+
+def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys, dense: bool = False):
+    """Run trajectories `keys` of cfg, validated as rho0 and hat0, in lockstep: one :func:`_step` per step for all.
+
+    Yields one (indices, inv, fallback flags, pairs) per record k = 0 ..
+    cfg.steps: indices and flags (one per trajectory) are None at k = 0,
+    and inv maps each trajectory to its history.  pairs is a (2, H, n, n)
+    stack over the H live histories, the true states' first: their factors,
+    a view that the next step overwrites, or with `dense` the states
+    themselves (the inputs at k = 0, then the engine's L L†, made
+    Hermitian).  Trajectory keys[j] takes the uniforms of
+    SeedSequence(cfg.seed, spawn_key=(keys[j],)), so it gets the jumps and
+    bits it gets alone.  A feedback selector is shown history 0's dense
+    estimate, so it runs with `dense` and one trajectory.
+    """
+    u = _uniforms(cfg.seed, keys, cfg.steps)
+    factors = np.empty((2, len(keys)) + rho0.shape, dtype=complex)
+    factors[:, 0] = _psd_factor(np.stack([rho0, hat0]))[0]
+    inv = np.zeros(len(keys), dtype=np.intp)
+    pairs = np.stack([rho0, hat0])[:, None] if dense else factors[:, :1]
+    yield None, inv, None, pairs
+    for k in range(cfg.steps):
+        ch = cfg.channel_at(k, pairs[1, 0])
+        idx, inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
+        pairs = factors[:, : int(inv.max()) + 1]
+        if dense:
+            pairs = _hermitian(pairs @ pairs.conj().swapaxes(-1, -2))
+        yield idx, inv, used, pairs
+
+
+def _feedback(cfg: SimulationConfig) -> bool:
+    """Whether cfg's channel is a feedback selector."""
+    return not isinstance(cfg.channel, KrausChannel) and callable(cfg.channel)
 
 
 def write_trajectory_csv(traj: JointTrajectory, file) -> None:
@@ -308,28 +340,64 @@ def write_trajectory_csv(traj: JointTrajectory, file) -> None:
     one call on the stacked states of the trajectory.  Floats carry 17
     significant digits so round-trips are lossless.
     """
-    estimates = np.stack([s.estimate for s in traj.steps])
-    true_states = np.stack([s.true_state for s in traj.steps])
-    columns = zip(
-        measures.fidelity(estimates, true_states).tolist(),
-        measures.trace_distance(estimates, true_states).tolist(),
-        measures.frobenius_inner(estimates, true_states).tolist(),
-        measures.purity(true_states).tolist(),
-        measures.purity(estimates).tolist(),
+    values = _measure_columns(
+        np.stack([s.estimate for s in traj.steps]), np.stack([s.true_state for s in traj.steps])
     )
+    records = ((s.k, -1 if s.outcome is None else s.outcome, s.fallback_used) for s in traj.steps)
+    _write_csv(file, records, values.tolist())
+
+
+def _write_trajectory_csvs(cfg: SimulationConfig, n_traj: int, path: Callable[[int], object]) -> np.ndarray:
+    """write_trajectory_csv(simulate(cfg, i), path(i)) for i in range(n_traj), byte for byte; returns the final fidelities.
+
+    The trajectories run in :func:`_lockstep` a group at a time: at most
+    _LOCKSTEP_CHUNK of them, fewer where their records would pass
+    _GROUP_ENTRIES matrix entries (never fewer than one), and a feedback
+    selector's one at a time.  Each group's measure columns come from one
+    call per measure over all its records; each record gets the bits it
+    gets in its own trajectory's stack.
+    """
+    rho0, hat0 = cfg.validate()
+    fit = _GROUP_ENTRIES // ((cfg.steps + 1) * rho0.size)
+    width = 1 if _feedback(cfg) else max(1, min(_LOCKSTEP_CHUNK, fit))
+    final = np.empty(n_traj)
+    for start in range(0, n_traj, width):
+        keys = np.arange(start, min(start + width, n_traj))
+        # (true states and estimates, trajectory, record, n, n), trajectory-major as each CSV reads them
+        states = np.empty((2, len(keys), cfg.steps + 1) + rho0.shape, dtype=complex)
+        outcomes = np.full((len(keys), cfg.steps + 1), -1, dtype=np.int64)
+        used = np.zeros((len(keys), cfg.steps + 1), dtype=bool)
+        for k, (idx, inv, flags, pairs) in enumerate(_lockstep(cfg, rho0, hat0, keys, dense=True)):
+            states[:, :, k] = pairs[:, inv]
+            if k:
+                outcomes[:, k], used[:, k] = idx, flags
+        values = _measure_columns(states[1], states[0])
+        for key, outcome, flag, rows in zip(keys.tolist(), outcomes.tolist(), used.tolist(), values.tolist()):
+            _write_csv(path(key), zip(range(cfg.steps + 1), outcome, flag), rows)
+        final[keys] = values[:, -1, 0]
+    return final
+
+
+def _measure_columns(estimates: np.ndarray, true_states: np.ndarray) -> np.ndarray:
+    """The five measure columns of TRAJECTORY_COLUMNS for stacks of records (..., n, n), one call per measure."""
+    columns = (
+        measures.fidelity(estimates, true_states),
+        measures.trace_distance(estimates, true_states),
+        measures.frobenius_inner(estimates, true_states),
+        measures.purity(true_states),
+        measures.purity(estimates),
+    )
+    return np.stack(columns, axis=-1)
+
+
+def _write_csv(file, records, values) -> None:
+    """A trajectory CSV: one row per (k, outcome, fallback flag) record with its row of five measure values."""
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     fh = open(file, "w", newline="") if own else file
     try:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for s, values in zip(traj.steps, columns):
-            fh.write(
-                "{},{},{},{},{},{},{},{}\n".format(
-                    s.k,
-                    -1 if s.outcome is None else s.outcome,
-                    *(_fmt(v) for v in values),
-                    int(s.fallback_used),
-                )
-            )
+        for (k, outcome, used), row in zip(records, values):
+            fh.write("{},{},{},{},{},{},{},{}\n".format(k, outcome, *map(_fmt, row), int(used)))
     finally:
         if own:
             fh.close()

@@ -14,20 +14,22 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
 Each check runs on stacks, not once per block, and a run over many
 instances makes one pass for them all.  Every exact one-step result reads
 one pass, :func:`_one_step`, over B instances of one (n, m): Kraus stacks
-(B, m, n, n), states [sigma, rho] and one partition each.  The dense block
-kernel of :mod:`qfilter.channels` runs once per distinct partition on the
-stack of its instances; its block maps give both states' probabilities
-and updates.  Only the kept rows, the (instance, block) pairs where
-p_nu(rho) > ZERO_PROB_TOL, are gathered (no padding) and updated, and one
-measure call takes them with the B current pairs appended, which gives
-every expectation and current value together.  Each instance's p * value
+(B, m, n, n), states [sigma, rho] and one partition each.  The per-outcome
+maps M_mu rho M_mu† of :mod:`qfilter.channels` are one product for the
+whole stack, and one block sum per distinct partition, on its instances'
+rows, gives both states' block probabilities and updates.  Only the kept
+rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, are
+gathered (no padding) and updated, and one measure call takes them with
+the B current pairs appended, which gives every expectation and current
+value together.  Each instance's p * value
 terms are added in block order, so an instance gets the same bits in a
 batch as alone.  A single instance is a batch of one: the gap reports,
 the mean evolution, the counter-example and
 :func:`qfilter.dilation.replay_proof` read it so, and the replayed chain
 sums the very numbers the checked gap sums.  ``qfilter verify`` (gap
-reports and mean evolutions), each ``qfilter sweep`` cell and
-:func:`random_search_violation` make one pass per run or cell.
+reports and mean evolutions) and :func:`random_search_violation` make one
+pass per run, and ``qfilter sweep`` one per (n, m), over every cell of
+that shape.
 Monotonicity is one ``apply_channel`` call on the stack [sigma, rho] and
 one fidelity call for both pairs.
 
@@ -58,11 +60,13 @@ from . import measures
 from .channels import (
     KrausChannel,
     OutcomePartition,
+    _block_maps,
     _channel_ginibre,
-    _dense_blocks,
+    _check_dims,
     _dense_updates,
     _haar_channels,
     _kraus_map,
+    _per_outcome,
     _probabilities,
     apply_channel,
     random_partition,
@@ -481,24 +485,27 @@ class _Kept(NamedTuple):
 def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
     """The dense block kernel over B instances (B, m, n, n) with s states each (s, B, n, n), the last rho.
 
-    One kernel call per distinct partition on its instances' stack gives
-    every state's block maps and traces; rho's probabilities are checked,
-    and only the kept rows are gathered and updated, the one fallback rule
-    applied to them.
+    One per-outcome product for the whole stack, then one block sum per
+    distinct partition, in that partition's block order, on its instances'
+    rows gives every state's block maps and traces; rho's probabilities are
+    checked, and only the kept rows are gathered and updated, the one
+    fallback rule applied to them.
     """
     by_partition: dict = {}
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
+    per = _per_outcome(operators, _check_dims(operators, states))
     groups, weights, updates, used = [], [], [], []
     start = 0
     for partition, idx in by_partition.items():
-        ops, sts = (operators, states) if len(by_partition) == 1 else (operators[idx], states[:, idx])
-        maps, p = _dense_blocks(ops, sts, partition)
+        whole = len(by_partition) == 1
+        ops = operators if whole else operators[idx]
+        maps, p = _block_maps(ops, per if whole else per[:, idx], partition)
         probs = _probabilities(p[-1])
         keep = probs > ZERO_PROB_TOL
         inst, blk = keep.nonzero()
         if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather
-            rows, traces = maps.reshape((len(sts), -1) + maps.shape[-2:]), p.reshape(len(sts), -1)
+            rows, traces = maps.reshape((len(states), -1) + maps.shape[-2:]), p.reshape(len(states), -1)
         else:
             rows, traces = maps[:, inst, blk], p[:, inst, blk]
         out, flags = _dense_updates(ops, rows, traces, blk, partition, fallback, inst)

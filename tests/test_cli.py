@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfilter import channels, dilation, linalg, states, tolerances, verify
+from qfilter import channels, cli, dilation, filtering, linalg, measures, states, tolerances, verify
 from qfilter.cli import run
 
 
@@ -91,6 +96,76 @@ class TestSimulateCommand:
         ])
         assert code == 2
         assert "tolerance: unknown field" in capsys.readouterr().err
+
+
+def simulate_oracle(out: Path) -> dict:
+    """The files the per-trajectory path writes for the run in `out`: one filtering.simulate and
+    write_trajectory_csv per trajectory, then report.json, its final fidelities from one stacked call."""
+    config = json.loads((out / "report.json").read_text())["config"]
+    ch, rho, est, partition = cli._resolve_instance(config)
+    cfg = filtering.SimulationConfig(ch, rho, est, config["steps"], partition, seed=config["seed"])
+    files, last = {}, []
+    for i in range(config["trajectories"]):
+        traj = filtering.simulate(cfg, i)
+        files[f"trajectory_{i:04d}.csv"] = filtering.trajectory_to_csv_string(traj).encode()
+        last.append(traj.steps[-1])
+    final = measures.fidelity(np.stack([s.estimate for s in last]), np.stack([s.true_state for s in last]))
+    report = {
+        "config": config,
+        "config_fingerprint": cfg.fingerprint(),
+        "trajectories": config["trajectories"],
+        "steps": config["steps"],
+        "final_fidelity_mean": float(np.mean(final)),
+        "final_fidelity_min": float(np.min(final)),
+    }
+    files["report.json"] = (json.dumps(report, indent=2) + "\n").encode()
+    return files
+
+
+class TestLockstepSimulate:
+    """qfilter simulate steps its trajectories in lockstep and writes what one simulate call per trajectory writes."""
+
+    CASES = {
+        "fine": ("3,3", "3,2", 8, 12, None),
+        "coarse": ("3,4", "3", 8, 12, [[1, 3], [2, 4]]),
+        "trivial": ("2,3", "2,1", 5, 9, [[1, 2, 3]]),
+        "zero_steps": ("3,2", "3", 0, 5, None),
+        "one_dimension": ("1,3", "1", 6, 7, None),
+        "one_outcome": ("3,1", "3,2", 6, 7, None),
+        # 131 trajectories cross two group boundaries; 100 steps at n = 3 cap a group at 9
+        "chunks": ("2,3", "2", 5, 2 * filtering._LOCKSTEP_CHUNK + 3, [[1], [2, 3]]),
+        "long": ("3,2", "3", 100, 20, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_files_match_per_trajectory_simulate_across_trajectories(self, case, tmp_path, monkeypatch):
+        channel, state, steps, n_traj, blocks = self.CASES[case]
+        argv = [
+            "simulate", "--random-channel", channel, "--random-state", state, "--steps", str(steps),
+            "--trajectories", str(n_traj), "--seed", "31", "--output", str(tmp_path),
+        ]
+        if blocks is not None:
+            (tmp_path / "part.json").write_text(json.dumps({"m": int(channel.split(",")[1]), "blocks": blocks}))
+            argv += ["--partition", str(tmp_path / "part.json")]
+        groups = []
+        lockstep = filtering._lockstep
+        monkeypatch.setattr(filtering, "_lockstep", lambda cfg, rho0, hat0, keys, **kw: (
+            groups.append(len(keys)) or lockstep(cfg, rho0, hat0, keys, **kw)
+        ))
+        assert run(argv) == 0
+        monkeypatch.undo()
+        assert sum(groups) == n_traj
+        if case == "chunks":
+            assert groups == [filtering._LOCKSTEP_CHUNK] * 2 + [3]
+        elif case == "long":
+            assert len(groups) > 1
+        else:
+            assert len(groups) == 1
+        written = read_tree(tmp_path)
+        expected = simulate_oracle(tmp_path)
+        assert len(expected) == n_traj + 1
+        for name, data in expected.items():
+            assert written[name] == data, name
 
 
 class TestVerifyCommand:
@@ -364,6 +439,62 @@ class TestSweepCommand:
         ]
         assert row[:4] == ["3", "4", "2", "6"]
         assert float(row[4]) == min(gaps)
+
+    @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
+    def test_rows_match_each_cells_own_stream_across_instances(self, measure, tmp_path):
+        # every (n, m) has three partition sizes, and 2 appears twice in the n values: the cells of
+        # one shape share one pass, and each row is the one its own instance stream gives alone
+        n_values, m_values, sizes, trials, seed = (2, 3, 2), (3, 4), (1, 2, 3), 5, 8
+        assert run([
+            "sweep", "--measure", measure, "--n-values", ",".join(map(str, n_values)),
+            "--m-values", ",".join(map(str, m_values)), "--partition-sizes", ",".join(map(str, sizes)),
+            "--trials", str(trials), "--seed", str(seed), "--output", str(tmp_path),
+        ]) == 0
+        rows, total = [], 0
+        cells = [(n, m, p) for n in n_values for m in m_values for p in sizes if p <= m]
+        for cell, (n, m, p) in enumerate(cells):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
+            instances = verify.random_instances(n, m, trials, rng, p, measure == "relative_entropy")
+            reports = [verify.measure_gap_report(ch, sigma, rho, measure, part) for ch, sigma, rho, part in instances]
+            finite = [r for r in reports if not (math.isinf(r.lhs) or math.isinf(r.rhs))]
+            gaps = [r.gap for r in finite]
+            wrong = sum(not r.passed for r in finite)
+            total += wrong
+            stats = [format(float(f(gaps)), ".17g") if gaps else "nan" for f in (np.min, np.mean)]
+            rows.append(f"{n},{m},{p},{len(gaps)},{stats[0]},{stats[1]},{wrong}")
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == rows
+        assert json.loads((tmp_path / "report.json").read_text())["wrong_sign_total"] == total
+
+    def test_instance_that_raises_fails_the_run(self, tmp_path):
+        # the middle cell of a shape gets an estimate that is not positive semidefinite: the shared
+        # pass raises, and the process exits non-zero without writing sweep.csv
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from qfilter import cli, verify
+
+            draw = verify.random_instances
+
+            def broken(n, m, trials, rng, mode, *rest):
+                instances = list(draw(n, m, trials, rng, mode, *rest))
+                if mode == 2:
+                    ch, sigma, rho, part = instances[1]
+                    instances[1] = (ch, np.diag([1.5] + [0.0] * (n - 2) + [-0.5]).astype(complex), rho, part)
+                return iter(instances)
+
+            verify.random_instances = broken
+            sys.argv[1:] = ["sweep", "--n-values", "3", "--m-values", "3", "--partition-sizes", "1,2,3",
+                            "--trials", "3", "--seed", "4", "--output", sys.argv[1]]
+            cli.main()
+        """)
+        src = str(Path(verify.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode != 0
+        assert "not positive semidefinite" in proc.stderr
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_one_dimension_and_one_outcome(self, tmp_path):
         assert run([

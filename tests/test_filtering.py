@@ -489,6 +489,26 @@ class TestTrajectoryCsv:
         fid = float(lines[1].split(",")[2])
         assert fid == measures.fidelity(traj.steps[0].estimate, traj.steps[0].true_state)
 
+    def test_feedback_selector_runs_one_at_a_time_across_trajectories(self, tmp_path):
+        rng = np.random.default_rng(24)
+        chs = [channels.random_channel(3, 2, rng), channels.random_channel(3, 3, rng)]
+        seen = []
+
+        def select(k, rho_hat):
+            seen.append(rho_hat.shape)
+            return chs[int(rho_hat[0, 0].real * 1e3) % 2]
+
+        cfg = SimulationConfig(
+            channel=select, rho0=states.random_density(3, 2, rng), rho_hat0=states.maximally_mixed(3),
+            steps=6, seed=24,
+        )
+        final = filtering._write_trajectory_csvs(cfg, 4, lambda i: tmp_path / f"{i}.csv")
+        assert seen == [(3, 3)] * 24  # one dense estimate per step of each trajectory
+        for i in range(4):
+            traj = filtering.simulate(cfg, i)
+            assert (tmp_path / f"{i}.csv").read_bytes().decode() == filtering.trajectory_to_csv_string(traj)
+            assert final[i] == fidelities(traj)[-1]
+
 
 STREAM_SEEDS = [0, 1, 12345, 2**31 + 7, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 99, np.int64(7)]
 

@@ -388,14 +388,15 @@ class TestStackedChecksAgainstDenseOracle:
 class TestCallCounts:
     """The exact checks stay one stacked call per instance, however many blocks.
 
-    Each exact check and each replay makes one pass of the dense block
-    kernel, which gives the probabilities and the updates together, and
-    calls neither public wrapper around it.
+    Each exact check and each replay makes one pass: one per-outcome
+    product and one dense block kernel per distinct partition, which give
+    the probabilities and the updates together, and calls neither public
+    wrapper around them.
     """
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"fidelity": 0, "kernel": 0, "conditional_update": 0, "outcome_probs": 0}
+        counts = {"fidelity": 0, "products": 0, "kernel": 0, "conditional_update": 0, "outcome_probs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -407,7 +408,10 @@ class TestCallCounts:
         monkeypatch.setattr(measures, "fidelity", fid)
         monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
         # every module that could call them by name, whether it imports them or not
-        for name, key in (("_dense_blocks", "kernel"), ("conditional_update",) * 2, ("outcome_probs",) * 2):
+        for name, key in (
+            ("_per_outcome", "products"), ("_block_maps", "kernel"),
+            ("conditional_update",) * 2, ("outcome_probs",) * 2,
+        ):
             fn = counted(key, getattr(channels, name))
             for module in (channels, verify, dilation):
                 monkeypatch.setattr(module, name, fn, raising=False)
@@ -417,13 +421,14 @@ class TestCallCounts:
     def test_submartingale_check(self, counts, m):
         ch, sigma, rho = random_instance(np.random.default_rng(m), n=3, m=m)
         verify.check_fidelity_submartingale(ch, sigma, rho)
-        assert counts == {"fidelity": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_mean_evolution(self, counts):
         rng = np.random.default_rng(5)
         ch, _, rho = random_instance(rng, n=3, m=5)
         verify.check_mean_evolution(ch, rho, channels.random_partition(5, rng))
-        assert counts == {"fidelity": 0, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+        # the second product is K(rho), from apply_channel
+        assert counts == {"fidelity": 0, "products": 2, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_proof_replay(self, counts, m):
@@ -431,7 +436,7 @@ class TestCallCounts:
         rng = np.random.default_rng(m)
         ch, sigma, rho = random_instance(rng, n=3, m=m)
         dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
-        assert counts == {"fidelity": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_proof_replay_eigendecompositions(self, monkeypatch):
         # one stacked square root for the Uhlmann pair, two for the fidelity of the pass
@@ -444,17 +449,20 @@ class TestCallCounts:
         assert calls == [(2, 3, 3), (5, 3, 3), (5, 3, 3)]
 
     def test_verify_run(self, counts, tmp_path):
-        # one stacked pass for the run: one kernel call per distinct partition, its mean
-        # evolution read from that pass, and one fidelity call for every instance
+        # one stacked pass for the run: one per-outcome product, one kernel call per distinct
+        # partition, its mean evolution read from that pass (beside one stacked K(rho)), and one
+        # fidelity call for every instance
         argv = ["verify", "--partition-mode", "random", "--trials", "12", "--seed", "3", "--output", str(tmp_path)]
         assert cli.run(argv) == 0
         parts = {part for *_, part in verify.random_instances(3, 3, 12, np.random.default_rng(3), "random")}
         assert 1 < len(parts) < 12
-        assert counts == {"fidelity": 1, "kernel": len(parts), "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {
+            "fidelity": 1, "products": 2, "kernel": len(parts), "conditional_update": 0, "outcome_probs": 0,
+        }
 
     def test_counterexample_report(self, counts):
         verify.counterexample_report()
-        assert counts == {"fidelity": 1, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {"fidelity": 1, "products": 3, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}
 
     def test_kraus_monotonicity(self, counts):
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)

@@ -2,8 +2,9 @@
 
 The one-step gain follows from a chain of elementary facts on a larger
 space.  Lift both states to maximally-overlapping purifications (Uhlmann),
-push them through the unitary environment model of the channel
-(Stinespring), and project per outcome:
+push them through the channel's environment model, the Stinespring
+isometry V|phi> = sum_mu (M_mu|phi>) (x) |mu> that its Kraus operators
+stack into, and project per outcome:
 
   (a) block norms of the lifted state are the jump probabilities,
   (b) normalized projections purify the post-jump states,
@@ -22,7 +23,6 @@ from qfilter import (
     random_channel,
     random_density,
     replay_proof,
-    stinespring,
     uhlmann_pair,
 )
 
@@ -31,9 +31,10 @@ channel = random_channel(3, 2, rng)
 sigma = random_density(3, 2, rng)
 rho = random_density(3, 3, rng)
 
-dil = stinespring(channel)
-print(f"dilation: unitary on S (x) E is {dil.unitary.shape[0]}x{dil.unitary.shape[1]},"
-      f" recovered Kraus error {np.abs(dil.recovered_operators() - channel.operators).max():.1e}")
+m, n, _ = channel.operators.shape
+V = channel.operators.reshape(m * n, n)
+print(f"Stinespring isometry: V from S into S (x) E is {m * n}x{n},"
+      f" max|V†V - I| = {np.abs(V.conj().T @ V - np.eye(n)).max():.1e}")
 
 psi_sigma, psi_rho = uhlmann_pair(sigma, rho)
 print(f"Uhlmann overlap |<psi_sigma|psi_rho>|^2 = {abs(np.vdot(psi_sigma, psi_rho))**2:.10f}")

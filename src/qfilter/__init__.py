@@ -13,7 +13,7 @@ from .channels import (
     trivial_partition,
     validate_channel,
 )
-from .dilation import Dilation, ProofReplayReport, replay_proof, stinespring, uhlmann_pair
+from .dilation import ProofReplayReport, replay_proof, uhlmann_pair
 from .filtering import (
     BatchStatistics,
     JointStep,
@@ -22,7 +22,7 @@ from .filtering import (
     batch_statistics,
     simulate,
 )
-from .linalg import complete_isometry, hermitian_eig, psd_sqrt, trace_abs
+from .linalg import hermitian_eig, psd_sqrt, trace_abs
 from .measures import fidelity, frobenius_inner, purity, relative_entropy, trace_distance
 from .states import make_density, maximally_mixed, random_density
 from .verify import (
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchStatistics",
     "CounterexampleReport",
-    "Dilation",
     "GapReport",
     "JointStep",
     "JointTrajectory",
@@ -55,7 +54,6 @@ __all__ = [
     "check_fidelity_submartingale",
     "check_kraus_monotonicity",
     "check_mean_evolution",
-    "complete_isometry",
     "conditional_update",
     "counterexample_instance",
     "counterexample_report",
@@ -77,7 +75,6 @@ __all__ = [
     "replay_proof",
     "simulate",
     "singleton_partition",
-    "stinespring",
     "trace_abs",
     "trace_distance",
     "trivial_partition",

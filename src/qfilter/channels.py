@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _any, _psd_factor
-from .states import maximally_mixed
+from .states import make_density, maximally_mixed
 from .tolerances import COMPLETENESS_TOL, TRACE_TOL, ZERO_OPERATOR_TOL, ZERO_PROB_TOL
 
 
@@ -391,10 +391,12 @@ def _dense_updates(
 def _fallback(n: int, fallback, needed: np.ndarray, kernel):
     """kernel(xi) -> (results, xi's probabilities of the `needed` blocks) for the fallback xi, I/n when not given.
 
-    The one fallback rule: raises when xi has zero probability for one of
-    the `needed` blocks, those where a state's own probability vanished.
+    The one fallback rule: a caller's xi must be a density matrix
+    (:func:`make_density`), and the rule raises when xi has zero probability
+    for one of the `needed` blocks, those where a state's own probability
+    vanished.
     """
-    xi = maximally_mixed(n) if fallback is None else np.asarray(fallback, dtype=complex)
+    xi = maximally_mixed(n) if fallback is None else make_density(fallback)
     out, p_xi = kernel(xi)
     dead = p_xi <= ZERO_PROB_TOL
     if _any(dead):

@@ -5,7 +5,7 @@ Subcommands:
 * ``counterexample``  print the embedded 3-level instance report,
 * ``simulate``        trajectory CSVs for the coupled chain,
 * ``verify``          gap-report CSV over random instances for one measure,
-* ``dilate``          dilation + proof-replay report for one instance,
+* ``dilate``          proof-replay report for one instance,
 * ``sweep``           worst gaps over a grid of (n, m, partition size).
 
 Each flag's default is registered where the flag is added.  A command reads
@@ -31,7 +31,7 @@ import numpy as np
 from . import dilation as dilation_mod
 from . import filtering, verify
 from .channels import channel_from_dict, partition_from_dict, random_channel
-from .states import make_density, matrix_from_dict, matrix_to_dict, maximally_mixed, random_density
+from .states import make_density, matrix_from_dict, maximally_mixed, random_density
 from .tolerances import GAP_TOL, MEAN_EVOLUTION_TOL
 
 
@@ -411,16 +411,8 @@ def _cmd_dilate(cfg: dict) -> int:
     if cfg.get("output"):
         out = _out_dir(cfg)
         _echo_config(cfg, out)
-        dil = dilation_mod.stinespring(ch)  # the replay needs no unitary; the file records it
-        report = {
-            "config": cfg,
-            "replay": rep.to_dict(),
-            "dilation": {
-                "dim": dil.dim,
-                "env_dim": dil.env_dim,
-                "unitary": matrix_to_dict(dil.unitary),
-            },
-        }
+        # the channel's Kraus stack is its Stinespring isometry V, the one the replay lifts through
+        report = {"config": cfg, "replay": rep.to_dict(), "channel": ch.to_dict()}
         (out / "replay.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0 if rep.all_links_hold else 1
 

@@ -1,19 +1,16 @@
 """Environment model, Uhlmann-aligned purifications, and the proof replay.
 
-A channel with m Kraus operators on C^n dilates to a unitary U on the
-composite S (x) E (E = C^m) with U(|phi> (x) |e0>) = sum_mu (M_mu|phi>) (x) |mu>.
-Everything here uses the package tensor layout: S index fastest, then Q
-(the purification copy of S), then E, so a composite operator is
-np.kron(op_E, np.kron(op_Q, op_S)) and the stacked Kraus isometry occupies
-the first n columns of U verbatim.  A vector on S (x) Q (x) E is therefore
-an (m, n, n) array indexed [E, Q, S].
+A channel with m Kraus operators on C^n has the Stinespring isometry
+V|phi> = sum_mu (M_mu|phi>) (x) |mu> from S into S (x) E (E = C^m): the
+Kraus stack itself, an (m n, n) matrix with V†V = I.  Everything here uses
+the package tensor layout: S index fastest, then Q (the purification copy
+of S), then E, so a vector on S (x) Q (x) E is an (m, n, n) array indexed
+[E, Q, S].
 
-Only the first n columns of U act on |e0>, and they are the stacked Kraus
-operators, so lifting a purification psi with amplitude matrix A[s, q]
-through U (x) I_Q gives, per outcome mu, just M_mu A.  The replay computes
-these m blocks from the channel's Kraus stack; neither U nor the dense
-U (x) I_Q of side n^2 m is built.  :func:`stinespring` completes the
-isometry to U only for output (``qfilter dilate --output`` writes it).
+Lifting a purification psi with amplitude matrix A[s, q] through V (x) I_Q
+gives, per outcome mu, just M_mu A.  The replay computes these m blocks
+from the channel's Kraus stack; the dense V (x) I_Q of side n^2 m is never
+built.  ``qfilter dilate --output`` records V as the channel's Kraus stack.
 
 :func:`replay_proof` reruns, numerically, the inequality chain that makes
 the one-step fidelity gain nonnegative:
@@ -54,35 +51,8 @@ from .channels import (
     _probabilities,
 )
 from .states import make_density
-from .tolerances import GAP_TOL, OVERLAP_TOL, UNITARY_TOL, ZERO_PROB_TOL
+from .tolerances import GAP_TOL, OVERLAP_TOL, ZERO_PROB_TOL
 from .verify import _one_step
-
-
-@dataclass(frozen=True)
-class Dilation:
-    """Unitary environment model of a channel on S (x) E, S index fastest."""
-
-    dim: int  # n
-    env_dim: int  # m
-    unitary: np.ndarray  # (n m, n m)
-
-    def recovered_operators(self) -> np.ndarray:
-        """The Kraus stack (I (x) <mu|) U (I (x) |e0>), shape (m, n, n)."""
-        n = self.dim
-        return self.unitary[:, :n].reshape(self.env_dim, n, n)
-
-
-def stinespring(ch: KrausChannel) -> Dilation:
-    """Dilation of a channel: stack the Kraus operators into an isometry and
-    complete it to a unitary (checked to UNITARY_TOL); |e0> is the first
-    basis vector of E."""
-    n, m = ch.dim, ch.num_outcomes
-    V = np.ascontiguousarray(ch.operators).reshape(m * n, n)
-    U = linalg.complete_isometry(V)
-    dev = float(np.abs(U.conj().T @ U - np.eye(m * n)).max())
-    if dev > UNITARY_TOL:
-        raise RuntimeError(f"isometry completion lost unitarity: {dev:.3e}")
-    return Dilation(n, m, U)
 
 
 def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -172,8 +142,8 @@ def replay_proof(
     """Numerically replay the lifted one-step argument for one instance.
 
     Builds the Uhlmann pair, lifts each purification straight from the
-    Kraus stack as M_mu A (:func:`_lift`; the unitary completion and every
-    operator on S (x) Q (x) E are skipped), runs the one-step pass for the
+    Kraus stack as M_mu A (:func:`_lift`; no operator on S (x) Q (x) E is
+    built), runs the one-step pass for the
     fidelity with no fallback, and checks links (a)-(e); see the module
     docstring.  Links (a)-(d) hold within `link_tol`, the identity (e)
     within OVERLAP_TOL.  Blocks where sigma's probability vanishes take the
@@ -248,9 +218,9 @@ def replay_proof(
 
 
 def _lift(operators: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(U (x) I_Q)(|e0> (x) psi) for psi on S (x) Q, as amplitudes [E, Q, S].
+    """(V (x) I_Q) psi for psi on S (x) Q, as amplitudes [E, Q, S].
 
-    `operators` is the (m, n, n) Kraus stack, the first n columns of U.
+    `operators` is the (m, n, n) Kraus stack, the isometry V.
     With A[s, q] the amplitude matrix of psi, the outcome-mu slice is
     (M_mu A)^T, so the lift costs O(m n^3) time and O(m n^2) memory.
     """

@@ -1,7 +1,7 @@
-"""Dense complex Hermitian kernel: eigendecomposition, spectral functions, isometry completion.
+"""Dense complex Hermitian kernel: eigendecomposition and spectral functions.
 
-Everything downstream (states, channels, measures, dilations) is built on the
-four operations here.  Their thresholds come from :mod:`qfilter.tolerances`.
+Everything downstream (states, channels, measures, the proof replay) is built
+on the three operations here.  Their thresholds come from :mod:`qfilter.tolerances`.
 The Hermitian functions take one matrix or a stack of shape (..., n, n);
 every check then runs across the whole stack.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import EIGENVALUE_CLAMP, HERMITICITY_TOL, ISOMETRY_TOL, ZERO_EIGENVALUE_TRIM
+from .tolerances import EIGENVALUE_CLAMP, HERMITICITY_TOL, ZERO_EIGENVALUE_TRIM
 
 
 def _any(mask) -> bool:
@@ -82,22 +82,3 @@ def trace_abs(A) -> float | np.ndarray:
     d = np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)
     return d if d.ndim else d.item()
 
-
-def complete_isometry(V) -> np.ndarray:
-    """Extend an isometry V (shape (d*n, n), max|V†V - I| <= ISOMETRY_TOL) to a full unitary.
-
-    The first n columns of the result are V exactly as given; the remaining
-    columns are an orthonormal basis of the orthogonal complement of col(V),
-    obtained from a complete QR factorization (deterministic).
-    """
-    V = np.asarray(V, dtype=complex)
-    if V.ndim != 2 or V.shape[0] < V.shape[1]:
-        raise ValueError(f"expected a tall matrix, got shape {V.shape}")
-    rows, n = V.shape
-    dev = float(np.abs(V.conj().T @ V - np.eye(n)).max())
-    if dev > ISOMETRY_TOL:
-        raise ValueError(f"not an isometry: max|V†V - I| = {dev:.3e} exceeds {ISOMETRY_TOL:.1e}")
-    if rows == n:
-        return V.copy()
-    Q = np.linalg.qr(V, mode="complete")[0]
-    return np.hstack([V, Q[:, n:]])

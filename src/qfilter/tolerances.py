@@ -6,9 +6,9 @@ in three tiers by what they guard:
 
 * 1e-12, exact identities and zero probabilities: quantities that are exact
   sums of a few products, so double-precision round-off stays far below;
-* 1e-10, validating inputs (Hermitian, PSD floor, unit trace, isometry,
-  support): matrices arrive from files, generators and earlier updates that
-  went through an eigendecomposition or a division;
+* 1e-10, validating inputs (Hermitian, PSD floor, unit trace, channel
+  completeness, support): matrices arrive from files, generators and
+  earlier updates that went through an eigendecomposition or a division;
 * 1e-9, the slack of an inequality between two computed values, each the
   result of square roots and singular values of such inputs.
 
@@ -26,10 +26,6 @@ ZERO_PROB_TOL = 1e-12
 
 #: A Kraus operator with Frobenius norm at or below this is identically zero.
 ZERO_OPERATOR_TOL = 1e-12
-
-#: Max |U†U - I| after completing the Kraus isometry to a unitary; QR of an
-#: isometry that passed ISOMETRY_TOL is unitary to round-off.
-UNITARY_TOL = 1e-12
 
 #: Distance of the embedded counter-example's four values from 4/3, 1, 1/3
 #: and 1/4: diagonal inputs make every term an exact few-flop sum.
@@ -56,9 +52,6 @@ EIGENVALUE_CLAMP = 1e-10
 #: Max |tr rho - 1| of a density matrix, and max |sum_mu p_mu - 1| of an
 #: outcome distribution (sum_mu p_mu = tr K(rho) = tr rho).
 TRACE_TOL = 1e-10
-
-#: Max |V†V - I| for the stacked Kraus operators to count as an isometry.
-ISOMETRY_TOL = 1e-10
 
 #: Completeness of a channel: max Frobenius norm of sum_mu M_mu† M_mu - I.
 COMPLETENESS_TOL = 1e-10

@@ -178,7 +178,7 @@ def measure_gap_report(
     """
     sigma, rho = np.asarray(sigma, dtype=complex), np.asarray(rho, dtype=complex)
     [step] = _one_step(ch.operators[None], sigma[None], rho[None], measure, [partition], fallback)
-    return _gap_report(step, measure, ch, sigma, rho, partition, tol)
+    return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
 
 
 def check_fidelity_submartingale(
@@ -390,10 +390,10 @@ def _gap_reports(instances, measure: str, tol: float = GAP_TOL) -> tuple[list[Ga
     return reports, steps
 
 
-def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol) -> GapReport:
+def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None) -> GapReport:
     return GapReport(
         measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
-        _fingerprint(ch, sigma, rho, partition), tol,
+        _fingerprint(ch, sigma, rho, partition, fallback), tol,
     )
 
 
@@ -519,11 +519,15 @@ def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback
     return _Kept(groups, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1))
 
 
-def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None) -> str:
+def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None, fallback=None) -> str:
+    """The first 16 hex digits of a SHA-256 of the instance: the Kraus stack, the states, the
+    partition's blocks when given, and a caller's fallback xi when given."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(ch.operators).tobytes())
     h.update(np.ascontiguousarray(np.asarray(sigma, dtype=complex)).tobytes())
     h.update(np.ascontiguousarray(np.asarray(rho, dtype=complex)).tobytes())
     if partition is not None:
         h.update(repr(partition.blocks).encode())
+    if fallback is not None:
+        h.update(np.ascontiguousarray(np.asarray(fallback, dtype=complex)).tobytes())
     return h.hexdigest()[:16]

@@ -1,11 +1,11 @@
 """Dense reference constructions that tests compare the package against.
 
 The package never forms these operators: the proof replay lifts states
-matrix-free and reduces them with matrix products, and blocks are summed
-with ``np.add.reduceat``, not with a 0/1 block matrix.  The tests build them
-here, in the package's tensor layout (the first factor's index fastest, so
-A (x) B is np.kron(B, A)), and test_states.py checks the partial trace
-against an index sum.  The per-outcome maps and the lifts' reductions are
+matrix-free through the Kraus stack and reduces them with matrix products,
+and blocks are summed with ``np.add.reduceat``, not with a 0/1 block
+matrix.  The tests build them here, in the package's tensor layout (the
+first factor's index fastest, so A (x) B is np.kron(B, A)), and
+test_states.py checks the partial trace against an index sum.  The per-outcome maps and the lifts' reductions are
 index sums here (einsum), the package's kernels matrix products.
 """
 
@@ -47,6 +47,19 @@ def basis_vector(m: int, mu: int) -> np.ndarray:
 def env_projector(n: int, m: int, mu: int) -> np.ndarray:
     """Orthogonal projector onto S (x) span|mu> in S (x) E."""
     return tensor(np.eye(n), pure_projector(basis_vector(m, mu)))
+
+
+def isometry(operators) -> np.ndarray:
+    """The Stinespring isometry V = sum_mu M_mu (x) |mu> of an (m, n, n) Kraus stack: shape (m n, n)."""
+    m, n, _ = np.shape(operators)
+    return np.asarray(operators, dtype=complex).reshape(m * n, n)
+
+
+def dense_lift(operators, psi) -> np.ndarray:
+    """(V (x) I_Q) psi for psi on S (x) Q through the dense (n^2 m, n^2) matrix of V (x) I_Q."""
+    m, n, _ = np.shape(operators)
+    lift = np.einsum("est,qr->eqsrt", operators, np.eye(n)).reshape(n * n * m, n * n)  # [E, Q', S'], [Q, S]
+    return lift @ np.asarray(psi)
 
 
 def block_indicator(partition) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfilter import channels, cli, dilation, filtering, linalg, measures, states, tolerances, verify
+from qfilter import channels, cli, filtering, measures, states, tolerances, verify
 from qfilter.cli import run
 
 
@@ -320,33 +320,39 @@ class TestDilateCommand:
         assert replay["link_residuals"]["c_uhlmann_margin"] is None
         assert replay["links_hold"]["c_uhlmann_margin"] is True
 
-    def test_one_dilation_per_output(self, tmp_path, monkeypatch):
-        # the replay lifts through the Kraus stack; only the written file needs the completed unitary
-        built, completions = [], []
-        real_stinespring, real_complete = dilation.stinespring, linalg.complete_isometry
-
-        def counting(ch):
-            built.append(real_stinespring(ch))
-            return built[-1]
-
-        def counting_completion(V):
-            completions.append(V.shape)
-            return real_complete(V)
-
-        monkeypatch.setattr(dilation, "stinespring", counting)
-        monkeypatch.setattr(linalg, "complete_isometry", counting_completion)
-        rng = np.random.default_rng(4)
-        ch = channels.random_channel(3, 3, rng)
-        dilation.replay_proof(ch, states.random_density(3, 2, rng), states.random_density(3, 3, rng))
-        assert built == [] and completions == []
-        argv = ["dilate", "--random-channel", "3,3", "--random-state", "3,2", "--seed", "3"]
+    def test_channel_record_round_trips(self, tmp_path, monkeypatch):
+        # replay.json records the Kraus stack, the isometry V, in the --channel file encoding:
+        # replaying from that record gives the same replay, byte for byte
         monkeypatch.chdir(tmp_path)
-        assert run(argv) == 0
-        assert built == [] and completions == []
-        assert run(argv + ["--output", "out"]) == 0
-        assert len(built) == 1 and completions == [(9, 3)]
-        replay = json.loads((tmp_path / "out" / "replay.json").read_text())
-        assert replay["dilation"]["unitary"] == states.matrix_to_dict(built[0].unitary)
+        argv = ["dilate", "--random-state", "3,2", "--seed", "3"]
+        assert run(argv + ["--random-channel", "3,3", "--output", "a"]) == 0
+        text = (tmp_path / "a" / "replay.json").read_text()
+        record = json.loads(text)
+        assert list(record) == ["config", "replay", "channel"]
+        ch = channels.random_channel(3, 3, cli._child_rng(3, 1))
+        assert np.array_equal(channels.channel_from_dict(record["channel"]).operators, ch.operators)
+        (tmp_path / "ch.json").write_text(json.dumps(record["channel"]))
+        assert run(argv + ["--channel", "ch.json", "--output", "b"]) == 0
+        again = (tmp_path / "b" / "replay.json").read_text()
+        replay = text[text.index('"replay"') : text.index('"channel"')]
+        assert again[again.index('"replay"') : again.index('"channel"')] == replay
+        assert json.loads(again)["channel"] == record["channel"]
+
+    @pytest.mark.parametrize(
+        "shape, state", [("1,1", None), ("1,3", None), ("3,1", "3,1")], ids=["n1_m1", "n1_m3", "n3_m1"]
+    )
+    def test_edge_dimensions(self, tmp_path, shape, state):
+        # a 1-dimensional state space or a single Kraus operator: every link holds, the record round-trips
+        argv = ["dilate", "--random-channel", shape, "--seed", "3", "--output", str(tmp_path)]
+        assert run(argv + (["--random-state", state] if state else [])) == 0
+        record = json.loads((tmp_path / "replay.json").read_text())
+        assert record["replay"]["all_links_hold"] is True
+        assert all(record["replay"]["links_hold"].values())
+        n, m = map(int, shape.split(","))
+        ch = channels.random_channel(n, m, cli._child_rng(3, 1))
+        assert record["channel"] == ch.to_dict()
+        recovered = channels.channel_from_dict(record["channel"]).operators
+        assert recovered.shape == (m, n, n) and np.array_equal(recovered, ch.operators)
 
     def test_no_output_flag_writes_no_file(self, tmp_path, monkeypatch, capsys):
         argv = ["dilate", "--random-channel", "3,3", "--random-state", "3,2", "--seed", "3"]

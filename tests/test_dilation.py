@@ -22,21 +22,12 @@ def projective_channel():
     return channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
-def dense_lift(dil, psi):
-    """(U (x) I_Q)(|e0> (x) psi) through the dense extended unitary of side n^2 m."""
-    n, m = dil.dim, dil.env_dim
-    U4 = dil.unitary.reshape(m, n, m, n)  # [E', S', E, S]
-    V = np.einsum("aceg,bf->abcefg", U4, np.eye(n)).reshape(n * n * m, n * n * m)
-    return V @ np.kron(oracles.basis_vector(m, 0), psi)
-
-
 def dense_residuals(ch, sigma, rho, partition):
     """Link residuals (a)-(e) from the dense lift, each block a masked copy."""
     n, m = ch.dim, ch.num_outcomes
     partition = partition or channels.singleton_partition(m)
-    dil = dilation.stinespring(ch)
     psi_sigma, psi_rho = dilation.uhlmann_pair(sigma, rho)
-    chi, chi_hat = dense_lift(dil, psi_rho), dense_lift(dil, psi_sigma)
+    chi, chi_hat = oracles.dense_lift(ch.operators, psi_rho), oracles.dense_lift(ch.operators, psi_sigma)
     overlap = abs(np.vdot(chi_hat, chi)) ** 2
     probs_rho = channels.outcome_probs(ch, rho, partition)
     probs_sigma = channels.outcome_probs(ch, sigma, partition)
@@ -79,35 +70,34 @@ def dense_residuals(ch, sigma, rho, partition):
 
 
 class TestStinespring:
-    def test_unitary_channel_has_trivial_environment(self):
-        rng = np.random.default_rng(0)
-        U = channels.haar_unitary(3, rng)
-        ch = channels.validate_channel([U])
-        dil = dilation.stinespring(ch)
-        assert dil.env_dim == 1
-        assert np.array_equal(dil.unitary, U)
+    """The Kraus stack as the isometry V|phi> = sum_mu (M_mu|phi>) (x) |mu> into S (x) E."""
 
     def test_counterexample_channel(self):
         ch, _, _ = verify.counterexample_instance()
-        dil = dilation.stinespring(ch)
-        assert dil.unitary.shape == (6, 6)
-        assert np.abs(dil.unitary.conj().T @ dil.unitary - np.eye(6)).max() < 1e-12
-        assert np.abs(dil.recovered_operators() - ch.operators).max() < 1e-12
+        V = oracles.isometry(ch.operators)
+        assert V.shape == (6, 3)
+        assert np.abs(V.conj().T @ V - np.eye(3)).max() < 1e-12
+        r = 1 / np.sqrt(2)
+        assert np.abs(V - np.vstack([np.diag([1.0, r, 0.0]), np.diag([0.0, r, 1.0])])).max() < 1e-12
 
     def test_round_trip_exact(self):
+        # V†V = I, so V V† is the projector onto the range of V, of rank n
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             ch = channels.random_channel(n, m, rng)
-            dil = dilation.stinespring(ch)
-            assert np.abs(dil.recovered_operators() - ch.operators).max() < 1e-12
+            V = oracles.isometry(ch.operators)
+            assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
+            P = V @ V.conj().T
+            assert np.abs(P @ P - P).max() < 1e-12
+            assert abs(np.trace(P) - n) < 1e-12
 
     def test_projectors_resolve_identity(self):
-        # P_mu U (I (x) |e0>) = M_mu (x) |mu>: the outcome projectors split U's first n columns
+        # P_mu V = M_mu (x) |mu>: the outcome projectors split V into the Kraus operators
         rng = np.random.default_rng(2)
         ch = channels.random_channel(2, 3, rng)
-        dil = dilation.stinespring(ch)
+        V = oracles.isometry(ch.operators)
         projectors = [oracles.env_projector(2, 3, mu) for mu in range(3)]
         assert np.abs(sum(projectors) - np.eye(6)).max() < 1e-14
         for mu, P in enumerate(projectors):
@@ -115,18 +105,17 @@ class TestStinespring:
             for nu in range(mu + 1, 3):
                 assert np.abs(P @ projectors[nu]).max() < 1e-14
             want = oracles.tensor(ch.operators[mu], oracles.basis_vector(3, mu)[:, None])
-            assert np.abs(P @ dil.unitary[:, :2] - want).max() < 1e-14
+            assert np.abs(P @ V - want).max() < 1e-14
 
     def test_environment_model_reproduces_block_maps(self):
-        # tr_E(P_mu U (rho (x) |e0><e0|) U† P_mu) = M_mu rho M_mu†
+        # tr_E(P_mu V rho V† P_mu) = M_mu rho M_mu†
         rng = np.random.default_rng(3)
         for _ in range(20):
             n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             ch = channels.random_channel(n, m, rng)
             rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
-            dil = dilation.stinespring(ch)
-            e0_proj = oracles.pure_projector(oracles.basis_vector(m, 0))
-            lifted = dil.unitary @ oracles.tensor(rho, e0_proj) @ dil.unitary.conj().T
+            V = oracles.isometry(ch.operators)
+            lifted = V @ rho @ V.conj().T
             for mu in range(m):
                 P = oracles.env_projector(n, m, mu)
                 block = oracles.partial_trace(P @ lifted @ P, n, m, keep="a")
@@ -137,9 +126,8 @@ class TestStinespring:
         rng = np.random.default_rng(4)
         ch = channels.random_channel(3, 2, rng)
         rho = states.random_density(3, 3, rng)
-        dil = dilation.stinespring(ch)
-        e0_proj = oracles.pure_projector(oracles.basis_vector(2, 0))
-        lifted = dil.unitary @ oracles.tensor(rho, e0_proj) @ dil.unitary.conj().T
+        V = oracles.isometry(ch.operators)
+        lifted = V @ rho @ V.conj().T
         probs = channels.outcome_probs(ch, rho)
         for mu in range(2):
             p = np.trace(oracles.env_projector(3, 2, mu) @ lifted).real
@@ -311,11 +299,10 @@ class TestMatrixFreeLift:
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
             ch, sigma, rho = random_instance(rng, n, m)
             part = channels.random_partition(m, rng) if i % 2 else None
-            dil = dilation.stinespring(ch)
             for psi in dilation.uhlmann_pair(sigma, rho):
                 lifted = dilation._lift(ch.operators, psi)
                 assert lifted.shape == (m, n, n)
-                assert np.abs(lifted.reshape(-1) - dense_lift(dil, psi)).max() < 1e-12
+                assert np.abs(lifted.reshape(-1) - oracles.dense_lift(ch.operators, psi)).max() < 1e-12
             got = dilation.replay_proof(ch, sigma, rho, part).link_residuals
             want = dense_residuals(ch, sigma, rho, part)
             assert got.keys() == want.keys()

@@ -2,12 +2,15 @@ import qfilter
 
 # public names deleted because nothing outside the tests called them
 DELETED = {
+    "Dilation",
     "Spectrum",
+    "complete_isometry",
     "expected_next_measure",
     "partial_trace",
     "pure_projector",
     "purify",
     "simulate_batch",
+    "stinespring",
     "tensor",
     "trajectory_to_dict",
 }
@@ -40,3 +43,6 @@ def test_no_deleted_attribute_is_back():
     assert not any(hasattr(cls, name) for cls, names in DELETED_ATTRIBUTES.items() for name in names)
     assert not hasattr(qfilter.linalg, "Spectrum")
     assert not hasattr(qfilter.verify, "expected_next_measure")
+    assert not any(hasattr(qfilter.dilation, name) for name in ("Dilation", "stinespring"))
+    assert not hasattr(qfilter.linalg, "complete_isometry")
+    assert not any(hasattr(qfilter.tolerances, name) for name in ("UNITARY_TOL", "ISOMETRY_TOL"))

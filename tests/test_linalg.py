@@ -98,45 +98,6 @@ class TestTraceAbs:
             linalg.trace_abs(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
-class TestCompleteIsometry:
-    def test_single_column(self):
-        V = np.array([[1.0], [0.0]])
-        U = linalg.complete_isometry(V)
-        assert U.shape == (2, 2)
-        assert np.array_equal(U[:, :1], V.astype(complex))
-        assert np.abs(U.conj().T @ U - np.eye(2)).max() < 1e-12
-
-    def test_stacked_kraus_isometry(self):
-        # the counter-example channel stacked into a 6x3 isometry
-        r = 1 / np.sqrt(2)
-        m1 = np.diag([1.0, r, 0.0])
-        m2 = np.diag([0.0, r, 1.0])
-        V = np.vstack([m1, m2])
-        U = linalg.complete_isometry(V)
-        assert U.shape == (6, 6)
-        assert np.abs(U.conj().T @ U - np.eye(6)).max() < 1e-12
-        assert np.array_equal(U[:, :3], V.astype(complex))
-
-    def test_random_isometries(self):
-        rng = np.random.default_rng(6)
-        for n, d in [(1, 2), (2, 3), (3, 2), (4, 4)]:
-            Z = rng.standard_normal((d * n, n)) + 1j * rng.standard_normal((d * n, n))
-            V = np.linalg.qr(Z)[0]
-            U = linalg.complete_isometry(V)
-            assert np.array_equal(U[:, :n], V)
-            assert np.abs(U.conj().T @ U - np.eye(d * n)).max() < 1e-12
-            assert np.abs(U @ U.conj().T - np.eye(d * n)).max() < 1e-12
-
-    def test_square_isometry_returned_as_is(self):
-        rng = np.random.default_rng(7)
-        V = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        assert np.array_equal(linalg.complete_isometry(V), V)
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(ValueError, match="not an isometry"):
-            linalg.complete_isometry(np.ones((4, 2)))
-
-
 def test_psd_sqrt_property_battery():
     # 1000 random PSD matrices across n in {2..8}
     rng = np.random.default_rng(8)

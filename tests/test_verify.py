@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilter import channels, cli, dilation, measures, states, verify
+from qfilter import channels, cli, dilation, filtering, measures, states, verify
 from qfilter.tolerances import ZERO_PROB_TOL
 
 
@@ -212,6 +212,47 @@ class TestMeasureGapReport:
         rho = np.diag([0.5, 0.5])
         rep = verify.measure_gap_report(ch, sigma, rho, "fidelity")
         assert rep.fallback_blocks == (0,)
+
+    @pytest.mark.parametrize(
+        "xi",
+        [[[0.5, 0.9], [0.9, 0.5]], [[0.5, 0.5], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]],
+        ids=["not_psd", "not_hermitian", "trace_two"],
+    )
+    def test_invalid_fallback_raises_the_engines_error(self, xi):
+        # sigma's block 0 vanishes, so its update takes xi: the dense path and the
+        # factor engine validate xi by the one fallback rule and raise the same error
+        ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        sigma, rho = np.diag([0.0, 1.0]), np.diag([0.5, 0.5])
+        with pytest.raises(ValueError) as engine:
+            T, probs = channels._factor_probs(ch, sigma[None])
+            channels._factor_update(ch, np.array([0]), T, probs, fallback=np.array(xi))
+        with pytest.raises(ValueError) as config:
+            filtering.SimulationConfig(ch, rho, sigma, 1, fallback=np.array(xi), seed=0).validate()
+        assert str(config.value) == str(engine.value)
+        assert str(engine.value).startswith("density matrix ")
+        dense = [
+            lambda: verify.measure_gap_report(ch, sigma, rho, "fidelity", fallback=xi),
+            lambda: verify.check_fidelity_submartingale(ch, sigma, rho, fallback=xi),
+            lambda: channels.conditional_update(ch, 0, sigma, fallback=xi),
+        ]
+        for call in dense:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == str(engine.value)
+
+    def test_fingerprint_hashes_a_given_fallback(self):
+        # on the 4/3 channel sigma's first block vanishes, so xi sets the expectation
+        ch, _, _ = verify.counterexample_instance()
+        sigma, rho = np.diag([0.0, 0.0, 1.0]), np.eye(3) / 3
+        default = verify.check_fidelity_submartingale(ch, sigma, rho)
+        other = verify.check_fidelity_submartingale(ch, sigma, rho, fallback=np.diag([1.0, 0.0, 0.0]))
+        assert default.fallback_blocks == other.fallback_blocks == (0,)
+        assert round(default.lhs, 4) == 0.8333 and round(other.lhs, 4) == 0.6667
+        assert default.fingerprint != other.fingerprint
+        # no xi given: the fingerprint of the instance alone, as the CLI reports it
+        assert default.fingerprint == verify._fingerprint(ch, sigma, rho, None)
+        again = verify.measure_gap_report(ch, sigma, rho, "trace_distance", fallback=np.diag([1.0, 0.0, 0.0]))
+        assert again.fingerprint == other.fingerprint
 
     def test_verdict_honours_tol_and_infinite_sides(self):
         ch, sigma, rho = verify.counterexample_instance()

@@ -10,16 +10,18 @@ sum_mu M_mu† M_mu = I.  It induces
 Outcome indices may be aggregated into partition blocks ("partial Kraus
 maps"); all three notions then apply blockwise with M_mu sums inside each
 block.  When a block has vanishing probability for the state being updated,
-the update is applied to a fallback state xi instead (I/n by default).
+the update is applied to a fallback state xi instead (I/n by default); a
+caller's xi is checked whether or not a block needs it.
 
 The state functions take one density matrix or a stack of shape (..., n, n);
 every check runs across the whole stack.  They read one kernel,
 :func:`_dense_blocks`, whose block maps are both the updates and, by their
 traces, the probabilities.  It builds the per-outcome maps M_mu rho M_mu†
-from two matrix products, O(m n^3) per state (:func:`_per_outcome`, which
-:func:`apply_channel` sums over all outcomes).  The kernel takes an
-operator stack: one channel's (m, n, n), or one Kraus stack per instance
-(..., m, n, n), so the exact checks of :mod:`qfilter.verify` run many
+from two matrix products, O(m n^3) per state (:func:`_per_outcome`);
+:func:`apply_channel` takes the Hermitian part of their sum, and the exact
+checks of :mod:`qfilter.verify` sum the maps of their own pass the same
+way.  The kernel takes an operator stack: one channel's (m, n, n), or one
+Kraus stack per instance (..., m, n, n), so the exact checks run many
 instances in one call, each with the bits it gets alone; instances of
 several partitions share one product and take one block sum
 (:func:`_block_maps`) per partition.  Random channels
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,13 +191,8 @@ def _freeze(ops: np.ndarray) -> list[KrausChannel]:
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """The Kraus map K(rho) = sum_mu M_mu rho M_mu†."""
-    return _kraus_map(ch.operators, _check_dims(ch.operators, rho))
-
-
-def _kraus_map(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """K(rho) of a checked state or stack under an operator stack, as :func:`_per_outcome` pairs them."""
-    out = _per_outcome(operators, rho).sum(axis=-3)
+    """The Kraus map K(rho) = sum_mu M_mu rho M_mu†: the Hermitian part of the per-outcome maps' sum."""
+    out = _per_outcome(ch.operators, _check_dims(ch.operators, rho)).sum(axis=-3)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
@@ -212,36 +208,27 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
 
 def conditional_update(
     ch: KrausChannel,
-    index: int | Sequence[int],
+    index: int,
     rho,
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool | np.ndarray]:
     """Normalized post-jump states for outcome block `index`, with fallback.
 
-    Returns (state, used_fallback).  `index` is one block index, or a 1-D
-    sequence of k block indices; a sequence gives the results a leading
-    block axis: states (k, ..., n, n) and flags (k, ...).  rho is one
-    density matrix or a stack (..., n, n), and every requested block is
-    applied to every state.  Where the block probability of a state is
-    <= ZERO_PROB_TOL the update of that block is applied to the fallback
-    state xi instead (I/n when not given) and that state's flag for that
-    block is set; if even xi has vanishing probability for such a block,
-    raises.  A single index on a single matrix gives a bool flag.
+    Returns (state, used_fallback).  rho is one density matrix or a stack
+    (..., n, n).  Where the block probability of a state is <=
+    ZERO_PROB_TOL the update is applied to the fallback state xi instead
+    (I/n when not given) and that state's flag is set; if even xi has
+    vanishing probability for the block, raises.  A caller's xi is checked
+    whether or not it is used.  A single matrix gives a bool flag.
     """
     if partition is None:
         partition = singleton_partition(ch.num_outcomes)
     maps, p = _dense_blocks(ch.operators, rho, partition)
-    single = np.ndim(index) == 0
-    blocks = (operator.index(index),) if single else tuple(operator.index(i) for i in index)
-    for b in blocks:
-        if not 0 <= b < partition.num_blocks:
-            raise ValueError(f"block index {b} out of range for {partition.num_blocks} blocks")
-    idx = np.array(blocks, dtype=int)
-    out, used = _dense_updates(ch.operators, maps[..., idx, :, :], p[..., idx], idx, partition, fallback)
-    out, used = np.moveaxis(out, -3, 0), np.moveaxis(used, -1, 0)
-    if single:
-        out, used = out[0], used[0]
+    index = operator.index(index)
+    if not 0 <= index < partition.num_blocks:
+        raise ValueError(f"block index {index} out of range for {partition.num_blocks} blocks")
+    out, used = _dense_updates(ch.operators[None], maps[..., index, :, :], p[..., index], index, 0, partition, fallback)
     return out, (used if used.ndim else used.item())
 
 
@@ -354,26 +341,25 @@ def _dense_updates(
     maps: np.ndarray,
     p: np.ndarray,
     blocks: np.ndarray,
+    channels: np.ndarray,
     partition=None,
     fallback=None,
-    channels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Updates (A + A†) / 2p (..., n, n) and fallback flags (...) of block maps A (..., n, n) with traces p (...).
 
-    Each map is the block `blocks` (broadcast against p) of
-    :func:`_dense_blocks` under one channel's `operators` (m, n, n), or,
-    with `channels` (broadcast against p), under operators[channels] of a
-    stack (B, m, n, n).  Where p <= ZERO_PROB_TOL the map takes the
+    Each map is the block `blocks` of :func:`_dense_blocks` under
+    operators[channels] of a stack (B, m, n, n), `blocks` and `channels`
+    broadcast against p.  Where p <= ZERO_PROB_TOL the map takes the
     fallback's map and probability for its channel and block
-    (:func:`_fallback`).
+    (:func:`_fallback`).  A caller's xi is checked whether or not a block
+    needs it, so no result depends on which blocks vanished.
     """
+    if fallback is not None:
+        _check_dims(operators, make_density(fallback), "fallback")
     used = p <= ZERO_PROB_TOL
     if _any(used):
         needed = np.broadcast_to(blocks, used.shape)[used]
-        if channels is None:
-            ops = np.broadcast_to(operators, needed.shape + operators.shape)
-        else:
-            ops = operators[np.broadcast_to(channels, used.shape)[used]]
+        ops = operators[np.broadcast_to(channels, used.shape)[used]]
 
         def kernel(xi):
             maps_xi, p_xi = _dense_blocks(ops, xi, partition)
@@ -525,11 +511,11 @@ def _block_layout(partition: OutcomePartition | None) -> tuple[np.ndarray, np.nd
     return order, starts
 
 
-def _check_dims(operators: np.ndarray, rho) -> np.ndarray:
+def _check_dims(operators: np.ndarray, rho, name: str = "state") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     n = operators.shape[-1]
     if rho.shape[-2:] != (n, n):
-        raise ValueError(f"state has shape {rho.shape}, channel dimension is {n}")
+        raise ValueError(f"{name} has shape {rho.shape}, channel dimension is {n}")
     return rho
 
 

@@ -364,15 +364,8 @@ def _cmd_verify(cfg: dict) -> int:
     tol = _float_field(cfg, "tolerance")
 
     rng = np.random.default_rng(seed)
-    reports = []
-    if cfg.get("include_counterexample"):  # of another shape, so a pass of its own
-        ch, sigma, rho = verify.counterexample_instance()
-        reports.append(verify.measure_gap_report(ch, sigma, rho, measure, tol=tol))
-    full_rank = measure == "relative_entropy"
-    instances = list(verify.random_instances(n, m, trials, rng, mode, full_rank))
-    random_reports, steps = verify._gap_reports(instances, measure, tol)
-    reports += random_reports
-    worst_mean_evo = max([0.0, *verify._mean_evolution_deviations(instances, steps)])
+    reports, deviations = verify._search(measure, n, m, trials, rng, mode, cfg.get("include_counterexample"), tol)
+    worst_mean_evo = max([0.0, *deviations()])
 
     out = _out_dir(cfg)
     _echo_config(cfg, out)
@@ -430,13 +423,14 @@ def _cmd_sweep(cfg: dict) -> int:
         _positive(name, min(values))
     trials = _positive("trials", _int_field(cfg, "trials"))
     tol = _float_field(cfg, "tolerance")
+    cells = [(n, m, p) for n in n_values for m in m_values for p in p_values if p <= m]
+    if not cells:
+        raise ConfigError(f"partition_sizes: none is <= the largest m ({max(m_values)}), so the grid is empty")
 
-    # the relative entropy is infinite unless sigma's support holds rho's, as full rank ensures
-    full_rank = measure == "relative_entropy"
+    full_rank = measure in verify._FULL_RANK_MEASURES
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     # cell i draws from SeedSequence(seed, spawn_key=(i,)); the cells of one (n, m) share one pass
-    cells = [(n, m, p) for n in n_values for m in m_values for p in p_values if p <= m]
     shapes: dict = {}
     for cell, (n, m, p) in enumerate(cells):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))

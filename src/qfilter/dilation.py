@@ -156,7 +156,7 @@ def replay_proof(
         raise ValueError(f"state dim {np.shape(sigma)} does not match channel dim {n}")
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
-    [step] = _one_step(ch.operators[None], [sigma], [rho], "fidelity", [partition])
+    [step], _ = _one_step(ch.operators[None], [sigma], [rho], "fidelity", [partition])
     probs_rho, kept = step.probs, step.kept
     probs_sigma = _probabilities(step.probs_sigma)
 

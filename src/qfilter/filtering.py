@@ -165,13 +165,19 @@ class SimulationConfig:
             raise ValueError("a seed is required for reproducible simulation")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.fallback is not None:
-            make_density(self.fallback)
-        if not isinstance(self.channel, KrausChannel) and not callable(self.channel):
-            if len(self.channel) < self.steps:
-                raise ValueError(
-                    f"per-step channel list has {len(self.channel)} entries for {self.steps} steps"
-                )
+        if self.fallback is not None and make_density(self.fallback).shape != rho0.shape:
+            raise ValueError(f"fallback has shape {np.shape(self.fallback)}, rho0 has dimension {len(rho0)}")
+        if isinstance(self.channel, KrausChannel):
+            fixed = {"channel": self.channel}
+        elif callable(self.channel):  # a feedback selector picks its channels during the run
+            fixed = {}
+        elif len(self.channel) < self.steps:
+            raise ValueError(f"per-step channel list has {len(self.channel)} entries for {self.steps} steps")
+        else:
+            fixed = {f"channel[{k}]": ch for k, ch in enumerate(self.channel)}
+        for name, ch in fixed.items():
+            if ch.dim != len(rho0):
+                raise ValueError(f"{name} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
         return rho0, rho_hat0
 
     def channel_at(self, k: int, rho_hat: np.ndarray) -> KrausChannel:

@@ -11,27 +11,25 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
   1/3 - 1/4 = 1/12 > 0,
 * randomized violation search per measure.
 
-Each check runs on stacks, not once per block, and a run over many
-instances makes one pass for them all.  Every exact one-step result reads
-one pass, :func:`_one_step`, over B instances of one (n, m): Kraus stacks
-(B, m, n, n), states [sigma, rho] and one partition each.  The per-outcome
-maps M_mu rho M_mu† of :mod:`qfilter.channels` are one product for the
-whole stack, and one block sum per distinct partition, on its instances'
-rows, gives both states' block probabilities and updates.  Only the kept
-rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, are
-gathered (no padding) and updated, and one measure call takes them with
-the B current pairs appended, which gives every expectation and current
-value together.  Each instance's p * value
-terms are added in block order, so an instance gets the same bits in a
-batch as alone.  A single instance is a batch of one: the gap reports,
-the mean evolution, the counter-example and
+Every exact one-step number reads one pass over B instances of one
+(n, m): Kraus stacks (B, m, n, n), states and one partition each.
+:func:`_kept_blocks` forms the per-outcome maps M_mu rho M_mu† of
+:mod:`qfilter.channels` in one product for the whole stack and takes one
+block sum per distinct partition; it gathers and updates only the kept
+rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, and
+hands each instance its rows.  :func:`_one_step` reads them with one
+measure call, the B current pairs appended, and adds each instance's
+p * value terms in block order, so an instance gets the same bits in a
+batch as alone.  The mean evolution reads the same rows against K(rho),
+the Hermitian part of the sum of rho's per-outcome maps from the same
+product, formed only when asked.  A single instance is a batch of one: the
+gap reports, the mean evolution, the counter-example and
 :func:`qfilter.dilation.replay_proof` read it so, and the replayed chain
-sums the very numbers the checked gap sums.  ``qfilter verify`` (gap
-reports and mean evolutions) and :func:`random_search_violation` make one
-pass per run, and ``qfilter sweep`` one per (n, m), over every cell of
-that shape.
-Monotonicity is one ``apply_channel`` call on the stack [sigma, rho] and
-one fidelity call for both pairs.
+sums the very numbers the checked gap sums.  ``qfilter verify`` and
+:func:`random_search_violation` make one run, :func:`_search`, with one
+pass; ``qfilter sweep`` makes one pass per (n, m).  Monotonicity is one
+``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
+both pairs.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -65,7 +63,6 @@ from .channels import (
     _check_dims,
     _dense_updates,
     _haar_channels,
-    _kraus_map,
     _per_outcome,
     _probabilities,
     apply_channel,
@@ -91,6 +88,10 @@ MEASURES = {
 #: are oriented as super-martingales.  Only the fidelity's direction is a
 #: theorem (see :func:`_fails_run`); the search hunts the others' violations.
 SUBMARTINGALE_MEASURES = ("fidelity", "frobenius")
+
+#: measures whose random instances draw full-rank states: the relative entropy is infinite
+#: unless sigma's support holds rho's
+_FULL_RANK_MEASURES = ("relative_entropy",)
 
 GAP_REPORT_COLUMNS = (
     "measure",
@@ -177,7 +178,7 @@ def measure_gap_report(
     :attr:`GapReport.passed`).
     """
     sigma, rho = np.asarray(sigma, dtype=complex), np.asarray(rho, dtype=complex)
-    [step] = _one_step(ch.operators[None], sigma[None], rho[None], measure, [partition], fallback)
+    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], measure, [partition], fallback)
     return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
 
 
@@ -211,9 +212,7 @@ def check_mean_evolution(
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
-    kept = _kept_blocks(ch.operators[None], rho[None, None], [partition])
-    acc = (kept.weights[:, None, None] * kept.updates[0]).sum(axis=0)
-    return float(np.abs(acc - apply_channel(ch, rho)).max())
+    return _mean_evolution_deviations(_kept_blocks(ch.operators[None], rho[None, None], [partition]))[0]
 
 
 def counterexample_instance() -> tuple[KrausChannel, np.ndarray, np.ndarray]:
@@ -268,31 +267,30 @@ def counterexample_report() -> CounterexampleReport:
     """
     ch, sigma, rho = counterexample_instance()
     [d], [f], [s] = (
-        _one_step(ch.operators[None], sigma[None], rho[None], measure, [None])
+        _one_step(ch.operators[None], sigma[None], rho[None], measure, [None])[0]
         for measure in ("trace_distance", "fidelity", "relative_entropy")
     )
-    d_lhs, d_rhs, f_lhs, f_rhs, s_lhs, s_rhs = d.lhs, d.rhs, f.lhs, f.rhs, s.lhs, s.rhs
     expected = {
-        "d_lhs": (d_lhs, 4.0 / 3.0),
-        "d_rhs": (d_rhs, 1.0),
-        "f_lhs": (f_lhs, 1.0 / 3.0),
-        "f_rhs": (f_rhs, 0.25),
+        "d_lhs": (d.lhs, 4.0 / 3.0),
+        "d_rhs": (d.rhs, 1.0),
+        "f_lhs": (f.lhs, 1.0 / 3.0),
+        "f_rhs": (f.rhs, 0.25),
     }
     for name, (got, want) in expected.items():
         if abs(got - want) > COUNTEREXAMPLE_TOL:
             raise RuntimeError(
                 f"counter-example drifted: {name} = {got!r}, expected {want!r}"
             )
-    if not (math.isinf(s_lhs) and math.isinf(s_rhs)):
+    if not (math.isinf(s.lhs) and math.isinf(s.rhs)):
         raise RuntimeError(
-            f"counter-example drifted: relative entropies ({s_lhs}, {s_rhs}) should be infinite"
+            f"counter-example drifted: relative entropies ({s.lhs}, {s.rhs}) should be infinite"
         )
     note = (
         "supports of the two states are not nested, so the relative entropy "
         "is infinite both before and after the jump; finite-valued behaviour "
         "must be probed with full-support instances (see random_search_violation)"
     )
-    return CounterexampleReport(d_lhs, d_rhs, f_lhs, f_rhs, s_lhs, s_rhs, note)
+    return CounterexampleReport(d.lhs, d.rhs, f.lhs, f.rhs, s.lhs, s.rhs, note)
 
 
 def random_instances(
@@ -355,14 +353,9 @@ def random_search_violation(
 
     Instances come from :func:`random_instances`, one child generator per
     trial, so the search is reproducible and parallelizes by trial index.
-    They take one stacked pass; the counter-example, of another shape,
-    takes its own.
+    The search is the run ``qfilter verify`` makes (:func:`_search`).
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
-    reports = [measure_gap_report(*counterexample_instance(), measure)] if include_counterexample else []
-    full_rank = measure == "relative_entropy"
-    reports += _gap_reports(list(random_instances(n, m, trials, rng, full_rank=full_rank)), measure)[0]
+    reports, _ = _search(measure, n, m, trials, rng, include_counterexample=include_counterexample)
     return [r for r in reports if not r.passed]
 
 
@@ -379,15 +372,31 @@ def write_gap_reports_csv(reports, file) -> None:
             fh.close()
 
 
-def _gap_reports(instances, measure: str, tol: float = GAP_TOL) -> tuple[list[GapReport], list[_OneStep]]:
+def _search(measure: str, n: int, m: int, trials: int, rng, mode="singleton", include_counterexample=False, tol=GAP_TOL):
+    """The run of :func:`random_search_violation` and ``qfilter verify``: (reports, deviations).
+
+    The counter-example's report comes first when asked (a pass of its own), then one
+    :func:`_gap_reports` pass over `trials` instances of :func:`random_instances`;
+    deviations() reads their mean-evolution deviations from that pass when called.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
+    reports = [measure_gap_report(*counterexample_instance(), measure, tol=tol)] if include_counterexample else []
+    instances = list(random_instances(n, m, trials, rng, mode, measure in _FULL_RANK_MEASURES))
+    random_reports, _, kept = _gap_reports(instances, measure, tol)
+    return reports + random_reports, lambda: _mean_evolution_deviations(kept)
+
+
+def _gap_reports(instances, measure: str, tol: float = GAP_TOL) -> tuple[list[GapReport], list[_OneStep], _Kept | None]:
     """The gap reports of (channel, sigma, rho, partition) instances of one (n, m), from one
-    stacked :func:`_one_step`, and their passes; an empty list of instances gives none."""
+    stacked :func:`_one_step`, with its per-instance steps and kept rows; an empty list of
+    instances gives none."""
     if not instances:
-        return [], []
+        return [], [], None
     chs, sigmas, rhos, partitions = zip(*instances)
-    steps = _one_step(np.array([ch.operators for ch in chs]), sigmas, rhos, measure, partitions)
+    steps, kept = _one_step(np.array([ch.operators for ch in chs]), sigmas, rhos, measure, partitions)
     reports = [_gap_report(step, measure, *inst, tol) for step, inst in zip(steps, instances)]
-    return reports, steps
+    return reports, steps, kept
 
 
 def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None) -> GapReport:
@@ -397,16 +406,11 @@ def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallbac
     )
 
 
-def _mean_evolution_deviations(instances, steps: list[_OneStep]) -> list[float]:
-    """:func:`check_mean_evolution` of each (channel, sigma, rho, partition) instance, read from its pass.
-
-    Each instance's sum stays its own, over its kept blocks in block order;
-    K(rho) is one stacked product for all.
-    """
-    acc = np.stack([(step.probs[step.kept, None, None] * step.rho_next).sum(axis=0) for step in steps])
-    operators = np.array([ch.operators for ch, *_ in instances])
-    rho = np.array([inst[2] for inst in instances], dtype=complex)
-    return np.abs(acc - _kraus_map(operators, rho)).max(axis=(-2, -1)).tolist()
+def _mean_evolution_deviations(kept: _Kept) -> list[float]:
+    """:func:`check_mean_evolution` of each instance of a pass: its kept rows summed in block order, against K(rho)."""
+    terms = kept.weights[:, None, None] * kept.updates[-1]
+    acc = [terms[rows].sum(axis=0) for *_, rows in kept.instances]
+    return np.abs(acc - kept.kraus_map()).max(axis=(-2, -1)).tolist()
 
 
 class _OneStep(NamedTuple):
@@ -433,8 +437,8 @@ def _one_step(
     measure: str,
     partitions,
     fallback: np.ndarray | None = None,
-) -> list[_OneStep]:
-    """The one-step pass of the module docstring for B instances; `fallback` is sigma's xi.
+) -> tuple[list[_OneStep], _Kept]:
+    """The one-step pass of the module docstring for B instances, and its kept rows; `fallback` is sigma's xi.
 
     `operators` (B, m, n, n) holds each instance's Kraus stack, sigma and rho
     (B, n, n) its states, and `partitions` its partition.
@@ -445,25 +449,19 @@ def _one_step(
     kept = _kept_blocks(operators, states, partitions, fallback)
     values = MEASURES[measure](*np.concatenate([kept.updates, states], axis=1))
     K = len(kept.weights)
+    # added left to right in block order, as a loop over the blocks adds them;
+    # a positive weight times an infinite term makes the sum infinite
     terms = kept.weights * values[:K]
-    sigma_next, rho_next = kept.updates
-    fell_back = _any(kept.used[0])
-    steps: list = [None] * len(partitions)
-    for idx, probs, traces, keep, blocks, start in kept.groups:
-        lo = 0
-        for j, (i, row) in enumerate(zip(idx, keep.tolist())):
-            count = sum(row)
-            own, rows = blocks[lo : lo + count], slice(start + lo, start + lo + count)
-            # added left to right in block order, as a loop over the blocks adds them;
-            # a positive weight times an infinite term makes the sum infinite
-            lhs = float(sum(terms[rows]))
-            fallback_blocks = tuple(own[kept.used[0, rows]].tolist()) if fell_back else ()
-            steps[i] = _OneStep(
-                probs[j], traces[0, j], own, sigma_next[rows], rho_next[rows], values[rows],
-                lhs, float(values[K + i]), fallback_blocks,
-            )
-            lo += count
-    return steps
+    (sigma_next, rho_next), used = kept.updates, kept.used[0]
+    fell_back = _any(used)
+    steps = [
+        _OneStep(
+            probs, traces[0], own, sigma_next[rows], rho_next[rows], values[rows], float(sum(terms[rows])),
+            float(values[K + i]), tuple(own[used[rows]].tolist()) if fell_back else (),
+        )
+        for i, (probs, traces, own, rows) in enumerate(kept.instances)
+    ]
+    return steps, kept
 
 
 class _Kept(NamedTuple):
@@ -473,13 +471,18 @@ class _Kept(NamedTuple):
     instance's rows are one contiguous run, in block order.
     """
 
-    # per distinct partition: (its instances; their p_nu(rho) (b, blocks), checked; every state's
-    # block traces (s, b, blocks), unchecked; the kept mask (b, blocks); the kept blocks of its
-    # rows; its first row)
-    groups: list
+    # per instance: its p_nu(rho) (blocks,), checked; every state's block traces (s, blocks),
+    # unchecked; its kept blocks (k,); its rows, a slice
+    instances: list
     weights: np.ndarray  # (K,) p_nu(rho) of each row
     updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
     used: np.ndarray  # (s, K) the updates that took the fallback
+    rho_maps: np.ndarray  # (B, m, n, n) rho's per-outcome maps M_mu rho M_mu†, a view of the pass's product
+
+    def kraus_map(self) -> np.ndarray:
+        """K(rho) of each instance (B, n, n), when asked: rho's per-outcome maps summed as apply_channel sums them."""
+        out = self.rho_maps.sum(axis=-3)
+        return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
@@ -495,7 +498,8 @@ def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
     per = _per_outcome(operators, _check_dims(operators, states))
-    groups, weights, updates, used = [], [], [], []
+    instances: list = [None] * len(partitions)
+    weights, updates, used = [], [], []
     start = 0
     for partition, idx in by_partition.items():
         whole = len(by_partition) == 1
@@ -508,15 +512,19 @@ def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback
             rows, traces = maps.reshape((len(states), -1) + maps.shape[-2:]), p.reshape(len(states), -1)
         else:
             rows, traces = maps[:, inst, blk], p[:, inst, blk]
-        out, flags = _dense_updates(ops, rows, traces, blk, partition, fallback, inst)
-        groups.append((idx, probs, p, keep, blk, start))
-        start += len(blk)
+        out, flags = _dense_updates(ops, rows, traces, blk, inst, partition, fallback)
+        lo = 0
+        for j, (i, row) in enumerate(zip(idx, keep.tolist())):
+            hi = lo + sum(row)
+            instances[i] = (probs[j], p[:, j], blk[lo:hi], slice(start + lo, start + hi))
+            lo = hi
+        start += lo
         weights.append(traces[-1])  # rho's kept traces are its probabilities: positive, so unclamped
         updates.append(out)
         used.append(flags)
-    if len(groups) == 1:
-        return _Kept(groups, weights[0], updates[0], used[0])
-    return _Kept(groups, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1))
+    if len(by_partition) == 1:
+        return _Kept(instances, weights[0], updates[0], used[0], per[-1])
+    return _Kept(instances, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None, fallback=None) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qfilter import channels, states, tolerances
+from qfilter import channels, states, tolerances, verify
 
 
 def counterexample_ops():
@@ -168,7 +168,7 @@ class TestAcrossInstances:
                     alone = channels._dense_blocks(ch.operators, pairs[i], part)
                     assert maps[i].tobytes() == alone[0].tobytes()
                     assert traces[i].tobytes() == alone[1].tobytes()
-            mapped = channels._kraus_map(ops, pairs[:, 1])
+            mapped = verify._kept_blocks(ops, pairs[None, :, 1], [None] * len(chs)).kraus_map()
             for i, ch in enumerate(chs):
                 assert mapped[i].tobytes() == channels.apply_channel(ch, pairs[i, 1]).tobytes()
 
@@ -272,49 +272,8 @@ class TestConditionalUpdate:
 
     def test_index_out_of_range(self):
         ch = channels.validate_channel(counterexample_ops())
-        with pytest.raises(ValueError, match="out of range"):
-            channels.conditional_update(ch, 2, RHO)
         with pytest.raises(ValueError, match="block index 2 out of range for 2 blocks"):
-            channels.conditional_update(ch, [0, 2], RHO)
-
-    def test_index_sequence_stacks_the_int_index_results(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            ch = channels.random_channel(n, m, rng)
-            part = channels.random_partition(m, rng)
-            stack = np.stack([states.random_density(n, int(rng.integers(1, n + 1)), rng) for _ in range(3)])
-            order = rng.permutation(part.num_blocks).tolist()
-            for rho in (stack, stack[1]):
-                out, used = channels.conditional_update(ch, order, rho, part)
-                assert out.shape == (len(order),) + rho.shape
-                assert used.shape == (len(order),) + rho.shape[:-2]
-                for k, nu in enumerate(order):
-                    want, want_used = channels.conditional_update(ch, nu, rho, part)
-                    assert np.abs(out[k] - want).max() <= 1e-15
-                    assert np.array_equal(used[k], want_used)
-        out, used = channels.conditional_update(ch, [], stack)
-        assert out.shape == (0,) + stack.shape and used.shape == (0, 3)
-
-    def test_index_sequence_falls_back_per_block_and_state(self):
-        proj = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        stack = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2])
-        out, used = channels.conditional_update(proj, [1, 0], stack)
-        assert used.tolist() == [[True, False], [False, False]]
-        assert np.abs(out[0] - np.diag([0.0, 1.0])).max() < 1e-14
-        assert np.abs(out[1] - np.diag([1.0, 0.0])).max() < 1e-14
-
-    def test_index_sequence_raises_the_int_index_message(self):
-        # block 1 is null for the state and for the fallback; block 0 is not
-        proj = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        rho = np.diag([1.0, 0.0])
-        xi = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError) as one:
-            channels.conditional_update(proj, 1, rho, fallback=xi)
-        with pytest.raises(ValueError) as seq:
-            channels.conditional_update(proj, [0, 1], rho, fallback=xi)
-        assert str(seq.value) == str(one.value)
-        assert str(one.value) == "block 1 has zero probability for the state and for the fallback"
+            channels.conditional_update(ch, 2, RHO)
 
 
 class TestRandomChannel:

@@ -502,6 +502,13 @@ class TestSweepCommand:
         assert "not positive semidefinite" in proc.stderr
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_empty_grid_is_a_config_error(self, tmp_path, capsys):
+        # no block count is <= an m, so the grid has no cell to check
+        argv = ["sweep", "--m-values", "2", "--partition-sizes", "3", "--seed", "1", "--output", str(tmp_path)]
+        assert run(argv) == 2
+        assert "config error: partition_sizes: " in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_one_dimension_and_one_outcome(self, tmp_path):
         assert run([
             "sweep", "--n-values", "1,2", "--m-values", "1,2", "--partition-sizes", "1,2",

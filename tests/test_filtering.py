@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,19 @@ class TestSimulate:
         )
         with pytest.raises(ValueError, match="per-step channel list"):
             filtering.simulate(cfg)
+
+    @pytest.mark.parametrize("field", ["channel", "channel[1]", "fallback"])
+    def test_validate_checks_dimensions_against_rho0(self, field):
+        rng = np.random.default_rng(12)
+        qubit, qutrit = channels.random_channel(2, 2, rng), channels.random_channel(3, 2, rng)
+        inputs = {
+            "channel": {"channel": qubit},
+            "channel[1]": {"channel": [qutrit, qubit, qutrit]},
+            "fallback": {"channel": qutrit, "fallback": np.eye(2) / 2},
+        }[field]
+        cfg = SimulationConfig(rho0=np.eye(3) / 3, rho_hat0=np.eye(3) / 3, steps=3, seed=1, **inputs)
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} has "):
+            cfg.validate()
 
     def test_feedback_sees_only_estimate(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ class TestMeasureGapReport:
                 call()
             assert str(err.value) == str(engine.value)
 
+    @pytest.mark.parametrize(
+        "xi, message",
+        [
+            ([[0.5, 0.9], [0.9, 0.5]], "density matrix is not positive semidefinite: eigenvalue -4.000e-01"),
+            (np.eye(3) / 3, "fallback has shape (3, 3), channel dimension is 2"),
+        ],
+        ids=["not_psd", "wrong_dimension"],
+    )
+    def test_unused_fallback_is_checked_up_front(self, xi, message):
+        # no block vanishes for I/2, so xi is never used; it is rejected all the same
+        ch = channels.random_channel(2, 2, np.random.default_rng(3))
+        mixed = np.eye(2) / 2
+        calls = [
+            lambda: verify.check_fidelity_submartingale(ch, mixed, mixed, fallback=xi),
+            lambda: verify.measure_gap_report(ch, mixed, mixed, "trace_distance", fallback=xi),
+            lambda: channels.conditional_update(ch, 0, mixed, fallback=xi),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_fingerprint_hashes_a_given_fallback(self):
         # on the 4/3 channel sigma's first block vanishes, so xi sets the expectation
         ch, _, _ = verify.counterexample_instance()
@@ -468,8 +490,8 @@ class TestCallCounts:
         rng = np.random.default_rng(5)
         ch, _, rho = random_instance(rng, n=3, m=5)
         verify.check_mean_evolution(ch, rho, channels.random_partition(5, rng))
-        # the second product is K(rho), from apply_channel
-        assert counts == {"fidelity": 0, "products": 2, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+        # K(rho) is summed from the pass's per-outcome maps, not from a second product
+        assert counts == {"fidelity": 0, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_proof_replay(self, counts, m):
@@ -491,14 +513,14 @@ class TestCallCounts:
 
     def test_verify_run(self, counts, tmp_path):
         # one stacked pass for the run: one per-outcome product, one kernel call per distinct
-        # partition, its mean evolution read from that pass (beside one stacked K(rho)), and one
-        # fidelity call for every instance
+        # partition, its mean evolution and K(rho) read from that pass, and one fidelity call
+        # for every instance
         argv = ["verify", "--partition-mode", "random", "--trials", "12", "--seed", "3", "--output", str(tmp_path)]
         assert cli.run(argv) == 0
         parts = {part for *_, part in verify.random_instances(3, 3, 12, np.random.default_rng(3), "random")}
         assert 1 < len(parts) < 12
         assert counts == {
-            "fidelity": 1, "products": 2, "kernel": len(parts), "conditional_update": 0, "outcome_probs": 0,
+            "fidelity": 1, "products": 1, "kernel": len(parts), "conditional_update": 0, "outcome_probs": 0,
         }
 
     def test_counterexample_report(self, counts):
@@ -548,10 +570,10 @@ class TestAcrossInstances:
     @pytest.mark.parametrize("n, m", [(3, 3), (1, 3), (3, 1), (2, 4)])
     def test_batch_equals_batches_of_one_across_instances(self, measure, n, m):
         batch = mixed_batch() if (n, m) == (3, 3) else batch_of(n, m, np.random.default_rng(10 * n + m))
-        reports, steps = verify._gap_reports(batch, measure)
+        reports, steps, _ = verify._gap_reports(batch, measure)
         assert len({part for *_, part in batch}) > 1
         for inst, rep, step in zip(batch, reports, steps):
-            [alone], [alone_step] = verify._gap_reports([inst], measure)
+            [alone], [alone_step], _ = verify._gap_reports([inst], measure)
             single = verify.measure_gap_report(*inst[:3], measure, inst[3])
             assert rep.csv_row() == alone.csv_row() == single.csv_row()
             assert bits([rep.lhs, rep.rhs, rep.gap]) == bits([alone.lhs, alone.rhs, alone.gap])
@@ -560,7 +582,7 @@ class TestAcrossInstances:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_batch_covers_fallback_and_infinite_terms_across_instances(self):
-        reports, steps = verify._gap_reports(mixed_batch(), "relative_entropy")
+        reports, steps, _ = verify._gap_reports(mixed_batch(), "relative_entropy")
         assert reports[3].fallback_blocks == (0,)
         assert [r.fallback_blocks for i, r in enumerate(reports) if i != 3] == [()] * 11
         values = steps[6].values
@@ -569,10 +591,24 @@ class TestAcrossInstances:
 
     def test_mean_evolution_deviations_across_instances(self):
         batch = mixed_batch()
-        _, steps = verify._gap_reports(batch, "fidelity")
-        got = verify._mean_evolution_deviations(batch, steps)
+        _, _, kept = verify._gap_reports(batch, "fidelity")
+        got = verify._mean_evolution_deviations(kept)
         want = [verify.check_mean_evolution(ch, rho, part) for ch, _, rho, part in batch]
         assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (1, 3), (3, 1), (2, 4)])
+    def test_kraus_map_and_deviations_across_instances(self, n, m):
+        # K(rho), summed from the pass's per-outcome maps, and the deviations read against it give
+        # each instance the bits of its batch of one and of apply_channel alone
+        batch = mixed_batch() if (n, m) == (3, 3) else batch_of(n, m, np.random.default_rng(10 * n + m))
+        _, _, kept = verify._gap_reports(batch, "fidelity")
+        kraus, deviations = kept.kraus_map(), verify._mean_evolution_deviations(kept)
+        assert kraus.shape == (len(batch), n, n) and len(deviations) == len(batch)
+        for inst, K, dev in zip(batch, kraus, deviations):
+            ch, _, rho, part = inst
+            _, _, alone = verify._gap_reports([inst], "fidelity")
+            assert K.tobytes() == alone.kraus_map()[0].tobytes() == channels.apply_channel(ch, rho).tobytes()
+            assert bits(dev) == bits(verify._mean_evolution_deviations(alone)) == bits(verify.check_mean_evolution(ch, rho, part))
 
     def test_near_null_instance_raises_alone_and_across_instances(self):
         # the benchmark's near-null instance: a projective channel and an estimate whose outcome-0

@@ -25,11 +25,13 @@ Kraus stack per instance (..., m, n, n), so the exact checks run many
 instances in one call, each with the bits it gets alone; instances of
 several partitions share one product and take one block sum
 (:func:`_block_maps`) per partition.  Random channels
-come from one stacked QR and one stacked check (:func:`_haar_channels`,
-:func:`_freeze`); a single channel is a stack of one.  The simulation engine's
-block update (:func:`_factor_probs`, :func:`_factor_update`) works on
-square factors L of rho = L L† instead, with the same block sum, checks
-and fallback rule.
+come from one stacked thin QR and one stacked check (:func:`_haar_channels`,
+:func:`_freeze`); a single channel is a stack of one.  The simulation
+engine works on square factors L of rho = L L† instead, with the same
+block sum, checks and fallback rule, in two passes: the block
+probabilities from the products with all m operators
+(:func:`_factor_probs`), and the update of each factor from its chosen
+block's products alone (:func:`_factor_update`).
 """
 
 from __future__ import annotations
@@ -261,6 +263,7 @@ def _channel_ginibre(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 def _haar_unitaries(Z: np.ndarray) -> np.ndarray:
     """The Haar unitaries of a Ginibre matrix or stack (..., dim, dim): one QR, phases fixed.
 
+    Given its first k columns (..., dim, k), the thin QR gives the unitaries' first k columns.
     The QR runs per matrix, so a matrix gets the same bits alone and in a stack.
     """
     Q, R = np.linalg.qr(Z)
@@ -269,9 +272,8 @@ def _haar_unitaries(Z: np.ndarray) -> np.ndarray:
 
 
 def _haar_channels(Z: np.ndarray, n: int) -> list[KrausChannel]:
-    """The random channels of a stack of :func:`_channel_ginibre` draws (B, n m, n m), one check for all."""
-    U = _haar_unitaries(Z)
-    return _freeze(U[..., :n].reshape(len(Z), -1, n, n))
+    """The random channels of a stack of :func:`_channel_ginibre` draws (B, n m, n m): a thin QR, one check for all."""
+    return _freeze(_haar_unitaries(Z[..., :n]).reshape(len(Z), -1, n, n))
 
 
 def channel_from_dict(d: dict) -> KrausChannel:
@@ -390,91 +392,89 @@ def _fallback(n: int, fallback, needed: np.ndarray, kernel):
     return out, p_xi
 
 
-def _kraus_products(ch: KrausChannel, L: np.ndarray) -> np.ndarray:
-    """The products M_mu L_b of a (B, n, r) factor stack, transposed: T[b, s, mu] = (M_mu L_b)^T[s].
-
-    One product L_b^T O^T per factor, O the (m n, n) stack of the
-    operators, so every factor takes the same arithmetic wherever it sits
-    in the stack (equal factors stay equal).  Shape (B, r, m, n).
-    """
-    m, n, _ = ch.operators.shape
-    return (L.swapaxes(-1, -2) @ ch.operators.reshape(m * n, n).T).reshape(len(L), -1, m, n)
-
-
-def _factor_probs(
-    ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(the products of :func:`_kraus_products`, block probabilities) of the states L L†.
+def _factor_probs(ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None) -> np.ndarray:
+    """Block probabilities of the states L L† of a (B, n, r) factor stack.
 
     p_mu = ||M_mu L||_F^2 = tr(M_mu L L† M_mu†): a sum of squares, never
     negative, summed over each block and checked by :func:`_probabilities`
-    as in :func:`outcome_probs`.  The products are returned for
-    :func:`_factor_update` to reuse.
+    as in :func:`outcome_probs`.  Each factor takes one product L^T O^T, O
+    the (m n, n) stack of the operators, so it gets the same bits wherever
+    it sits in the stack (equal factors stay equal).
     """
-    T = _kraus_products(ch, L)
-    per = _sq_norms(T)
+    m, n, _ = ch.operators.shape
+    T = (L.swapaxes(-1, -2) @ ch.operators.reshape(m * n, n).T).reshape(len(L), -1, m, n)
+    v = T.view(np.float64)  # real and imaginary parts side by side
+    per = np.einsum("bsmi,bsmi->bm", v, v)
     if partition is not None:
         _check_partition(ch.operators, partition)
         per = _block_sums(per, partition)
-    return T, _probabilities(per)
+    return _probabilities(per)
 
 
 def _factor_update(
     ch: KrausChannel,
     idx: np.ndarray,
-    T: np.ndarray,
-    probs: np.ndarray,
+    L: np.ndarray,
     partition: OutcomePartition | None = None,
     fallback: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of the post-jump states: row b takes block idx[b] of its products T[b].
+    """Factors of the post-jump states of a (B, n, n) factor stack: row b takes block idx[b].
 
-    T and probs are what :func:`_factor_probs` returned for the same
-    partition.  Row b becomes F / ||F||_F with F = [M_mu L_b]_{mu in block},
-    a factor of conditional_update(ch, idx[b], L_b L_b†, partition,
-    fallback).  The factors are square: a block of k > 1 operators gives F
-    k n columns, and a QR of its transpose, F^T = Q R, compresses them back
-    to n, since F F† = R^T (R^T)† (the order of the rows of F^T does not
-    matter).  Where the block probability is <= ZERO_PROB_TOL the products
-    of the fallback xi's factor (xi = I/n when not given) take the row's
-    place and its flag is set; if xi's block probability vanishes too,
+    Row b becomes F / ||F||_F with F = [M_mu L_b]_{mu in block}, a factor of
+    conditional_update(ch, idx[b], L_b L_b†, partition, fallback), and
+    ||F||_F^2 is its block probability (:func:`_block_factors`).  Where that
+    is <= ZERO_PROB_TOL, xi's factor (xi = I/n when not given) takes the
+    row's place and its flag is set; if xi's block probability vanishes too,
     raises.  Returns ((B, n, n) factors, (B,) fallback flags).
     """
     if partition is None:
         partition = singleton_partition(ch.num_outcomes)
-    B, n = len(idx), ch.dim
-    p = probs[np.arange(B), idx]
+    out, p = _block_factors(ch, idx, L, partition)
     used = p <= ZERO_PROB_TOL
     if _any(used):
-
-        def products(xi):
-            X = _kraus_products(ch, _psd_factor(xi)[0][None])
-            return X, _block_sums(_sq_norms(X), partition)[0][idx[used]]
-
-        X, p_xi = _fallback(n, fallback, idx[used], products)
-        T = np.where(used[:, None, None, None], X, T)
-        p[used] = p_xi
-    taken = set(idx.tolist())
-    out = np.empty((B, n, n), dtype=complex)
-    for v in taken:
-        rows = np.flatnonzero(idx == v) if len(taken) > 1 else np.arange(B)
-        block = partition.blocks[v]
-        if len(block) == 1:
-            out[rows] = T[rows, :, block[0]].swapaxes(-1, -2)
-        else:
-            F_T = T[rows[:, None], :, list(block)]  # (b, k, r, n): the rows of each (M_mu L)^T
-            # raw mode returns LAPACK's result transposed: R^T in the lower triangle of its first n columns
-            R_T = np.linalg.qr(F_T.reshape(len(rows), -1, n), mode="raw")[0][..., :n]
-            R_T *= _lower_triangle(n)
-            out[rows] = R_T
+        out[used], p[used] = _fallback(
+            ch.dim, fallback, idx[used],
+            lambda xi: _block_factors(ch, idx[used], np.broadcast_to(_psd_factor(xi)[0], L[used].shape), partition),
+        )
     out /= np.sqrt(p)[:, None, None]
     return out, used
 
 
-def _sq_norms(T: np.ndarray) -> np.ndarray:
-    """||M_mu L_b||_F^2 for each (b, mu) of the products T of :func:`_kraus_products`."""
-    v = T.view(np.float64)  # real and imaginary parts side by side
-    return np.einsum("bsmi,bsmi->bm", v, v)
+def _block_factors(ch: KrausChannel, idx: np.ndarray, L: np.ndarray, partition: OutcomePartition):
+    """(G_b, ||F_b||_F^2) for F_b = [M_mu L_b]_{mu in block idx[b]} of a (B, n, n) stack, G_b G_b† = F_b F_b†.
+
+    Each row forms only its block's products M_mu L_b, every operand a
+    C-ordered matrix, so it gets the same bits wherever it sits.  The
+    singleton rows take one gathered product, and their G is F.  Each
+    coarse block takes one product with its (k n, n) operator stack, and a
+    QR of F^T = Q R compresses the k n columns of F back to n:
+    F F† = R^T (R^T)†, whatever the order of the rows of F^T.
+    """
+    n, mu = ch.dim, _singleton_outcomes(partition)[idx]
+    group = np.where(mu >= 0, -1, idx)  # the singleton rows, then each coarse block
+    taken = set(group.tolist())
+    out, p = np.empty(L.shape, dtype=complex), np.empty(len(idx))
+    for key in taken:
+        rows = slice(None) if len(taken) == 1 else np.flatnonzero(group == key)
+        O = ch.operators[mu[rows]] if key < 0 else ch.operators[list(partition.blocks[key])].reshape(-1, n)
+        F = O @ L[rows]  # the products M_mu L_b, one above the other
+        v = F.view(np.float64)  # real and imaginary parts side by side
+        p[rows] = np.einsum("bsi,bsi->b", v, v)
+        if F.shape[1] == n:
+            out[rows] = F
+        else:
+            F_T = F.reshape(len(F), -1, n, n).swapaxes(-1, -2).reshape(len(F), -1, n)
+            # raw mode returns LAPACK's result transposed: R^T in the lower triangle of its first n columns
+            out[rows] = np.linalg.qr(F_T, mode="raw")[0][..., :n] * _lower_triangle(n)
+    return out, p
+
+
+@functools.lru_cache
+def _singleton_outcomes(partition: OutcomePartition) -> np.ndarray:
+    """Each block's one outcome, or -1 for a block of several."""
+    mu = np.array([block[0] if len(block) == 1 else -1 for block in partition.blocks])
+    mu.setflags(write=False)  # cached: every caller shares it
+    return mu
 
 
 @functools.lru_cache

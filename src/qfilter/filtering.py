@@ -18,15 +18,17 @@ One engine runs the chain: a step function on stacks of pairs of states,
 each state carried as a square factor L with rho = L L†.  The factors of
 rho0, rho_hat0 (and of the fallback, when it is used) come from one
 eigendecomposition with the PSD check of :func:`qfilter.linalg.psd_sqrt`;
-after that no state is decomposed again.  A jump of block b maps L to
-[M_mu L]_{mu in b} / ||.||_F, a coarse block's k n columns compressed back
-to n by a QR, so the engine cannot produce a state that is not positive
-semidefinite.  The fidelity of a pair is (sum of singular values of
-L_hat† L)^2, one SVD.  The states after k steps depend only on the outcome
-history, and every kernel does the same arithmetic on a row wherever it
-sits in a stack, so trajectories with equal histories carry bit-equal
-factors: the engine keeps one pair per distinct history, plus the map from
-trajectories to histories, and advances each history once.
+after that no state is decomposed again.  A step samples its jumps from
+the true factors' products with all m operators, then maps L to
+[M_mu L]_{mu in b} / ||.||_F for the sampled block b alone, a coarse
+block's k n columns compressed back to n by a QR, so the engine cannot
+produce a state that is not positive semidefinite.  The fidelity of a
+pair is (sum of singular values of L_hat† L)^2, one SVD.  The states after
+k steps depend only on the outcome history, and every kernel does the
+same arithmetic on a row wherever it sits in a stack, so trajectories with
+equal histories carry bit-equal factors: the engine keeps one pair per
+distinct history, plus the map from trajectories to histories, and
+advances each history once.
 
 One driver, :func:`_lockstep`, advances any set of trajectories of a config
 together, one step call per step for all of them, and every run reads it.
@@ -57,18 +59,18 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import measures
-from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update, _kraus_products
+from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update
 from .linalg import _any, _psd_factor
 from .states import make_density
 from .tolerances import ZERO_PROB_TOL
 
-# Distinct histories per kernel call inside _step.  A step's temporaries (the m Kraus
-# products of each factor, the gathered blocks and their QR) then stay near
-# 100 kB at n = m = 3 however many histories a batch carries.  The last
-# chunk's size changes from step to step, and with chunks of 256 the heap
-# fragmented: a 20 s lockstep benchmark run peaked 0.3 MB higher in RSS, for
-# about 10% more throughput.
-_LOCKSTEP_CHUNK = 64
+# Distinct histories per kernel call inside _step.  A step's temporaries (the true
+# factors' m Kraus products in the probability pass, each new pair's block products
+# and their QR in the update pass) then stay near 200 kB at n = m = 3 however many
+# histories a batch carries.  Chosen by peak RSS: in five 4 s lockstep benchmark
+# runs each, chunks of 256 peaked where chunks of 64 did (42.6 MB), and chunks of
+# 512 and 1024 peaked 0.6 and 1.0 MB higher, for no more throughput.
+_LOCKSTEP_CHUNK = 256
 # Matrix entries of trajectory records that the CSV writer holds at once, unless one
 # trajectory has more.  The measure calls' temporaries take several times the records'
 # memory: in groups of 64 trajectories of 101 records at n = 3, a 1000-trajectory
@@ -327,6 +329,8 @@ def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys, d
     yield None, inv, None, pairs
     for k in range(cfg.steps):
         ch = cfg.channel_at(k, pairs[1, 0])
+        if ch.dim != len(rho0):  # a feedback selector's pick, unseen by validate
+            raise ValueError(f"channel at step {k} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
         idx, inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
         pairs = factors[:, : int(inv.max()) + 1]
         if dense:
@@ -538,29 +542,25 @@ def _step(
     the inverse CDF of u[b] over its history's exact block probabilities
     ||[M_mu L]_block||_F^2, residual mass going to the last block; a block of
     probability <= ZERO_PROB_TOL is never chosen (the most probable one is).
-    Each new history (parent, block) is then updated once: both factors take
-    the block update, [M_mu L]_block over its Frobenius norm, a coarse block
-    compressed back to n columns by QR, and the estimate falls back to xi's
-    factor where its own block probability vanishes.
+    Only the true factors take all m products, and only for these
+    probabilities.  Each new history (parent, block) is then updated once:
+    both factors form only their block's products [M_mu L]_block, each over
+    its own Frobenius norm, a coarse block compressed back to n columns by
+    QR.  The estimate's block probability is its squared norm, and the
+    estimate falls back to xi's factor where that vanishes.
 
-    The kernels run on at most _LOCKSTEP_CHUNK histories at a time.  Between
-    the sampling and the update only the probabilities are kept: the
-    parents' Kraus products are recomputed chunk by chunk, unless the
-    parents fit in one chunk, whose products are still at hand.  The new
-    histories, in increasing (parent, block) order, overwrite the first H'
-    rows: every parent has a child, so new history j has a parent h <= j,
-    and writing the chunks from the last one down never overwrites a parent
-    still to be read.  Where each history has one trajectory (always in
-    simulate's batch of one), each child keeps its parent's row.  Returns
-    (indices, the new inv, the estimates' fallback flags), each of length B.
+    The kernels run on at most _LOCKSTEP_CHUNK histories at a time, and no
+    product outlives its chunk.  The new histories, in increasing (parent,
+    block) order, overwrite the first H' rows: every parent has a child, so
+    new history j has a parent h <= j, and writing the chunks from the last
+    one down never overwrites a parent still to be read.  Where each
+    history has one trajectory (always in simulate's batch of one), each
+    child keeps its parent's row.  Returns (indices, the new inv, the
+    estimates' fallback flags), each of length B.
     """
     n, H = factors.shape[-1], int(inv.max()) + 1
     nb = ch.num_outcomes if partition is None else partition.num_blocks
-    probs = np.empty((2, H, nb))
-    for s in _chunks(H):
-        T, p = _factor_probs(ch, factors[:, s].reshape(-1, n, n), partition)
-        probs[:, s] = p.reshape(2, -1, nb)
-    true_probs = probs[0]
+    true_probs = np.concatenate([_factor_probs(ch, factors[0, s], partition) for s in _chunks(H)])
     # u past every cut but the last lands in the last block, residual mass included
     idx = (u[:, None] >= true_probs.cumsum(axis=-1)[inv, :-1]).sum(axis=-1)
     degenerate = true_probs[inv, idx] <= ZERO_PROB_TOL
@@ -580,15 +580,8 @@ def _step(
     used = np.empty(len(block), dtype=bool)
     for s in reversed(_chunks(len(block))):
         rows = s if parent is None else parent[s]
-        # the products of a single chunk of parents are still at hand
-        if H > _LOCKSTEP_CHUNK:
-            products = _kraus_products(ch, factors[:, rows].reshape(-1, n, n))
-        elif parent is None:
-            products = T
-        else:
-            products = T.reshape(2, H, *T.shape[1:])[:, rows].reshape(-1, *T.shape[1:])
         b = np.concatenate([block[s], block[s]])
-        pair, flags = _factor_update(ch, b, products, probs[:, rows].reshape(-1, nb), partition, fallback)
+        pair, flags = _factor_update(ch, b, factors[:, rows].reshape(-1, n, n), partition, fallback)
         factors[:, s] = pair.reshape(2, -1, n, n)
         used[s] = flags[len(b) // 2 :]
     return idx, inv, used[inv]

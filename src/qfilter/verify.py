@@ -309,10 +309,13 @@ def random_instances(
     partition None, "trivial" the one-block partition and "random" a random
     partition with a random block count.  A block count p gives the trivial
     partition for p = 1, the singleton partition for p = m, and otherwise a
-    random partition into p blocks.  The channels are built after the
-    draws, with one stacked QR and one stacked check, and each is the
-    channel ``random_channel`` draws from its child alone, bit for bit.
+    random partition into p blocks; any other mode raises ValueError.
+    The channels are built after the draws, with one stacked QR and one
+    stacked check, and each is the channel ``random_channel`` draws from
+    its child alone, bit for bit.
     """
+    if partition_mode not in ("singleton", "trivial", "random") and not isinstance(partition_mode, (int, np.integer)):
+        raise ValueError(f"unknown partition mode {partition_mode!r}")
     draws = []
     for child in rng.spawn(trials):
         kraus = _channel_ginibre(n, m, child)

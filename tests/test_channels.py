@@ -290,6 +290,25 @@ class TestRandomChannel:
             gram = sum(M.conj().T @ M for M in ch.operators)
             assert np.linalg.norm(gram - np.eye(n)) < 1e-10
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (3, 1), (3, 4), (5, 3), (8, 8), (16, 8)])
+    def test_first_columns_of_the_full_qr(self, n, m):
+        # the thin QR of the Ginibre matrix's first n columns against the full QR of the same draws
+        rng = np.random.default_rng(10 * n + m)
+        Z = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R)
+        want = (Q * (d / np.abs(d)))[:, :n].reshape(m, n, n)
+        got = channels.random_channel(n, m, np.random.default_rng(10 * n + m)).operators
+        if n * m <= 32:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15
+        # the stacked draws of random_instances give each instance random_channel's bits
+        children = np.random.default_rng(n + m).spawn(3)
+        stacked = verify.random_instances(n, m, 3, np.random.default_rng(n + m))
+        for child, (ch, *_) in zip(children, stacked):
+            assert np.array_equal(ch.operators, channels.random_channel(n, m, child).operators)
+
     def test_seed_determinism(self):
         a = channels.random_channel(3, 2, np.random.default_rng(9))
         b = channels.random_channel(3, 2, np.random.default_rng(9))

@@ -132,7 +132,7 @@ class TestLockstepSimulate:
         "zero_steps": ("3,2", "3", 0, 5, None),
         "one_dimension": ("1,3", "1", 6, 7, None),
         "one_outcome": ("3,1", "3,2", 6, 7, None),
-        # 131 trajectories cross two group boundaries; 100 steps at n = 3 cap a group at 9
+        # 2 chunks + 3 trajectories cross two group boundaries; 100 steps at n = 3 cap a group at 9
         "chunks": ("2,3", "2", 5, 2 * filtering._LOCKSTEP_CHUNK + 3, [[1], [2, 3]]),
         "long": ("3,2", "3", 100, 20, None),
     }

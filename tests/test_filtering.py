@@ -340,6 +340,29 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{re.escape(field)} has "):
             cfg.validate()
 
+    @pytest.mark.parametrize("bad_step", [0, 2])
+    def test_feedback_pick_of_the_wrong_dimension_fails_before_its_step(self, bad_step):
+        rng = np.random.default_rng(13)
+        qubit, qutrit = channels.random_channel(2, 2, rng), channels.random_channel(3, 2, rng)
+        steps = []
+        step = filtering._step
+        cfg = SimulationConfig(
+            channel=lambda k, rho_hat: qubit if k == bad_step else qutrit,
+            rho0=np.eye(3) / 3,
+            rho_hat0=np.eye(3) / 3,
+            steps=4,
+            seed=1,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "_step", lambda *args: steps.append(1) or step(*args))
+            with pytest.raises(filtering.SimulationError) as err:
+                filtering.simulate(cfg)
+        assert str(err.value) == (
+            f"step {bad_step} failed: channel at step {bad_step} has dimension 2, rho0 has dimension 3"
+        )
+        assert len(steps) == bad_step
+        assert len(err.value.trajectory.steps) == bad_step + 1
+
     def test_feedback_sees_only_estimate(self):
         rng = np.random.default_rng(11)
         fixed = channels.random_channel(2, 2, rng)
@@ -651,3 +674,105 @@ class TestHistorySharing:
         cfg = random_cfg(seed=44, n=3, m=3, steps=6)
         cfg.partition = channels.random_partition(3, np.random.default_rng(44), 2)
         self.assert_same(cfg, n_traj=600)
+
+
+def hidden_markov_cfg(steps, seed):
+    """A classical hidden Markov chain on three states as diagonal Kraus jumps, observed through block y.
+
+    The operator sqrt(O[x, y] T[x, x']) |x'><x| sits in block y.  States 0 and
+    1 never reach 2 and never show y = 2, so the estimate, which starts on
+    them, has y = 2 probability exactly 0; the true state starts with weight
+    on 2, and each of its y = 2 jumps falls the estimate back to xi.
+    """
+    T = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+    O = np.array([[0.7, 0.3, 0.0], [0.3, 0.7, 0.0], [0.3, 0.3, 0.4]])
+    ops, blocks = [], [[], [], []]
+    for x in range(3):
+        for x2 in range(3):
+            for y in range(3):
+                if T[x, x2] * O[x, y] > 0:
+                    blocks[y].append(len(ops))
+                    ops.append(np.sqrt(T[x, x2] * O[x, y]) * np.outer(np.eye(3)[x2], np.eye(3)[x]))
+    return SimulationConfig(
+        channel=channels.validate_channel(ops),
+        rho0=np.diag([0.2, 0.2, 0.6]),
+        rho_hat0=np.diag([0.5, 0.5, 0.0]),
+        steps=steps,
+        partition=channels.make_partition(len(ops), blocks),
+        seed=seed,
+    )
+
+
+def history_counts(outcomes):
+    """The number of distinct outcome histories before each step k = 0 .. steps."""
+    return [len({tuple(row[:k]) for row in outcomes.tolist()}) for k in range(outcomes.shape[1] + 1)]
+
+
+def chunk_sizes(count):
+    return [len(range(count)[s]) for s in filtering._chunks(count)]
+
+
+class TestOneProductPass:
+    """_step multiplies only the true factors by every operator, then forms only the chosen blocks' products.
+
+    Each config carries more distinct histories than one kernel chunk holds.
+    """
+
+    PARTITIONS = {"fine": None, "two_blocks": [[0, 1], [2, 3]], "singleton_and_coarse": [[0], [1, 2, 3]]}
+    N_TRAJ = 1200
+
+    def cfg(self, name):
+        blocks = self.PARTITIONS[name]
+        cfg = random_cfg(seed=61, n=3, m=4, steps=6 if blocks is None else 12)
+        cfg.partition = None if blocks is None else channels.make_partition(4, blocks)
+        return cfg
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_one_true_factor_product_per_chunk_across_trajectories(self, name, monkeypatch):
+        calls = []
+        probs, update = filtering._factor_probs, filtering._factor_update
+        monkeypatch.setattr(filtering, "_factor_probs", lambda ch, L, *a: calls.append(("probs", len(L))) or probs(ch, L, *a))
+        monkeypatch.setattr(
+            filtering, "_factor_update", lambda ch, i, L, *a: calls.append(("update", len(L))) or update(ch, i, L, *a)
+        )
+        stats = filtering.batch_statistics(self.cfg(name), self.N_TRAJ)
+        histories = history_counts(stats.outcomes)
+        assert max(histories) > filtering._LOCKSTEP_CHUNK
+        # per step: the H parents' true factors in chunks, then both factors of the H' children, last chunk first
+        want = []
+        for before, after in zip(histories, histories[1:]):
+            want += [("probs", size) for size in chunk_sizes(before)]
+            want += [("update", 2 * size) for size in reversed(chunk_sizes(after))]
+        assert calls == want
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_rows_match_simulate_across_trajectories(self, name):
+        cfg = self.cfg(name)
+        stats = filtering.batch_statistics(cfg, self.N_TRAJ)
+        assert max(history_counts(stats.outcomes)) > filtering._LOCKSTEP_CHUNK
+        fid, outcomes, mean, fallbacks = per_trajectory_stats(cfg, self.N_TRAJ, chunk=100)
+        assert np.array_equal(stats.fidelity, fid)
+        assert np.array_equal(stats.outcomes, outcomes)
+        assert np.array_equal(stats.mean_true_state, mean)
+        assert np.array_equal(stats.fallback_counts, fallbacks)
+        for i in (0, 1, filtering._LOCKSTEP_CHUNK, self.N_TRAJ - 1):
+            traj = filtering.simulate(cfg, i)
+            assert stats.outcomes[i].tolist() == traj.outcomes
+            assert np.abs(stats.fidelity[i] - fidelities(traj)).max() < 1e-12
+
+    def test_estimate_fallback_across_trajectories(self, monkeypatch):
+        # small chunks, so the fallback rows of a step sit in several of them
+        monkeypatch.setattr(filtering, "_LOCKSTEP_CHUNK", 8)
+        cfg, n_traj = hidden_markov_cfg(steps=8, seed=62), 150
+        stats = filtering.batch_statistics(cfg, n_traj)
+        runs = simulate_each(cfg, n_traj)
+        flags = np.array([[s.fallback_used for s in traj.steps[1:]] for traj in runs])
+        assert np.array_equal(stats.fallback_counts, flags.sum(axis=0))
+        histories = history_counts(stats.outcomes)
+        assert any(count and h > 8 for count, h in zip(stats.fallback_counts, histories[1:]))
+        for i, traj in enumerate(runs):
+            assert stats.outcomes[i].tolist() == traj.outcomes
+            assert np.abs(stats.fidelity[i] - fidelities(traj)).max() < 1e-12
+        fid, outcomes, _, fallbacks = per_trajectory_stats(cfg, n_traj, chunk=32)
+        assert np.array_equal(stats.fidelity, fid)
+        assert np.array_equal(stats.fallback_counts, fallbacks)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qfilter import channels, cli, dilation, filtering, measures, states, verify
+from qfilter import channels, cli, dilation, filtering, linalg, measures, states, verify
 from qfilter.tolerances import ZERO_PROB_TOL
 
 
@@ -225,8 +225,7 @@ class TestMeasureGapReport:
         ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         sigma, rho = np.diag([0.0, 1.0]), np.diag([0.5, 0.5])
         with pytest.raises(ValueError) as engine:
-            T, probs = channels._factor_probs(ch, sigma[None])
-            channels._factor_update(ch, np.array([0]), T, probs, fallback=np.array(xi))
+            channels._factor_update(ch, np.array([0]), linalg._psd_factor(sigma)[0][None], fallback=np.array(xi))
         with pytest.raises(ValueError) as config:
             filtering.SimulationConfig(ch, rho, sigma, 1, fallback=np.array(xi), seed=0).validate()
         assert str(config.value) == str(engine.value)
@@ -319,6 +318,11 @@ class TestRandomInstances:
             else:
                 assert part == channels.random_partition(4, child, 2)
                 assert part.num_blocks == 2
+
+    @pytest.mark.parametrize("mode", ["bogus", "Random", 2.0, None])
+    def test_unknown_mode_is_a_value_error(self, mode):
+        with pytest.raises(ValueError, match=re.escape(f"unknown partition mode {mode!r}")):
+            list(verify.random_instances(3, 3, 1, np.random.default_rng(0), mode))
 
     def test_full_rank(self):
         instances = verify.random_instances(3, 2, 5, np.random.default_rng(6), full_rank=True)

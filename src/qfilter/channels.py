@@ -14,22 +14,23 @@ the update is applied to a fallback state xi instead (I/n by default); a
 caller's xi is checked whether or not a block needs it.
 
 The state functions take one density matrix or a stack of shape (..., n, n);
-every check runs across the whole stack.  They read one kernel,
-:func:`_dense_blocks`, whose block maps are both the updates and, by their
-traces, the probabilities.  It builds the per-outcome maps M_mu rho M_mu†
-from two matrix products, O(m n^3) per state (:func:`_per_outcome`);
-:func:`apply_channel` takes the Hermitian part of their sum, and the exact
-checks of :mod:`qfilter.verify` sum the maps of their own pass the same
-way.  The kernel takes an operator stack: one channel's (m, n, n), or one
-Kraus stack per instance (..., m, n, n), so the exact checks run many
-instances in one call, each with the bits it gets alone; instances of
-several partitions share one product and take one block sum
-(:func:`_block_maps`) per partition.  Random channels
-come from one stacked thin QR and one stacked check (:func:`_haar_channels`,
-:func:`_freeze`); a single channel is a stack of one.  The simulation
-engine works on square factors L of rho = L L† instead, with the same
-block sum, checks and fallback rule, in two passes: the block
-probabilities from the products with all m operators
+every check runs across the whole stack.  They read one dense kernel,
+:func:`_dense_blocks`, whose block maps are the updates and whose block
+probabilities are their traces, checked where they are formed
+(:func:`_block_maps`): every state's probabilities are non-negative beyond
+round-off and sum to one within TRACE_TOL.  It builds the per-outcome maps
+M_mu rho M_mu† from two matrix products, O(m n^3) per state
+(:func:`_per_outcome`); :func:`apply_channel` takes the Hermitian part of
+their sum.  The kernel takes an operator stack: one channel's (m, n, n), or
+one Kraus stack per instance (..., m, n, n), each with the bits it gets
+alone.  The exact checks of :mod:`qfilter.verify` read its pass over many
+instances, :func:`_kept_blocks`: one product for the whole stack, one block
+sum per distinct partition, and the updates of the kept blocks only.
+Random channels come from one stacked thin QR and one stacked check
+(:func:`_haar_channels`, :func:`_freeze`); a single channel is a stack of
+one.  The simulation engine works on square factors L of rho = L L†
+instead, with the same block sum, checks and fallback rule, in two passes:
+the block probabilities from the products with all m operators
 (:func:`_factor_probs`), and the update of each factor from its chosen
 block's products alone (:func:`_factor_update`).
 """
@@ -39,6 +40,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,7 +207,7 @@ def outcome_probs(ch: KrausChannel, rho, partition: OutcomePartition | None = No
     tolerated) and must sum to one within TRACE_TOL.  A stack of states gives
     shape (..., blocks).
     """
-    return _probabilities(_dense_blocks(ch.operators, rho, partition)[1])
+    return _dense_blocks(ch.operators, rho, partition)[1]
 
 
 def conditional_update(
@@ -277,36 +279,40 @@ def _haar_channels(Z: np.ndarray, n: int) -> list[KrausChannel]:
 
 
 def channel_from_dict(d: dict) -> KrausChannel:
-    """Decode {"dim": n, "operators": [matrix dict, ...]}."""
+    """Decode {"dim": n, "operators": [matrix dict, ...]}; the operators must be n x n."""
     from .states import matrix_from_dict
 
-    return validate_channel([matrix_from_dict(m) for m in d["operators"]])
+    ops, n = [matrix_from_dict(m) for m in d["operators"]], int(d["dim"])
+    if ops and ops[0].shape != (n, n):
+        raise ValueError(f"channel dict declares dim {n} but operator 0 has shape {ops[0].shape}")
+    return validate_channel(ops)
 
 
 def _dense_blocks(operators: np.ndarray, rho, partition: OutcomePartition | None = None):
-    """(block maps sum_{mu in block} M_mu rho M_mu†, traces) of a state or stack.
+    """(block maps sum_{mu in block} M_mu rho M_mu†, block probabilities) of a state or stack.
 
     `operators` is one channel's Kraus stack (m, n, n) or a stack of them
     (..., m, n, n), paired with the states as :func:`_per_outcome` pairs
     them.  Shapes (..., blocks, n, n) and (..., blocks), one block per
-    outcome when partition is None.  The traces are the unclamped block
-    probabilities and the normalisers of the updates.  A state gets the same
-    bits alone and in any row of a stack.
+    outcome when partition is None.  The probabilities are the maps' traces,
+    checked by :func:`_probabilities`, and the normalisers of the updates.
+    A state gets the same bits alone and in any row of a stack.
     """
     return _block_maps(operators, _per_outcome(operators, _check_dims(operators, rho)), partition)
 
 
 def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartition | None):
-    """The (block maps, traces) of :func:`_dense_blocks` from the per-outcome maps `per` (..., m, n, n).
+    """The (block maps, probabilities) of :func:`_dense_blocks` from the per-outcome maps `per` (..., m, n, n).
 
     `per` comes from :func:`_per_outcome` under `operators`, or is rows of
     such a stack: the products do not depend on the partition, so
-    instances of several partitions share one product.
+    instances of several partitions share one product.  The one place the
+    dense kernel checks probabilities: every state's, whatever reads them.
     """
     if partition is not None:
         _check_partition(operators, partition)
     maps = _block_sums(per, partition, axis=-3)
-    return maps, maps.trace(0, -2, -1).real
+    return maps, _probabilities(maps.trace(0, -2, -1).real)
 
 
 def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -390,6 +396,65 @@ def _fallback(n: int, fallback, needed: np.ndarray, kernel):
     if _any(dead):
         raise ValueError(f"block {needed[dead][0]} has zero probability for the state and for the fallback")
     return out, p_xi
+
+
+class _Kept(NamedTuple):
+    """A stacked pass's kept blocks: each instance's blocks where p_nu(rho) > ZERO_PROB_TOL.
+
+    The K rows are (instance, kept block) pairs, grouped by partition; each
+    instance's rows are one contiguous run, in block order.
+    """
+
+    instances: list  # per instance: every state's block probabilities (s, blocks), its kept blocks (k,), its rows
+    weights: np.ndarray  # (K,) p_nu(rho) of each row
+    updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
+    used: np.ndarray  # (s, K) the updates that took the fallback
+    rho_maps: np.ndarray  # (B, m, n, n) rho's per-outcome maps M_mu rho M_mu†, a view of the pass's product
+
+    def kraus_map(self) -> np.ndarray:
+        """K(rho) of each instance (B, n, n), when asked: rho's per-outcome maps summed as apply_channel sums them."""
+        out = self.rho_maps.sum(axis=-3)
+        return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _Kept:
+    """The dense block kernel over B instances (B, m, n, n) with s states each (s, B, n, n), the last rho.
+
+    One per-outcome product for the whole stack, then one block sum per
+    distinct partition, in that partition's block order, on its instances'
+    rows gives every state's block maps and probabilities; only the kept
+    rows are gathered and updated, the one fallback rule applied to them.
+    """
+    by_partition: dict = {}
+    for i, partition in enumerate(partitions):
+        by_partition.setdefault(partition, []).append(i)
+    per = _per_outcome(operators, _check_dims(operators, states))
+    instances: list = [None] * len(partitions)
+    weights, updates, used = [], [], []
+    start = 0
+    for partition, idx in by_partition.items():
+        whole = len(by_partition) == 1
+        ops = operators if whole else operators[idx]
+        maps, p = _block_maps(ops, per if whole else per[:, idx], partition)
+        keep = p[-1] > ZERO_PROB_TOL
+        inst, blk = keep.nonzero()
+        if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather
+            rows, traces = maps.reshape((len(per), -1) + maps.shape[-2:]), p.reshape(len(per), -1)
+        else:
+            rows, traces = maps[:, inst, blk], p[:, inst, blk]
+        out, flags = _dense_updates(ops, rows, traces, blk, inst, partition, fallback)
+        lo = 0
+        for j, (i, row) in enumerate(zip(idx, keep.tolist())):
+            hi = lo + sum(row)
+            instances[i] = (p[:, j], blk[lo:hi], slice(start + lo, start + hi))
+            lo = hi
+        start += lo
+        weights.append(traces[-1])
+        updates.append(out)
+        used.append(flags)
+    if len(by_partition) == 1:
+        return _Kept(instances, weights[0], updates[0], used[0], per[-1])
+    return _Kept(instances, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
 
 
 def _factor_probs(ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None) -> np.ndarray:
@@ -515,7 +580,7 @@ def _check_dims(operators: np.ndarray, rho, name: str = "state") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     n = operators.shape[-1]
     if rho.shape[-2:] != (n, n):
-        raise ValueError(f"{name} has shape {rho.shape}, channel dimension is {n}")
+        raise ValueError(f"{name} has shape {rho.shape[-2:]}, channel dimension is {n}")
     return rho
 
 

@@ -54,12 +54,7 @@ def run(argv) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = _effective_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_effective_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ The jump probabilities p_nu(rho), the conditional updates, their
 fidelities, the current fidelity and the expected next fidelity are read
 from the exact one-step pass of :mod:`qfilter.verify`, the one the fidelity
 gap report reads, so the replayed chain sums the very numbers the checked
-gap sums.  The pass also gives p_nu(sigma), from the same block maps.  The
+gap sums.  The pass also gives p_nu(sigma), checked as p_nu(rho) is.  The
 links read per-outcome quantities of the two (m, n, n) lifts: their
 reductions to S (whose traces are the squared norms), one batched matrix
 product, and their inner products, one einsum, summed into blocks with the
@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import (
-    KrausChannel,
-    OutcomePartition,
-    _block_sums,
-    _probabilities,
-)
+from .channels import KrausChannel, OutcomePartition, _block_sums
 from .states import make_density
 from .tolerances import GAP_TOL, OVERLAP_TOL, ZERO_PROB_TOL
 from .verify import _one_step
@@ -151,14 +146,10 @@ def replay_proof(
     checks.
     """
     psi_sigma, psi_rho = uhlmann_pair(sigma, rho)  # validates both states
-    n = ch.dim
-    if np.shape(sigma) != (n, n):
-        raise ValueError(f"state dim {np.shape(sigma)} does not match channel dim {n}")
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
 
     [step], _ = _one_step(ch.operators[None], [sigma], [rho], "fidelity", [partition])
-    probs_rho, kept = step.probs, step.kept
-    probs_sigma = _probabilities(step.probs_sigma)
+    probs_rho, probs_sigma, kept = step.probs, step.probs_sigma, step.kept
 
     # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>
     lifts = np.stack([_lift(ch.operators, psi_sigma), _lift(ch.operators, psi_rho)])

@@ -16,9 +16,9 @@ bit for bit (numpy/random/bit_generator.pyx and src/pcg64/pcg64.h).
 
 One engine runs the chain: a step function on stacks of pairs of states,
 each state carried as a square factor L with rho = L L†.  The factors of
-rho0, rho_hat0 (and of the fallback, when it is used) come from one
-eigendecomposition with the PSD check of :func:`qfilter.linalg.psd_sqrt`;
-after that no state is decomposed again.  A step samples its jumps from
+rho0 and rho_hat0 come from one eigendecomposition with the PSD check of
+:func:`qfilter.linalg.psd_sqrt`; only xi is decomposed again, validated on
+every step whose estimate falls back to it.  A step samples its jumps from
 the true factors' products with all m operators, then maps L to
 [M_mu L]_{mu in b} / ||.||_F for the sampled block b alone, a coarse
 block's k n columns compressed back to n by a QR, so the engine cannot

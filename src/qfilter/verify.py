@@ -13,11 +13,12 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
 
 Every exact one-step number reads one pass over B instances of one
 (n, m): Kraus stacks (B, m, n, n), states and one partition each.
-:func:`_kept_blocks` forms the per-outcome maps M_mu rho M_mu† of
-:mod:`qfilter.channels` in one product for the whole stack and takes one
-block sum per distinct partition; it gathers and updates only the kept
-rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, and
-hands each instance its rows.  :func:`_one_step` reads them with one
+The dense block kernel of :mod:`qfilter.channels`, ``_kept_blocks``, forms
+the per-outcome maps in one product for the whole stack, takes one block
+sum per distinct partition and checks sigma's and rho's block
+probabilities alike; it gathers and updates only the kept rows, the
+(instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, and hands each
+instance its rows.  :func:`_one_step` reads them with one
 measure call, the B current pairs appended, and adds each instance's
 p * value terms in block order, so an instance gets the same bits in a
 batch as alone.  The mean evolution reads the same rows against K(rho),
@@ -29,7 +30,8 @@ sums the very numbers the checked gap sums.  ``qfilter verify`` and
 :func:`random_search_violation` make one run, :func:`_search`, with one
 pass; ``qfilter sweep`` makes one pass per (n, m).  Monotonicity is one
 ``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
-both pairs.
+both pairs; it does not read the pass, so its sigma takes only the
+fidelity's Hermitian and PSD checks.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -58,13 +60,10 @@ from . import measures
 from .channels import (
     KrausChannel,
     OutcomePartition,
-    _block_maps,
     _channel_ginibre,
-    _check_dims,
-    _dense_updates,
     _haar_channels,
-    _per_outcome,
-    _probabilities,
+    _Kept,
+    _kept_blocks,
     apply_channel,
     random_partition,
     singleton_partition,
@@ -73,7 +72,7 @@ from .channels import (
 )
 from .linalg import _any
 from .states import random_density
-from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL, ZERO_PROB_TOL
+from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
 MEASURES = {
@@ -177,8 +176,7 @@ def measure_gap_report(
     gap against the measure's expected direction with slack `tol` (see
     :attr:`GapReport.passed`).
     """
-    sigma, rho = np.asarray(sigma, dtype=complex), np.asarray(rho, dtype=complex)
-    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], measure, [partition], fallback)
+    [step], _ = _one_step(ch.operators[None], [sigma], [rho], measure, [partition], fallback)
     return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
 
 
@@ -211,8 +209,7 @@ def check_mean_evolution(
 
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
     """
-    rho = np.asarray(rho, dtype=complex)
-    return _mean_evolution_deviations(_kept_blocks(ch.operators[None], rho[None, None], [partition]))[0]
+    return _mean_evolution_deviations(_kept_blocks(ch.operators[None], [[rho]], [partition]))[0]
 
 
 def counterexample_instance() -> tuple[KrausChannel, np.ndarray, np.ndarray]:
@@ -423,7 +420,7 @@ class _OneStep(NamedTuple):
     """
 
     probs: np.ndarray  # p_nu(rho) for every block
-    probs_sigma: np.ndarray  # p_nu(sigma) for every block, unchecked and unclamped
+    probs_sigma: np.ndarray  # p_nu(sigma) for every block
     kept: np.ndarray  # (k,) the kept blocks
     sigma_next: np.ndarray  # (k, n, n) sigma's updates, xi's where sigma's block vanishes
     rho_next: np.ndarray  # (k, n, n) rho's updates
@@ -459,75 +456,12 @@ def _one_step(
     fell_back = _any(used)
     steps = [
         _OneStep(
-            probs, traces[0], own, sigma_next[rows], rho_next[rows], values[rows], float(sum(terms[rows])),
+            probs[-1], probs[0], own, sigma_next[rows], rho_next[rows], values[rows], float(sum(terms[rows])),
             float(values[K + i]), tuple(own[used[rows]].tolist()) if fell_back else (),
         )
-        for i, (probs, traces, own, rows) in enumerate(kept.instances)
+        for i, (probs, own, rows) in enumerate(kept.instances)
     ]
     return steps, kept
-
-
-class _Kept(NamedTuple):
-    """A stacked pass's kept blocks: each instance's blocks where p_nu(rho) > ZERO_PROB_TOL.
-
-    The K rows are (instance, kept block) pairs, grouped by partition; each
-    instance's rows are one contiguous run, in block order.
-    """
-
-    # per instance: its p_nu(rho) (blocks,), checked; every state's block traces (s, blocks),
-    # unchecked; its kept blocks (k,); its rows, a slice
-    instances: list
-    weights: np.ndarray  # (K,) p_nu(rho) of each row
-    updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
-    used: np.ndarray  # (s, K) the updates that took the fallback
-    rho_maps: np.ndarray  # (B, m, n, n) rho's per-outcome maps M_mu rho M_mu†, a view of the pass's product
-
-    def kraus_map(self) -> np.ndarray:
-        """K(rho) of each instance (B, n, n), when asked: rho's per-outcome maps summed as apply_channel sums them."""
-        out = self.rho_maps.sum(axis=-3)
-        return (out + out.conj().swapaxes(-1, -2)) / 2
-
-
-def _kept_blocks(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
-    """The dense block kernel over B instances (B, m, n, n) with s states each (s, B, n, n), the last rho.
-
-    One per-outcome product for the whole stack, then one block sum per
-    distinct partition, in that partition's block order, on its instances'
-    rows gives every state's block maps and traces; rho's probabilities are
-    checked, and only the kept rows are gathered and updated, the one
-    fallback rule applied to them.
-    """
-    by_partition: dict = {}
-    for i, partition in enumerate(partitions):
-        by_partition.setdefault(partition, []).append(i)
-    per = _per_outcome(operators, _check_dims(operators, states))
-    instances: list = [None] * len(partitions)
-    weights, updates, used = [], [], []
-    start = 0
-    for partition, idx in by_partition.items():
-        whole = len(by_partition) == 1
-        ops = operators if whole else operators[idx]
-        maps, p = _block_maps(ops, per if whole else per[:, idx], partition)
-        probs = _probabilities(p[-1])
-        keep = probs > ZERO_PROB_TOL
-        inst, blk = keep.nonzero()
-        if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather
-            rows, traces = maps.reshape((len(states), -1) + maps.shape[-2:]), p.reshape(len(states), -1)
-        else:
-            rows, traces = maps[:, inst, blk], p[:, inst, blk]
-        out, flags = _dense_updates(ops, rows, traces, blk, inst, partition, fallback)
-        lo = 0
-        for j, (i, row) in enumerate(zip(idx, keep.tolist())):
-            hi = lo + sum(row)
-            instances[i] = (probs[j], p[:, j], blk[lo:hi], slice(start + lo, start + hi))
-            lo = hi
-        start += lo
-        weights.append(traces[-1])  # rho's kept traces are its probabilities: positive, so unclamped
-        updates.append(out)
-        used.append(flags)
-    if len(by_partition) == 1:
-        return _Kept(instances, weights[0], updates[0], used[0], per[-1])
-    return _Kept(instances, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
 
 
 def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None, fallback=None) -> str:

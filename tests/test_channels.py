@@ -168,7 +168,7 @@ class TestAcrossInstances:
                     alone = channels._dense_blocks(ch.operators, pairs[i], part)
                     assert maps[i].tobytes() == alone[0].tobytes()
                     assert traces[i].tobytes() == alone[1].tobytes()
-            mapped = verify._kept_blocks(ops, pairs[None, :, 1], [None] * len(chs)).kraus_map()
+            mapped = channels._kept_blocks(ops, pairs[None, :, 1], [None] * len(chs)).kraus_map()
             for i, ch in enumerate(chs):
                 assert mapped[i].tobytes() == channels.apply_channel(ch, pairs[i, 1]).tobytes()
 
@@ -269,6 +269,12 @@ class TestConditionalUpdate:
         ch = channels.validate_channel(counterexample_ops())
         with pytest.raises(ValueError, match="sum to 1.5"):
             channels.outcome_probs(ch, np.stack([RHO, 1.5 * RHO]))
+
+    def test_update_checks_probabilities_as_outcome_probs_does(self):
+        ch = channels.validate_channel(counterexample_ops())
+        for call in (channels.outcome_probs, lambda ch, rho: channels.conditional_update(ch, 0, rho)):
+            with pytest.raises(ValueError, match=r"^outcome probabilities sum to 1\.5, not 1$"):
+                call(ch, 1.5 * RHO)
 
     def test_index_out_of_range(self):
         ch = channels.validate_channel(counterexample_ops())
@@ -396,3 +402,9 @@ class TestChannelSerialization:
         ch = channels.random_channel(3, 2, rng)
         again = channels.channel_from_dict(ch.to_dict())
         assert np.array_equal(ch.operators, again.operators)
+
+    def test_declared_dim_must_match_the_operators(self):
+        d = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).to_dict()
+        d["dim"] = 3
+        with pytest.raises(ValueError, match=r"^channel dict declares dim 3 but operator 0 has shape \(2, 2\)$"):
+            channels.channel_from_dict(d)

@@ -320,6 +320,18 @@ class TestDilateCommand:
         assert replay["link_residuals"]["c_uhlmann_margin"] is None
         assert replay["links_hold"]["c_uhlmann_margin"] is True
 
+    def test_channel_file_of_the_wrong_dim_is_a_config_error(self, tmp_path, capsys):
+        d = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).to_dict()
+        d["dim"] = 3
+        (tmp_path / "ch.json").write_text(json.dumps(d))
+        code = run([
+            "dilate", "--channel", str(tmp_path / "ch.json"), "--random-state", "2,2", "--seed", "1",
+            "--output", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: channel: channel dict declares dim 3 but operator 0 has shape (2, 2)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_channel_record_round_trips(self, tmp_path, monkeypatch):
         # replay.json records the Kraus stack, the isometry V, in the --channel file encoding:
         # replaying from that record gives the same replay, byte for byte

@@ -671,9 +671,10 @@ class TestHistorySharing:
         self.assert_same(cfg, n_traj=7)
 
     def test_batch_crossing_the_chunk_boundary(self):
-        cfg = random_cfg(seed=44, n=3, m=3, steps=6)
+        cfg = random_cfg(seed=44, n=3, m=3, steps=10)
         cfg.partition = channels.random_partition(3, np.random.default_rng(44), 2)
-        self.assert_same(cfg, n_traj=600)
+        stats = self.assert_same(cfg, n_traj=600)
+        assert max(history_counts(stats.outcomes)) > filtering._LOCKSTEP_CHUNK
 
 
 def hidden_markov_cfg(steps, seed):

@@ -275,6 +275,33 @@ class TestMeasureGapReport:
         again = verify.measure_gap_report(ch, sigma, rho, "trace_distance", fallback=np.diag([1.0, 0.0, 0.0]))
         assert again.fingerprint == other.fingerprint
 
+    @staticmethod
+    def invalid_instance(kind):
+        """(channel, sigma, rho, message): sigma fails the block-probability check rho takes."""
+        if kind == "scaled":
+            rng = np.random.default_rng(8)
+            ch, sigma = channels.random_channel(2, 2, rng), 1.2 * states.random_density(2, 2, rng)
+            return ch, sigma, np.eye(2) / 2, "outcome probabilities sum to 1.2, not 1"
+        # trace one and Hermitian, with probability -0.05 for the projective channel's block 1
+        ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        return ch, np.diag([1.05, -0.05]), np.eye(2) / 2, "negative outcome probability -5.000e-02; invalid state?"
+
+    @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
+    @pytest.mark.parametrize("kind", ["scaled", "negative"])
+    def test_invalid_sigma_is_rejected(self, kind, measure):
+        ch, sigma, rho, message = self.invalid_instance(kind)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify.measure_gap_report(ch, sigma, rho, measure)
+
+    @pytest.mark.parametrize("kind", ["scaled", "negative"])
+    def test_invalid_sigma_fails_its_batch(self, kind):
+        ch, sigma, rho, message = self.invalid_instance(kind)
+        instances = list(verify.random_instances(2, 2, 5, np.random.default_rng(10)))
+        verify._gap_reports(instances, "fidelity")  # the valid batch passes
+        instances[3] = (ch, sigma, rho, None)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify._gap_reports(instances, "fidelity")
+
     def test_verdict_honours_tol_and_infinite_sides(self):
         ch, sigma, rho = verify.counterexample_instance()
         # the trace-distance gap is 1/3

@@ -301,18 +301,19 @@ def _dense_blocks(operators: np.ndarray, rho, partition: OutcomePartition | None
     return _block_maps(operators, _per_outcome(operators, _check_dims(operators, rho)), partition)
 
 
-def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartition | None):
+def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartition | None, name=None):
     """The (block maps, probabilities) of :func:`_dense_blocks` from the per-outcome maps `per` (..., m, n, n).
 
     `per` comes from :func:`_per_outcome` under `operators`, or is rows of
     such a stack: the products do not depend on the partition, so
     instances of several partitions share one product.  The one place the
-    dense kernel checks probabilities: every state's, whatever reads them.
+    dense kernel checks probabilities: every state's, whatever reads them
+    (`name` as :func:`_probabilities` takes it).
     """
     if partition is not None:
         _check_partition(operators, partition)
     maps = _block_sums(per, partition, axis=-3)
-    return maps, _probabilities(maps.trace(0, -2, -1).real)
+    return maps, _probabilities(maps.trace(0, -2, -1).real, name)
 
 
 def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -330,18 +331,20 @@ def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return left.reshape(left.shape[:-2] + (m, n, n)) @ operators.conj().swapaxes(-1, -2)
 
 
-def _probabilities(per: np.ndarray) -> np.ndarray:
-    """Checked block probabilities: round-off down to -ZERO_PROB_TOL is clamped
-    to zero, and each row must sum to one within TRACE_TOL."""
+def _probabilities(per: np.ndarray, name=None) -> np.ndarray:
+    """Checked block probabilities: round-off down to -ZERO_PROB_TOL is clamped to zero, and each
+    row must sum to one within TRACE_TOL; an error names a failing row by name(its index), when given."""
     low = np.minimum.reduce(per, None)  # the ufunc reductions skip the ndarray methods' Python layer
     if low < -ZERO_PROB_TOL:
-        raise ValueError(f"negative outcome probability {low:.3e}; invalid state?")
-    per = np.maximum(per, 0.0)
-    total = np.add.reduce(per, -1)
-    off = abs(total - 1.0) > TRACE_TOL
-    if _any(off):
-        raise ValueError(f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1")
-    return per
+        row, message = np.unravel_index(per.argmin(), per.shape)[:-1], f"negative outcome probability {low:.3e}; invalid state?"
+    else:
+        per = np.maximum(per, 0.0)
+        total = np.add.reduce(per, -1)
+        off = abs(total - 1.0) > TRACE_TOL
+        if not _any(off):
+            return per
+        row, message = np.argwhere(off)[0], f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1"
+    raise ValueError(message if name is None else f"{message} ({name(tuple(row))})")
 
 
 def _dense_updates(
@@ -429,13 +432,15 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
     per = _per_outcome(operators, _check_dims(operators, states))
+    names = ("sigma", "rho")[-len(per) :]  # a batch's probability errors name the state and the instance
     instances: list = [None] * len(partitions)
     weights, updates, used = [], [], []
     start = 0
     for partition, idx in by_partition.items():
         whole = len(by_partition) == 1
         ops = operators if whole else operators[idx]
-        maps, p = _block_maps(ops, per if whole else per[:, idx], partition)
+        name = (lambda row: f"{names[row[0]]} of instance {idx[row[1]]}") if len(partitions) > 1 else None
+        maps, p = _block_maps(ops, per if whole else per[:, idx], partition, name)
         keep = p[-1] > ZERO_PROB_TOL
         inst, blk = keep.nonzero()
         if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather

@@ -7,12 +7,12 @@ probability vanishes.  Channels may be fixed, per-step, or chosen by a
 feedback rule that sees only (k, rho_hat_k).
 
 Randomness: one uniform per step, inverse-CDF over the exact outcome
-probabilities (residual mass goes to the last block).  Trajectory i of a
-batch draws the first `steps` doubles of numpy's generator for the child
-SeedSequence(seed, spawn_key=(i,)), so batches are reproducible and
-order-independent.  No generator object is built: :func:`_uniforms` runs
-numpy's SeedSequence hashing and PCG64 stream for every trajectory at once,
-bit for bit (numpy/random/bit_generator.pyx and src/pcg64/pcg64.h).
+probabilities (residual mass goes to the last block).  A run reads one
+PCG64 stream, numpy's default_rng(seed): step k of trajectory i takes its
+draw (k J + i) mod 2^128, J = _STEP_STRIDE, for trajectory indices below
+2^64.  So batches are reproducible and order-independent, simulate(cfg, i)
+is row i of any batch that holds trajectory i, and a longer horizon extends
+a shorter one.
 
 One engine runs the chain: a step function on stacks of pairs of states,
 each state carried as a square factor L with rho = L L†.  The factors of
@@ -50,7 +50,6 @@ writes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 from dataclasses import dataclass
@@ -78,16 +77,12 @@ _LOCKSTEP_CHUNK = 256
 # this budget (9 trajectories a group) no higher.
 _GROUP_ENTRIES = 2**13
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32 = 0xFFFFFFFF
-# below this many keys _uniforms builds numpy's generators: one costs about
-# 20 us, the vectorized pass about 130 us up to a few dozen keys
-_FEW_KEYS = 6
+# Draws from one step of a trajectory to its next: numpy's PCG64.jumped step, (phi - 1) 2^128.
+# Not 2^64: an LCG modulo 2^128 repeats its low 64 state bits with period 2^64, and steps 0 and 1
+# of 2^20 trajectories, 2^64 draws apart, read a mean XOR popcount of 31.96 of 64 bits, z = -10
+# against Binomial(64, 1/2), at seeds 1 and 987654321.  At this stride |z| <= 1.85 over 2^20
+# pairs (k, k + 1) from 2^20, 2^15, 1024 or 256 trajectories, at seeds 0, 1, 5, 7 and 987654321.
+_STEP_STRIDE = 210306068529402873165736369884012333109
 
 ChannelSource = Union[KrausChannel, Sequence[KrausChannel], Callable[[int, np.ndarray], KrausChannel]]
 
@@ -216,16 +211,16 @@ class SimulationConfig:
 def simulate(cfg: SimulationConfig, traj_index: int = 0) -> JointTrajectory:
     """Run one trajectory of cfg.steps transitions, deterministic given the seed.
 
-    The uniforms are those of the child SeedSequence(cfg.seed,
-    spawn_key=(traj_index,)), so simulate(cfg, i) is exactly trajectory i of
-    a batch.  The engine is :func:`_lockstep` on a batch of one (one
-    trajectory, one history); each record holds the dense states L L†, and a
-    feedback selector is shown the record's estimate.
+    Step k draws (k J + traj_index) mod 2^128 of default_rng(cfg.seed)'s
+    stream (J = _STEP_STRIDE, traj_index below 2^64), so simulate(cfg, i) is
+    exactly trajectory i of a batch.  The engine is :func:`_lockstep` on a
+    batch of one (one trajectory, one history); each record holds the dense
+    states L L†, and a feedback selector is shown the record's estimate.
     """
     rho0, hat0 = cfg.validate()
-    if not isinstance(traj_index, (int, np.integer)) or traj_index < 0:
-        raise ValueError(f"traj_index must be a non-negative integer, got {traj_index!r}")
-    run = _lockstep(cfg, rho0, hat0, [traj_index], dense=True)
+    if not isinstance(traj_index, (int, np.integer)) or not 0 <= int(traj_index) < 2**64:
+        raise ValueError(f"traj_index must be a non-negative integer below 2^64, got {traj_index!r}")
+    run = _lockstep(cfg, rho0, hat0, range(traj_index, traj_index + 1), dense=True)
     next(run)  # the inputs, kept as given
     records = [JointStep(0, None, rho0, hat0, False)]
     try:
@@ -272,17 +267,17 @@ class BatchStatistics:
 def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     """Advance n_traj trajectories in lockstep on stacked factors.
 
-    Row i is simulate(cfg, i): the same uniforms (all drawn in one pass by
-    :func:`_uniforms`) and the same driver, :func:`_lockstep`.  The engine
-    carries one pair of (n, n) factors per distinct outcome history, not per
-    trajectory (a coarse block's columns compressed back to n by a QR, see
-    :func:`_step`), so each history's probabilities, update and fidelity (one
-    batched SVD of the products L_hat† L_rho per step) are computed once and
-    gathered to its trajectories.  The batch-mean true state is the only
-    state built dense, from every trajectory's factor in trajectory order.
-    Feedback channel selectors are not supported here, since each trajectory
-    would need its own channel; run simulate(cfg, i) for i in range(n_traj)
-    for those.
+    Row i is simulate(cfg, i): the same draws of one stream, stepped by
+    :func:`_lockstep` alike.  The engine carries one pair of (n, n)
+    factors per distinct outcome history, not per trajectory (a coarse
+    block's columns compressed back to n by a QR, see :func:`_step`), so
+    each history's probabilities, update and fidelity (one batched SVD of
+    the products L_hat† L_rho per step) are computed once and gathered to
+    its trajectories.  The batch-mean true state is the only state built
+    dense, from every trajectory's factor in trajectory order.  Feedback
+    channel selectors are not supported here, since each trajectory would
+    need its own channel; run simulate(cfg, i) for i in range(n_traj) for
+    those.
     """
     rho0, hat0 = cfg.validate()
     if _feedback(cfg):
@@ -295,7 +290,7 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     mean_true = np.empty((steps + 1, n, n), dtype=complex)
     mean_true[0] = rho0
     fallback_counts = np.zeros(steps, dtype=np.int64)
-    for k, (idx, inv, used, live) in enumerate(_lockstep(cfg, rho0, hat0, np.arange(n_traj))):
+    for k, (idx, inv, used, live) in enumerate(_lockstep(cfg, rho0, hat0, range(n_traj))):
         fid[:, k] = _fidelity(live[1], live[0])[inv]
         if k:
             outcomes[:, k - 1] = idx
@@ -307,7 +302,7 @@ def batch_statistics(cfg: SimulationConfig, n_traj: int) -> BatchStatistics:
     return BatchStatistics(fid, outcomes, mean_true, fallback_counts)
 
 
-def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys, dense: bool = False):
+def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys: range, dense: bool = False):
     """Run trajectories `keys` of cfg, validated as rho0 and hat0, in lockstep: one :func:`_step` per step for all.
 
     Yields one (indices, inv, fallback flags, pairs) per record k = 0 ..
@@ -316,12 +311,15 @@ def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys, d
     stack over the H live histories, the true states' first: their factors,
     a view that the next step overwrites, or with `dense` the states
     themselves (the inputs at k = 0, then the engine's L L†, made
-    Hermitian).  Trajectory keys[j] takes the uniforms of
-    SeedSequence(cfg.seed, spawn_key=(keys[j],)), so it gets the jumps and
-    bits it gets alone.  A feedback selector is shown history 0's dense
-    estimate, so it runs with `dense` and one trajectory.
+    Hermitian).  At step k trajectory keys[j] takes draw (k J + keys[j]) mod
+    2^128 of default_rng(cfg.seed), J = _STEP_STRIDE, so it gets the jumps
+    and bits it gets alone.  The contiguous keys make a step's draws
+    consecutive: one generator per run draws them and then skips the other
+    trajectories' draws to the next step.  A feedback selector is shown
+    history 0's dense estimate, so it runs with `dense` and one trajectory.
     """
-    u = _uniforms(cfg.seed, keys, cfg.steps)
+    rng = np.random.default_rng(cfg.seed)
+    rng.bit_generator.advance(keys.start)
     factors = np.empty((2, len(keys)) + rho0.shape, dtype=complex)
     factors[:, 0] = _psd_factor(np.stack([rho0, hat0]))[0]
     inv = np.zeros(len(keys), dtype=np.intp)
@@ -331,7 +329,9 @@ def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys, d
         ch = cfg.channel_at(k, pairs[1, 0])
         if ch.dim != len(rho0):  # a feedback selector's pick, unseen by validate
             raise ValueError(f"channel at step {k} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
-        idx, inv, used = _step(ch, cfg.partition, factors, inv, u[k], cfg.fallback)
+        u = rng.random(len(keys))
+        rng.bit_generator.advance(_STEP_STRIDE - len(keys))
+        idx, inv, used = _step(ch, cfg.partition, factors, inv, u, cfg.fallback)
         pairs = factors[:, : int(inv.max()) + 1]
         if dense:
             pairs = _hermitian(pairs @ pairs.conj().swapaxes(-1, -2))
@@ -372,7 +372,7 @@ def _write_trajectory_csvs(cfg: SimulationConfig, n_traj: int, path: Callable[[i
     width = 1 if _feedback(cfg) else max(1, min(_LOCKSTEP_CHUNK, fit))
     final = np.empty(n_traj)
     for start in range(0, n_traj, width):
-        keys = np.arange(start, min(start + width, n_traj))
+        keys = range(start, min(start + width, n_traj))
         # (true states and estimates, trajectory, record, n, n), trajectory-major as each CSV reads them
         states = np.empty((2, len(keys), cfg.steps + 1) + rho0.shape, dtype=complex)
         outcomes = np.full((len(keys), cfg.steps + 1), -1, dtype=np.int64)
@@ -382,7 +382,7 @@ def _write_trajectory_csvs(cfg: SimulationConfig, n_traj: int, path: Callable[[i
             if k:
                 outcomes[:, k], used[:, k] = idx, flags
         values = _measure_columns(states[1], states[0])
-        for key, outcome, flag, rows in zip(keys.tolist(), outcomes.tolist(), used.tolist(), values.tolist()):
+        for key, outcome, flag, rows in zip(keys, outcomes.tolist(), used.tolist(), values.tolist()):
             _write_csv(path(key), zip(range(cfg.steps + 1), outcome, flag), rows)
         final[keys] = values[:, -1, 0]
     return final
@@ -421,108 +421,6 @@ def trajectory_to_csv_string(traj: JointTrajectory) -> str:
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
-
-
-def _uniforms(seed: int, keys, steps: int) -> np.ndarray:
-    """The first `steps` uniforms of each child generator, shape (steps, len(keys)).
-
-    Column j equals np.random.default_rng(np.random.SeedSequence(seed,
-    spawn_key=(keys[j],))).random(steps) bit for bit, for a non-negative
-    integer seed and keys below 2^64.  A child's entropy is the seed's words, padded to
-    the pool size, then the key's words: its pool is that of
-    SeedSequence(seed) mixed with each key word by four hashmix/mix rounds,
-    the hash constant having made 16 + 4 (seed words - 4)^+ rounds already.
-    generate_state then hashes the pool into the four 64-bit words (s,
-    initseq) that seed PCG64: state_0 = (inc + s) M + inc with
-    inc = 2 initseq + 1, all mod 2^128.  Draw k = 1 .. steps is the XSL-RR
-    output of state_k = M^k state_0 + (M^(k-1) + ... + 1) inc, shifted
-    right by 11 and scaled by 2^-53, so every draw of every child comes
-    from one pass of uint64 limb arithmetic.  That pass costs about as much
-    as _FEW_KEYS generators, so fewer keys (simulate's one) take numpy's
-    generators themselves.
-    """
-    if len(keys) < _FEW_KEYS:
-        rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in keys)
-        return np.array([rng.random(steps) for rng in rngs]).T.reshape(steps, len(keys))
-    seed, keys = int(seed), np.asarray(keys, dtype=np.uint64)
-    top = int(keys.max())
-    seed_words = max(1, -(-seed.bit_length() // 32))
-    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _MASK32
-    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(keys), axis=1)
-    for w in range(max(1, -(-top.bit_length() // 32))):
-        rest = keys >> (32 * w)
-        value, hash_const = _hashmix((rest & _MASK32).astype(np.uint32), hash_const, _MULT_A, len(pool))
-        mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * value
-        mixed ^= mixed >> 16
-        # a key of fewer words has no word w (0 has the one word 0)
-        pool = mixed if w == 0 else np.where(rest != 0, mixed, pool)
-    state = _hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 2 * len(pool))[0].astype(np.uint64)
-    s_hi, s_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << 32  # little-endian pairs of 32-bit words
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    seeded = _add128(inc, (s_hi, s_lo))
-    # state_k = M^(k+1) (inc + s) + (M^k + ... + 1) inc for k = 1 .. steps: both products in one call
-    base_hi, base_lo = np.stack([seeded[0], inc[0]])[:, None], np.stack([seeded[1], inc[1]])[:, None]
-    jumps = _pcg_jumps(steps)
-    out = np.empty((steps, len(keys)))
-    width = max(1, 4096 // max(steps, 1))  # keys per pass: temporaries of 2 x 4096 limbs
-    for s in (slice(start, start + width) for start in range(0, len(keys), width)):
-        hi, lo = _mul128(base_hi[..., s], base_lo[..., s], *jumps)
-        hi, lo = _add128((hi[0], lo[0]), (hi[1], lo[1]))
-        x = hi ^ lo
-        rot = hi >> 58
-        out[:, s] = (x >> rot | x << (64 - rot & 63)) >> 11
-    out *= 2.0**-53
-    return out
-
-
-def _hashmix(values: np.ndarray, hash_const: int, mult: int, rounds: int) -> tuple[np.ndarray, int]:
-    """numpy's SeedSequence hashmix of row i of values with the i-th successive hash constant.
-
-    Returns the (rounds, B) uint32 results and the hash constant after the
-    rounds; values broadcasts against (rounds, 1).
-    """
-    pre = []
-    for _ in range(rounds):
-        pre.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-    pre = np.array(pre, dtype=np.uint32)[:, None]
-    value = (values ^ pre) * (pre * np.uint32(mult))
-    return value ^ value >> 16, hash_const
-
-
-@functools.lru_cache
-def _pcg_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """M^(k+1) and M^k + ... + M + 1 mod 2^128 for k = 1 .. steps.
-
-    Returned as read-only (high, low) uint64 limbs of shape (2, steps, 1).
-    """
-    jump, shift = [], []
-    power, total = _PCG_MULT, 1
-    for _ in range(steps):
-        total = (total + power) % (1 << 128)
-        power = power * _PCG_MULT % (1 << 128)
-        jump.append(power)
-        shift.append(total)
-    hi = np.array([[v >> 64 for v in row] for row in (jump, shift)], dtype=np.uint64).reshape(2, steps, 1)
-    lo = np.array([[v & (1 << 64) - 1 for v in row] for row in (jump, shift)], dtype=np.uint64).reshape(2, steps, 1)
-    hi.setflags(write=False)
-    lo.setflags(write=False)
-    return hi, lo
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """The low 128 bits of a b, on (high, low) uint64 limbs, elementwise."""
-    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return hi + a_hi * b_lo + a_lo * b_hi, p00 & _MASK32 | mid << 32
-
-
-def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """a + b mod 2^128 on (high, low) uint64 limbs, elementwise."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
 
 
 def _step(

@@ -30,8 +30,8 @@ sums the very numbers the checked gap sums.  ``qfilter verify`` and
 :func:`random_search_violation` make one run, :func:`_search`, with one
 pass; ``qfilter sweep`` makes one pass per (n, m).  Monotonicity is one
 ``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
-both pairs; it does not read the pass, so its sigma takes only the
-fidelity's Hermitian and PSD checks.
+both pairs; it does not read the pass, so it checks both states' traces
+itself, and the fidelity checks that they are Hermitian and PSD.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -72,7 +72,7 @@ from .channels import (
 )
 from .linalg import _any
 from .states import random_density
-from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL
+from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL, TRACE_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
 MEASURES = {
@@ -192,8 +192,15 @@ def check_fidelity_submartingale(
 
 
 def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
-    """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL."""
+    """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL.
+
+    Both traces must be 1 within TRACE_TOL; the fidelity checks Hermitian and PSD."""
     pair = np.array([sigma, rho], dtype=complex)
+    traces = pair.trace(0, -2, -1).real
+    off = abs(traces - 1) > TRACE_TOL
+    if _any(off):
+        i = int(off.argmax())
+        raise ValueError(f"{('sigma', 'rho')[i]} has trace {traces[i]:.12g}, not 1")
     sigmas, rhos = np.stack([apply_channel(ch, pair), pair], axis=1)
     lhs, rhs = measures.fidelity(sigmas, rhos).tolist()
     return GapReport(

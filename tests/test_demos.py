@@ -1,6 +1,7 @@
-"""Each demo script runs to completion against the current package."""
+"""Each demo script, and the README's quick start, runs to completion against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,23 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(script, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(script, tmp_path):
+    run_python([str(script)], tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    [code] = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    lines = run_python(["-c", code], tmp_path).splitlines()
+    assert lines[:2] == ["True", "True"]  # the gap is non-negative and every proof link holds

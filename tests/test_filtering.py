@@ -125,11 +125,22 @@ def dense_step(ch, partition, rho, hat, u, fallback):
     return idx, new_rho, new_hat, used
 
 
+# numpy's PCG64.jumped step, (phi - 1) 2^128: the stride between a trajectory's steps
+JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
 def numpy_uniforms(seed, keys, steps):
-    """(steps, len(keys)) uniforms from numpy's own child generators, one per key: the stream oracle."""
-    return np.stack(
-        [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,))).random(steps) for key in keys], axis=1
-    ).reshape(steps, len(keys))
+    """(steps, len(keys)) uniforms, the stream oracle: draw (k JUMP + key) mod 2^128 of default_rng(seed) at step k.
+
+    Each draw gets a fresh generator, advanced with numpy's own PCG64.advance.
+    """
+    out = np.empty((steps, len(keys)))
+    for k in range(steps):
+        for j, key in enumerate(keys):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance((k * JUMP + int(key)) % 2**128)
+            out[k, j] = rng.random()
+    return out
 
 
 def dense_run(cfg, n_traj, keys=None):
@@ -551,23 +562,92 @@ class TestTrajectoryCsv:
 STREAM_SEEDS = [0, 1, 12345, 2**31 + 7, 2**32 - 1, 2**32, 2**40 + 3, 2**130 + 99, np.int64(7)]
 
 
+def lockstep_draws(cfg, keys, monkeypatch):
+    """The (steps, len(keys)) uniforms _lockstep hands its steps for trajectories `keys`, the engine stubbed out."""
+    draws = []
+
+    def record(ch, partition, factors, inv, u, fallback):
+        draws.append(u.copy())
+        return np.zeros(len(u), dtype=np.int64), inv, np.zeros(len(u), dtype=bool)
+
+    monkeypatch.setattr(filtering, "_step", record)
+    for _ in filtering._lockstep(cfg, *cfg.validate(), keys):
+        pass
+    return np.array(draws).reshape(cfg.steps, len(keys))
+
+
+POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def xor_popcount_z(u):
+    """z of the mean XOR popcount of the 53-bit draws of consecutive steps (rows of u) against Binomial(53, 1/2)."""
+    bits = (u * 2.0**53).astype(np.uint64)
+    counts = POPCOUNT[(bits[1:] ^ bits[:-1]).view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    return (counts.mean() - 26.5) / np.sqrt(53 / 4 / counts.size)
+
+
 class TestUniforms:
-    """The vectorized stream against numpy's own child generators, bit for bit."""
+    """The draws _lockstep hands its steps: step k of trajectory i takes draw (k JUMP + i) mod 2^128 of default_rng(seed)."""
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
-    def test_matches_numpy_child_generators(self, seed):
-        # fewer than _FEW_KEYS keys take numpy's generators, the rest the vectorized pass
-        for n_traj in (1, 3, filtering._FEW_KEYS, 257, 1000):
+    def test_matches_the_advanced_stream(self, seed, monkeypatch):
+        cfg = random_cfg(seed=0, n=2, m=2)
+        cfg.seed = seed
+        want = numpy_uniforms(seed, range(1000), 25)
+        for n_traj in (1, 3, 6, 257, 1000):
             for steps in (0, 1, 10, 25):
-                got = filtering._uniforms(seed, np.arange(n_traj), steps)
-                assert got.shape == (steps, n_traj)
-                assert np.array_equal(got, numpy_uniforms(seed, range(n_traj), steps))
+                cfg.steps = steps
+                assert np.array_equal(lockstep_draws(cfg, range(n_traj), monkeypatch), want[:steps, :n_traj])
 
-    @pytest.mark.parametrize("keys", [[2**33 + 5], [300, 2**32 - 1, 2**32, 0], [2**64 - 1, 7]])
-    def test_keys_of_several_words(self, keys):
-        keys = keys + list(range(filtering._FEW_KEYS))  # enough keys for the vectorized pass
+    @pytest.mark.parametrize("keys", [range(2**33 + 5, 2**33 + 6), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64)])
+    def test_keys_up_to_the_bound(self, keys, monkeypatch):
+        cfg = random_cfg(seed=0, n=2, m=2, steps=10)
         for seed in (5, 2**130 + 99):
-            assert np.array_equal(filtering._uniforms(seed, keys, 10), numpy_uniforms(seed, keys, 10))
+            cfg.seed = seed
+            assert np.array_equal(lockstep_draws(cfg, keys, monkeypatch), numpy_uniforms(seed, keys, 10))
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (5, 6), (3, 40), (255, 513), (0, 600)])
+    def test_a_group_is_its_slice_of_a_larger_batch(self, start, stop, monkeypatch):
+        cfg = random_cfg(seed=7, n=2, m=2, steps=12)
+        batch = lockstep_draws(cfg, range(600), monkeypatch)
+        assert np.array_equal(lockstep_draws(cfg, range(start, stop), monkeypatch), batch[:, start:stop])
+
+    def test_one_generator_per_run(self, monkeypatch):
+        cfg, built = random_cfg(seed=9, n=2, m=2, steps=6), []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+        filtering.batch_statistics(cfg, 300)
+        assert built == [(9,)]
+
+    def test_index_bound(self):
+        cfg = random_cfg(seed=12, n=2, m=2, steps=3)
+        assert len(filtering.simulate(cfg, 2**64 - 1).outcomes) == 3
+        for bad in (2**64, -1):
+            with pytest.raises(ValueError, match="traj_index"):
+                filtering.simulate(cfg, bad)
+
+    def test_a_longer_horizon_extends_a_shorter_one(self):
+        short, long = (random_cfg(seed=13, n=3, m=4, steps=steps) for steps in (5, 9))
+        short.partition = long.partition = channels.make_partition(4, [[0, 1], [2], [3]])
+        for i in (0, 4):
+            head, tail = filtering.simulate(short, i).steps, filtering.simulate(long, i).steps
+            for a, b in zip(head, tail[: len(head)], strict=True):
+                assert (a.k, a.outcome, a.fallback_used) == (b.k, b.outcome, b.fallback_used)
+                assert np.array_equal(a.true_state, b.true_state) and np.array_equal(a.estimate, b.estimate)
+        head, tail = filtering.batch_statistics(short, 300), filtering.batch_statistics(long, 300)
+        assert np.array_equal(tail.fidelity[:, :6], head.fidelity)
+        assert np.array_equal(tail.outcomes[:, :5], head.outcomes)
+        assert np.array_equal(tail.mean_true_state[:6], head.mean_true_state)
+        assert np.array_equal(tail.fallback_counts[:5], head.fallback_counts)
+
+    @pytest.mark.parametrize("seed", [1, 987654321, 0])
+    def test_steps_are_decorrelated(self, seed, monkeypatch):
+        # 2^20 pairs of draws of steps k and k + 1 of one trajectory: 32 of each of 2^15 trajectories
+        cfg = random_cfg(seed=seed, n=1, m=1, steps=33)
+        assert abs(xor_popcount_z(lockstep_draws(cfg, range(2**15), monkeypatch))) <= 6
+        # the negative control: a stride of 2^64 repeats the low 64 bits of the generator's state
+        monkeypatch.setattr(filtering, "_STEP_STRIDE", 2**64)
+        assert xor_popcount_z(lockstep_draws(cfg, range(2**15), monkeypatch)) < -6
 
     def test_simulate_with_a_two_word_spawn_key(self):
         cfg = random_cfg(seed=12, n=3, m=3, steps=8)

@@ -104,6 +104,19 @@ class TestKrausMonotonicity:
             ch, sigma, rho = random_instance(rng)
             assert verify.check_kraus_monotonicity(ch, sigma, rho).gap >= -1e-9
 
+    @pytest.mark.parametrize("scale", [1.2, 0.5])
+    def test_unnormalised_states_are_rejected(self, scale):
+        # the fidelity's Hermitian and PSD checks pass a scaled pure state; the trace check does not
+        rng = np.random.default_rng(8)
+        ch, sigma, rho = channels.random_channel(3, 3, rng), states.random_density(3, 1, rng), states.random_density(3, 1, rng)
+        with pytest.raises(ValueError, match=f"^sigma has trace {scale:.12g}, not 1$"):
+            verify.check_kraus_monotonicity(ch, scale * sigma, rho)
+        with pytest.raises(ValueError, match=f"^rho has trace {scale:.12g}, not 1$"):
+            verify.check_kraus_monotonicity(ch, sigma, scale * rho)
+        with pytest.raises(ValueError, match="outcome probabilities sum to"):
+            verify.check_fidelity_submartingale(ch, scale * sigma, rho)
+        assert verify.check_kraus_monotonicity(ch, sigma, rho).passed
+
 
 class TestMeanEvolution:
     def test_unitary_channel_exact(self):
@@ -299,8 +312,26 @@ class TestMeasureGapReport:
         instances = list(verify.random_instances(2, 2, 5, np.random.default_rng(10)))
         verify._gap_reports(instances, "fidelity")  # the valid batch passes
         instances[3] = (ch, sigma, rho, None)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} \\(sigma of instance 3\\)$"):
             verify._gap_reports(instances, "fidelity")
+
+    @pytest.mark.parametrize("state", ["sigma", "rho"])
+    @pytest.mark.parametrize("kind", ["scaled", "negative"])
+    def test_batch_errors_name_the_state_and_instance(self, kind, state):
+        # two partitions split the pass into two block sums; the message counts instances across both
+        ch, sigma, rho, message = self.invalid_instance(kind)
+        bad = (ch, sigma, rho) if state == "sigma" else (ch, rho, sigma)
+        instances = [
+            (*inst[:3], None if i % 2 else channels.trivial_partition(2))
+            for i, inst in enumerate(verify.random_instances(2, 2, 6, np.random.default_rng(10)))
+        ]
+        for i in (1, 3, 5):  # the second block sum's instances
+            batch = list(instances)
+            batch[i] = (*bad, instances[i][3])
+            with pytest.raises(ValueError, match=f"^{re.escape(message)} \\({state} of instance {i}\\)$"):
+                verify._gap_reports(batch, "fidelity")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify._gap_reports([(*bad, None)], "fidelity")  # a batch of one says what it always said
 
     def test_verdict_honours_tol_and_infinite_sides(self):
         ch, sigma, rho = verify.counterexample_instance()

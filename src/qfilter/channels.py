@@ -24,8 +24,10 @@ M_mu rho M_mu† from two matrix products, O(m n^3) per state
 their sum.  The kernel takes an operator stack: one channel's (m, n, n), or
 one Kraus stack per instance (..., m, n, n), each with the bits it gets
 alone.  The exact checks of :mod:`qfilter.verify` read its pass over many
-instances, :func:`_kept_blocks`: one product for the whole stack, one block
-sum per distinct partition, and the updates of the kept blocks only.
+instances, :func:`_kept_blocks`: the states checked Hermitian, one product
+for the whole stack, one block sum per distinct partition, and the updates
+of the kept blocks only.  The last few passes of one instance are kept,
+read-only, so the checks of one instance form its pass once.
 Random channels come from one stacked thin QR and one stacked check
 (:func:`_haar_channels`, :func:`_freeze`); a single channel is a stack of
 one.  The simulation engine works on square factors L of rho = L L†
@@ -39,12 +41,13 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _any, _psd_factor
+from .linalg import _any, _psd_factor, require_hermitian
 from .states import make_density, maximally_mixed
 from .tolerances import COMPLETENESS_TOL, TRACE_TOL, ZERO_OPERATOR_TOL, ZERO_PROB_TOL
 
@@ -333,10 +336,13 @@ def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _probabilities(per: np.ndarray, name=None) -> np.ndarray:
     """Checked block probabilities: round-off down to -ZERO_PROB_TOL is clamped to zero, and each
-    row must sum to one within TRACE_TOL; an error names a failing row by name(its index), when given."""
+    row must sum to one within TRACE_TOL; an error names a failing row by name(its index), when given.
+    A NaN anywhere makes the minimum NaN, which fails the first test, so NaN probabilities raise."""
     low = np.minimum.reduce(per, None)  # the ufunc reductions skip the ndarray methods' Python layer
-    if low < -ZERO_PROB_TOL:
-        row, message = np.unravel_index(per.argmin(), per.shape)[:-1], f"negative outcome probability {low:.3e}; invalid state?"
+    if not low >= -ZERO_PROB_TOL:
+        # argmin finds the first NaN as it finds the minimum
+        row = np.unravel_index(per.argmin(), per.shape)[:-1]
+        message = f"negative outcome probability {low:.3e}; invalid state?" if low < 0 else "outcome probabilities are not finite"
     else:
         per = np.maximum(per, 0.0)
         total = np.add.reduce(per, -1)
@@ -408,7 +414,7 @@ class _Kept(NamedTuple):
     instance's rows are one contiguous run, in block order.
     """
 
-    instances: list  # per instance: every state's block probabilities (s, blocks), its kept blocks (k,), its rows
+    instances: tuple  # per instance: every state's block probabilities (s, blocks), its kept blocks (k,), its rows
     weights: np.ndarray  # (K,) p_nu(rho) of each row
     updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
     used: np.ndarray  # (s, K) the updates that took the fallback
@@ -420,18 +426,57 @@ class _Kept(NamedTuple):
         return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
+#: the most batch-of-one passes :func:`_kept_blocks` keeps
+_PASS_MEMO_SIZE = 4
+# (key, sigma's bytes or None for a rho-only pass, the pass), least recently used first; a scan
+# of so few entries compares bytes, where a dict would hash them: 16 us a lookup at (n, m) = (16, 8)
+_pass_memo: list = []
+_pass_memo_lock = threading.Lock()
+
+
 def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _Kept:
     """The dense block kernel over B instances (B, m, n, n) with s states each (s, B, n, n), the last rho.
 
-    One per-outcome product for the whole stack, then one block sum per
-    distinct partition, in that partition's block order, on its instances'
-    rows gives every state's block maps and probabilities; only the kept
-    rows are gathered and updated, the one fallback rule applied to them.
+    A batch of one reads the last _PASS_MEMO_SIZE passes, kept read-only and keyed on the bytes of
+    rho, the Kraus stack, the partition and a caller's xi: a pass with sigma takes a kept one only
+    when sigma's bytes match too, a rho-only pass any, since rho's rows do not depend on sigma (the
+    products run per 2-D slice, the updates per element).  An error is never kept, and a stacked
+    pass (B > 1) is always formed.
+    """
+    states = _check_dims(operators, states)
+    if len(partitions) != 1:
+        return _kept_pass(operators, states, partitions, fallback)
+    xi = None if fallback is None else np.asarray(fallback, dtype=complex)
+    key = (
+        states.shape[1:], states[-1].tobytes(), operators.shape, operators.tobytes(), partitions[0],
+        None if xi is None else (xi.shape, xi.tobytes()),
+    )
+    sigma = states[:-1].tobytes() if len(states) > 1 else None
+    with _pass_memo_lock:
+        for i, (k, s, kept) in enumerate(_pass_memo):
+            if k == key and sigma in (None, s):
+                _pass_memo.append(_pass_memo.pop(i))
+                return kept
+    kept = _kept_pass(operators, states, partitions, fallback)
+    [(probs, blocks, _)] = kept.instances
+    for a in (kept.weights, kept.updates, kept.used, kept.rho_maps, probs, blocks):
+        a.setflags(write=False)
+    with _pass_memo_lock:
+        _pass_memo[:] = [entry for entry in _pass_memo if entry[0] != key] + [(key, sigma, kept)]
+        del _pass_memo[:-_PASS_MEMO_SIZE]
+    return kept
+
+
+def _kept_pass(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
+    """The pass of :func:`_kept_blocks`, formed: the states checked Hermitian, one per-outcome
+    product for the whole stack, then one block sum per distinct partition, in that partition's
+    block order, on its instances' rows gives every state's block maps and probabilities; only
+    the kept rows are gathered and updated, the one fallback rule applied to them.
     """
     by_partition: dict = {}
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
-    per = _per_outcome(operators, _check_dims(operators, states))
+    per = _per_outcome(operators, require_hermitian(states))
     names = ("sigma", "rho")[-len(per) :]  # a batch's probability errors name the state and the instance
     instances: list = [None] * len(partitions)
     weights, updates, used = [], [], []
@@ -458,8 +503,8 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
         updates.append(out)
         used.append(flags)
     if len(by_partition) == 1:
-        return _Kept(instances, weights[0], updates[0], used[0], per[-1])
-    return _Kept(instances, np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
+        return _Kept(tuple(instances), weights[0], updates[0], used[0], per[-1])
+    return _Kept(tuple(instances), np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
 
 
 def _factor_probs(ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None) -> np.ndarray:

@@ -13,12 +13,12 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
 
 Every exact one-step number reads one pass over B instances of one
 (n, m): Kraus stacks (B, m, n, n), states and one partition each.
-The dense block kernel of :mod:`qfilter.channels`, ``_kept_blocks``, forms
-the per-outcome maps in one product for the whole stack, takes one block
-sum per distinct partition and checks sigma's and rho's block
-probabilities alike; it gathers and updates only the kept rows, the
-(instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL, and hands each
-instance its rows.  :func:`_one_step` reads them with one
+The dense block kernel of :mod:`qfilter.channels`, ``_kept_blocks``, checks
+that the states are Hermitian, forms the per-outcome maps in one product
+for the whole stack, takes one block sum per distinct partition and checks
+sigma's and rho's block probabilities alike; it gathers and updates only
+the kept rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL,
+and hands each instance its rows.  :func:`_one_step` reads them with one
 measure call, the B current pairs appended, and adds each instance's
 p * value terms in block order, so an instance gets the same bits in a
 batch as alone.  The mean evolution reads the same rows against K(rho),
@@ -26,9 +26,13 @@ the Hermitian part of the sum of rho's per-outcome maps from the same
 product, formed only when asked.  A single instance is a batch of one: the
 gap reports, the mean evolution, the counter-example and
 :func:`qfilter.dilation.replay_proof` read it so, and the replayed chain
-sums the very numbers the checked gap sums.  ``qfilter verify`` and
-:func:`random_search_violation` make one run, :func:`_search`, with one
-pass; ``qfilter sweep`` makes one pass per (n, m).  Monotonicity is one
+sums the very numbers the checked gap sums.  The kernel keeps the last few
+batch-of-one passes, so a battery of these checks on one (channel, sigma,
+rho, partition) forms its pass once and reads the bits a fresh pass gives;
+the mean evolution, which needs rho alone, reads a kept pass of any sigma.
+``qfilter verify`` and :func:`random_search_violation` make one run,
+:func:`_search`, with one stacked pass; ``qfilter sweep`` makes one pass
+per (n, m); a pass of several instances is never kept.  Monotonicity is one
 ``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
 both pairs; it does not read the pass, so it checks both states' traces
 itself, and the fidelity checks that they are Hermitian and PSD.
@@ -266,8 +270,8 @@ def counterexample_report() -> CounterexampleReport:
 
     Trace distance jumps from 1 to an expected 4/3 (so it is not a
     super-martingale) while fidelity gains 1/3 - 1/4.  All four numbers are
-    recomputed here, each (expected next, current) pair by one pass, and
-    must match the exact constants within COUNTEREXAMPLE_TOL.
+    recomputed here, the three measures read from one pass of the instance,
+    and must match the exact constants within COUNTEREXAMPLE_TOL.
     """
     ch, sigma, rho = counterexample_instance()
     [d], [f], [s] = (
@@ -382,9 +386,10 @@ def write_gap_reports_csv(reports, file) -> None:
 def _search(measure: str, n: int, m: int, trials: int, rng, mode="singleton", include_counterexample=False, tol=GAP_TOL):
     """The run of :func:`random_search_violation` and ``qfilter verify``: (reports, deviations).
 
-    The counter-example's report comes first when asked (a pass of its own), then one
-    :func:`_gap_reports` pass over `trials` instances of :func:`random_instances`;
-    deviations() reads their mean-evolution deviations from that pass when called.
+    The counter-example's report comes first when asked (its batch-of-one pass, kept for any
+    other check of that instance), then one :func:`_gap_reports` pass over `trials` instances
+    of :func:`random_instances`; deviations() reads their mean-evolution deviations from that
+    pass when called.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,22 @@ class TestConditionalUpdate:
         for call in (channels.outcome_probs, lambda ch, rho: channels.conditional_update(ch, 0, rho)):
             with pytest.raises(ValueError, match=r"^outcome probabilities sum to 1\.5, not 1$"):
                 call(ch, 1.5 * RHO)
+
+    def test_nan_probabilities_raise(self):
+        # NaN fails every comparison: the check must still reject it, in the dense kernel and the engine
+        ch = channels.validate_channel(counterexample_ops())
+        nan = np.full((3, 3), np.nan, dtype=complex)
+        calls = [
+            lambda: channels.outcome_probs(ch, nan),
+            lambda: channels.outcome_probs(ch, np.stack([RHO, nan]), channels.trivial_partition(2)),
+            lambda: channels.conditional_update(ch, 0, nan),
+            lambda: channels._factor_probs(ch, nan[None]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
+                    call()
 
     def test_index_out_of_range(self):
         ch = channels.validate_channel(counterexample_ops())

@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import re
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -333,6 +337,38 @@ class TestMeasureGapReport:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify._gap_reports([(*bad, None)], "fidelity")  # a batch of one says what it always said
 
+    @pytest.mark.parametrize("state", ["sigma", "rho"])
+    @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
+    def test_non_hermitian_states_are_rejected(self, measure, state):
+        # the frobenius and trace-distance reads never check Hermiticity themselves: the pass does
+        ch, sigma, rho = random_instance(np.random.default_rng(1), n=3, m=3)
+        skew = 0.1j * np.triu(np.ones((3, 3)), 1)
+        pair = {"sigma": (sigma + skew, rho), "rho": (sigma, rho + skew)}[state]
+        message = "^matrix is not Hermitian: max\\|A - A†\\| = 1.000e-01 exceeds 1.0e-10$"
+        with pytest.raises(ValueError, match=message):
+            verify.measure_gap_report(ch, *pair, measure)
+        instances = list(verify.random_instances(3, 3, 4, np.random.default_rng(2)))
+        instances[2] = (ch, *pair, None)
+        with pytest.raises(ValueError, match=message):
+            verify._gap_reports(instances, measure)
+        if state == "rho":
+            with pytest.raises(ValueError, match=message):
+                verify.check_mean_evolution(ch, rho + skew)
+
+    @pytest.mark.parametrize("state", ["sigma", "rho"])
+    def test_non_finite_states_are_rejected(self, state):
+        ch, sigma, rho = random_instance(np.random.default_rng(1), n=3, m=3)
+        nan = np.full((3, 3), np.nan, dtype=complex)
+        pair = {"sigma": (nan, rho), "rho": (sigma, nan)}[state]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in sorted(verify.MEASURES):
+                with pytest.raises(ValueError, match="non-finite"):
+                    verify.measure_gap_report(ch, *pair, measure)
+            if state == "rho":
+                with pytest.raises(ValueError, match="non-finite"):
+                    verify.check_mean_evolution(ch, nan)
+
     def test_verdict_honours_tol_and_infinite_sides(self):
         ch, sigma, rho = verify.counterexample_instance()
         # the trace-distance gap is 1/3
@@ -521,6 +557,7 @@ class TestCallCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        channels._pass_memo.clear()  # no count depends on the passes earlier tests left
         counts = {"fidelity": 0, "products": 0, "kernel": 0, "conditional_update": 0, "outcome_probs": 0}
 
         def counted(name, fn):
@@ -586,13 +623,225 @@ class TestCallCounts:
         }
 
     def test_counterexample_report(self, counts):
+        # the three measures read one pass of the one instance
         verify.counterexample_report()
-        assert counts == {"fidelity": 1, "products": 3, "kernel": 3, "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+
+    @pytest.mark.parametrize("kind", ["random", "trivial", "singleton", "none"])
+    def test_battery_on_one_instance(self, counts, kind):
+        # demo 03's checks and the trace-distance and Frobenius reports form one pass per
+        # distinct partition; monotonicity makes its own product, apply_channel's
+        rng = np.random.default_rng(11)
+        ch, sigma, rho = random_instance(rng, n=3, m=4)
+        part = {"random": channels.random_partition(4, rng, 2), "trivial": channels.trivial_partition(4),
+                "singleton": channels.singleton_partition(4), "none": None}[kind]
+        verify.check_fidelity_submartingale(ch, sigma, rho)
+        verify.check_fidelity_submartingale(ch, sigma, rho, part)
+        verify.check_kraus_monotonicity(ch, sigma, rho)
+        verify.check_mean_evolution(ch, rho, part)
+        verify.measure_gap_report(ch, sigma, rho, "trace_distance")
+        verify.measure_gap_report(ch, sigma, rho, "frobenius")
+        passes = len({None, part})
+        assert counts == {
+            "fidelity": 3, "products": passes + 1, "kernel": passes, "conditional_update": 0, "outcome_probs": 0,
+        }
 
     def test_kraus_monotonicity(self, counts):
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)
         verify.check_kraus_monotonicity(ch, sigma, rho)
         assert counts["fidelity"] == 1
+
+
+def near_null_instance(rng):
+    """(channel, sigma, rho): a projective channel and an estimate whose outcome-0 probability is
+    in [1e-12, 1e-8], whose update of that block is not positive semidefinite."""
+    basis = channels.haar_unitary(3, rng)
+    labels = np.concatenate([np.arange(2), rng.integers(0, 2, 1)])
+    rng.shuffle(labels)
+    proj = channels.validate_channel([basis[:, labels == k] @ basis[:, labels == k].conj().T for k in (0, 1)])
+    inside, outside = basis[:, labels == 0], basis[:, labels != 0]
+    eps = 10.0 ** rng.uniform(-12.0, -8.0)
+    a = inside @ states.random_density(inside.shape[1], 1, rng) @ inside.conj().T
+    k = outside.shape[1]
+    b = outside @ states.random_density(k, int(rng.integers(1, k + 1)), rng) @ outside.conj().T
+    return proj, (1.0 - eps) * b + eps * a, states.random_density(3, int(rng.integers(1, 4)), rng)
+
+
+def memo_instances():
+    """(channel, sigma, rho, partition, xi): rank-deficient states under partitions None, singleton,
+    trivial and random, a caller's xi that a vanishing sigma block takes, n = 1, m = 1, and the
+    counter-example."""
+    rng = np.random.default_rng(60)
+    out = []
+    for part in (None, channels.singleton_partition(3), channels.trivial_partition(3), channels.random_partition(3, rng, 2)):
+        ch, sigma, rho = random_instance(rng, n=3, m=3)
+        out.append((ch, sigma, rho, part, None))
+    proj = channels.validate_channel([np.diag(np.eye(3)[k]) for k in range(3)])
+    out.append((proj, np.diag([0.0, 0.3, 0.7]).astype(complex), states.random_density(3, 2, rng), None, states.random_density(3, 2, rng)))
+    for n, m in ((1, 3), (3, 1)):
+        ch, sigma, rho = random_instance(rng, n=n, m=m)
+        out.append((ch, sigma, rho, channels.random_partition(m, rng), None))
+    out.append(verify.counterexample_instance() + (channels.trivial_partition(2), None))
+    return out
+
+
+def battery(ch, sigma, rho, part, xi, fresh):
+    """Every exact result of one instance as text: each measure's gap report under None and part,
+    both mean-evolution deviations and the proof replay; with fresh, every call forms its pass."""
+    calls = [
+        lambda measure=measure, p=p: verify.measure_gap_report(ch, sigma, rho, measure, p, xi).csv_row()
+        for p in (None, part) for measure in sorted(verify.MEASURES)
+    ]
+    calls += [lambda p=p: repr(verify.check_mean_evolution(ch, rho, p)) for p in (None, part)]
+    calls.append(lambda: repr(dilation.replay_proof(ch, sigma, rho, part).to_dict()))
+    out = []
+    for call in calls:
+        if fresh:
+            channels._pass_memo.clear()
+        out.append(call())
+    return out
+
+
+class TestPassMemo:
+    """A battery of checks on one instance forms its batch-of-one pass once, with the results of
+    fresh passes bit for bit."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        channels._pass_memo.clear()
+        formed = []
+        kept_pass = channels._kept_pass
+        monkeypatch.setattr(channels, "_kept_pass", lambda *args: formed.append(1) or kept_pass(*args))
+        return formed
+
+    @pytest.mark.parametrize("i", range(len(memo_instances())))
+    def test_memo_hits_give_the_results_of_fresh_passes(self, formed, i):
+        inst = memo_instances()[i]
+        fresh = battery(*inst, fresh=True)
+        calls = len(formed)
+        del formed[:]
+        channels._pass_memo.clear()
+        assert battery(*inst, fresh=False) == fresh
+        assert 0 < len(formed) < calls  # the battery read kept passes
+
+    def test_memo_counterexample_report(self, formed):
+        got = verify.counterexample_report().to_dict()
+        assert len(formed) == 1
+        assert repr(verify.counterexample_report().to_dict()) == repr(got)
+        channels._pass_memo.clear()
+        assert repr(verify.counterexample_report().to_dict()) == repr(got)
+        assert len(formed) == 2
+
+    def test_memo_hit_rules(self, formed):
+        rng = np.random.default_rng(20)
+        ch, sigma, rho = random_instance(rng, n=3, m=3)
+        other, xi, part = states.random_density(3, 2, rng), states.random_density(3, 3, rng), channels.trivial_partition(3)
+        calls = [
+            (lambda: verify.measure_gap_report(ch, sigma, rho, "fidelity"), 1),
+            (lambda: verify.measure_gap_report(ch, sigma, rho, "frobenius"), 1),  # sigma's bytes are equal
+            (lambda: verify.check_mean_evolution(ch, rho), 1),  # rho alone reads sigma's pass
+            (lambda: verify.measure_gap_report(ch, other, rho, "fidelity"), 2),  # sigma differs
+            (lambda: verify.measure_gap_report(ch, other, rho, "fidelity", part), 3),
+            (lambda: verify.measure_gap_report(ch, other, rho, "fidelity", fallback=xi), 4),
+            (lambda: verify.measure_gap_report(ch, other, rho, "fidelity", fallback=xi.copy()), 4),  # equal bytes
+            (lambda: verify.check_mean_evolution(ch, other), 5),
+            (lambda: verify.measure_gap_report(ch, sigma, other, "fidelity"), 6),  # sigma's pass is not rho-only's
+        ]
+        for call, count in calls:
+            call()
+            assert len(formed) == count
+
+    def test_memo_sees_states_overwritten_in_place(self, formed):
+        rng = np.random.default_rng(21)
+        ch, sigma, rho = random_instance(rng, n=3, m=4)
+        new_sigma, new_rho = states.random_density(3, 3, rng), states.random_density(3, 2, rng)
+
+        def results(s, r):
+            return [verify.measure_gap_report(ch, s, r, "fidelity").csv_row(), verify.check_mean_evolution(ch, r)]
+
+        want = []
+        for s, r in ((sigma, rho), (new_sigma, rho), (new_sigma, new_rho)):
+            channels._pass_memo.clear()
+            want.append(results(s.copy(), r.copy()))
+        assert want[0][0] != want[1][0] and want[1] != want[2]
+        channels._pass_memo.clear()
+        got = [results(sigma, rho)]
+        sigma[...] = new_sigma
+        got.append(results(sigma, rho))
+        rho[...] = new_rho
+        got.append(results(sigma, rho))
+        assert got == want
+
+    def test_memo_arrays_are_read_only(self, formed):
+        rng = np.random.default_rng(22)
+        ch, sigma, rho = random_instance(rng, n=3, m=4)
+        verify.measure_gap_report(ch, sigma, rho, "fidelity", channels.random_partition(4, rng, 2))
+        verify.check_mean_evolution(ch, rho)
+        assert len(channels._pass_memo) == 2
+        for *_, kept in channels._pass_memo:
+            arrays = [kept.weights, kept.updates, kept.used, kept.rho_maps]
+            arrays += [a for probs, blocks, _ in kept.instances for a in (probs, blocks)]
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            assert isinstance(kept.instances, tuple)
+
+    def test_memo_skips_stacked_passes_and_stays_bounded(self, formed):
+        rng = np.random.default_rng(23)
+        batch = batch_of(3, 3, rng, 8)
+        _, _, kept = verify._gap_reports(batch, "fidelity")
+        verify._mean_evolution_deviations(kept)
+        verify.random_search_violation("trace_distance", 3, 3, 10, rng)
+        assert not channels._pass_memo
+        for k, (ch, sigma, rho, part) in enumerate(batch):
+            verify.measure_gap_report(ch, sigma, rho, "fidelity", part)
+            assert len(channels._pass_memo) == min(k + 1, channels._PASS_MEMO_SIZE)
+        assert 1 <= channels._PASS_MEMO_SIZE <= 4
+        # the least recently used pass goes first: touching the oldest kept instance keeps it
+        oldest = batch[len(batch) - channels._PASS_MEMO_SIZE]
+        verify.check_mean_evolution(oldest[0], oldest[2], oldest[3])
+        ch, sigma, rho = random_instance(rng, n=3, m=3)
+        verify.measure_gap_report(ch, sigma, rho, "fidelity")
+        count = len(formed)
+        verify.check_mean_evolution(oldest[0], oldest[2], oldest[3])
+        assert len(formed) == count
+
+    def test_memo_keeps_no_error(self, formed):
+        ch, sigma, rho, message = TestMeasureGapReport.invalid_instance("scaled")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify.measure_gap_report(ch, sigma, rho, "fidelity")
+        assert not channels._pass_memo
+        # rho's pass alone is valid and kept; sigma's check still runs on the next call
+        verify.check_mean_evolution(ch, rho)
+        assert len(channels._pass_memo) == 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify.measure_gap_report(ch, sigma, rho, "fidelity")
+
+    def test_memo_near_null_instance_raises_on_every_call(self, formed):
+        ch, sigma, rho = near_null_instance(np.random.default_rng(0))
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not positive semidefinite") as err:
+                verify.check_fidelity_submartingale(ch, sigma, rho)
+            messages.add(str(err.value))
+        assert len(messages) == 1 and len(formed) == 1  # the pass is valid and kept; the fidelity raises
+
+    def test_memo_across_threads(self, formed):
+        # more threads than cores, switching often: each battery still reads its own instance's
+        # passes, and the memo stays within its bound
+        instances = memo_instances()
+        want = [battery(*inst, fresh=True) for inst in instances]
+        channels._pass_memo.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2 * (os.cpu_count() or 1)) as pool:
+                got = list(pool.map(lambda inst: battery(*inst, fresh=False), instances * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
+        assert len(channels._pass_memo) <= channels._PASS_MEMO_SIZE
 
 
 def batch_of(n, m, rng, count=8):

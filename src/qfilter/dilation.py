@@ -31,23 +31,26 @@ links read per-outcome quantities of the two (m, n, n) lifts: their
 reductions to S (whose traces are the squared norms), one batched matrix
 product, and their inner products, one einsum, summed into blocks with the
 package's one block sum, ``channels._block_sums``; no loop runs over the
-blocks.  Both purifications come from one stacked square root, so a replay
-makes three stacked eigendecomposition calls: this one and the fidelity's
-two.
+blocks.  The pass comes first: its fidelity's two stacked square roots end
+with sqrt(sigma) and sqrt(rho), and the Uhlmann pair is aligned from those
+rows, so a replay makes two stacked eigendecomposition calls, the
+fidelity's, and checks each state once: its shape and trace before the
+pass, finite and Hermitian in the pass, PSD in the fidelity's square roots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, measures
 from .channels import KrausChannel, OutcomePartition, _block_sums
-from .states import make_density
+from .states import _check_unit_trace, make_density
 from .tolerances import GAP_TOL, OVERLAP_TOL, ZERO_PROB_TOL
-from .verify import _one_step
+from .verify import _instance_state, _one_step
 
 
 def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -60,11 +63,21 @@ def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     rho = make_density(rho)
     if sigma.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {rho.shape}")
-    sqrt_sigma, sqrt_rho = linalg.psd_sqrt(np.stack([sigma, rho]))
+    return _aligned_pair(*linalg.psd_sqrt(np.stack([sigma, rho])))
+
+
+def _aligned_pair(sqrt_sigma: np.ndarray, sqrt_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The purifications of :func:`uhlmann_pair` from the two square roots, aligned by one SVD."""
     P, _, Qh = np.linalg.svd(sqrt_sigma @ sqrt_rho)
     amp_sigma = sqrt_sigma @ P  # amp[s, q]: amplitudes on S (x) Q
     amp_rho = sqrt_rho @ Qh.conj().T
     return amp_sigma.ravel(order="F"), amp_rho.ravel(order="F")
+
+
+def _rooted_fidelity(roots: list, sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """:func:`measures.fidelity` of two stacks, bit for bit, that leaves its two stacked square roots in `roots`."""
+    roots[:] = linalg.psd_sqrt(sigma), linalg.psd_sqrt(rho)
+    return measures._fidelity_of_cross(roots[0] @ roots[1])
 
 
 @dataclass(frozen=True)
@@ -136,19 +149,24 @@ def replay_proof(
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
-    Builds the Uhlmann pair, lifts each purification straight from the
-    Kraus stack as M_mu A (:func:`_lift`; no operator on S (x) Q (x) E is
-    built), runs the one-step pass for the
-    fidelity with no fallback, and checks links (a)-(e); see the module
-    docstring.  Links (a)-(d) hold within `link_tol`, the identity (e)
-    within OVERLAP_TOL.  Blocks where sigma's probability vanishes take the
-    xi route and are flagged rather than entering the per-block overlap
-    checks.
+    Runs the one-step pass for the fidelity with no fallback, builds the
+    Uhlmann pair from the square roots that fidelity formed, lifts each
+    purification straight from the Kraus stack as M_mu A (:func:`_lift`; no
+    operator on S (x) Q (x) E is built), and checks links (a)-(e); see the
+    module docstring.  Links (a)-(d) hold within `link_tol`, the identity
+    (e) within OVERLAP_TOL.  Blocks where sigma's probability vanishes take
+    the xi route and are flagged rather than entering the per-block overlap
+    checks.  sigma and rho must be (n, n) for the channel's n and density
+    matrices, or a ValueError says which test failed.
     """
-    psi_sigma, psi_rho = uhlmann_pair(sigma, rho)  # validates both states
+    sigma, rho = _instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")
+    _check_unit_trace(sigma)
+    _check_unit_trace(rho)
+    roots: list = []
+    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], functools.partial(_rooted_fidelity, roots), [partition])
+    # the last rows are sqrt(sigma) and sqrt(rho), the current pair's
+    psi_sigma, psi_rho = _aligned_pair(roots[0][-1], roots[1][-1])
     overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
-
-    [step], _ = _one_step(ch.operators[None], [sigma], [rho], "fidelity", [partition])
     probs_rho, probs_sigma, kept = step.probs, step.probs_sigma, step.kept
 
     # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>

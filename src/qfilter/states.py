@@ -33,15 +33,20 @@ def make_density(M) -> np.ndarray:
         raise ValueError(
             f"density matrix is not Hermitian: max|M - M†| = {dev:.3e}"
         )
-    tr = complex(np.trace(M))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
+    _check_unit_trace(M)
     w = np.linalg.eigvalsh(M)
     if w[0] < -EIGENVALUE_CLAMP:
         raise ValueError(
             f"density matrix is not positive semidefinite: eigenvalue {w[0]:.3e}"
         )
     return M
+
+
+def _check_unit_trace(M: np.ndarray) -> None:
+    """The trace test of :func:`make_density`: |tr M - 1| <= TRACE_TOL."""
+    tr = complex(np.trace(M))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
 
 
 def maximally_mixed(n: int) -> np.ndarray:

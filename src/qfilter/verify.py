@@ -178,9 +178,11 @@ def measure_gap_report(
     substitution, infinite terms with positive weight give an infinite
     sum), and rhs is measure(sigma, rho).  The report's `passed` judges the
     gap against the measure's expected direction with slack `tol` (see
-    :attr:`GapReport.passed`).
+    :attr:`GapReport.passed`).  sigma and rho must be (n, n) for the
+    channel's n, and an unknown measure raises ValueError.
     """
-    [step], _ = _one_step(ch.operators[None], [sigma], [rho], measure, [partition], fallback)
+    sigma, rho = _instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")
+    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], _measure(measure), [partition], fallback)
     return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
 
 
@@ -198,8 +200,9 @@ def check_fidelity_submartingale(
 def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
     """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL.
 
-    Both traces must be 1 within TRACE_TOL; the fidelity checks Hermitian and PSD."""
-    pair = np.array([sigma, rho], dtype=complex)
+    Both states must be (n, n) for the channel's n and have trace 1 within
+    TRACE_TOL; the fidelity checks Hermitian and PSD."""
+    pair = np.array([_instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")])
     traces = pair.trace(0, -2, -1).real
     off = abs(traces - 1) > TRACE_TOL
     if _any(off):
@@ -219,8 +222,10 @@ def check_mean_evolution(
     """Max elementwise deviation of sum_nu p_nu(rho) M_nu(rho) from K(rho).
 
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
+    rho must be (n, n) for the channel's n.
     """
-    return _mean_evolution_deviations(_kept_blocks(ch.operators[None], [[rho]], [partition]))[0]
+    rho = _instance_state(ch, rho, "rho")
+    return _mean_evolution_deviations(_kept_blocks(ch.operators[None], rho[None, None], [partition]))[0]
 
 
 def counterexample_instance() -> tuple[KrausChannel, np.ndarray, np.ndarray]:
@@ -275,7 +280,7 @@ def counterexample_report() -> CounterexampleReport:
     """
     ch, sigma, rho = counterexample_instance()
     [d], [f], [s] = (
-        _one_step(ch.operators[None], sigma[None], rho[None], measure, [None])[0]
+        _one_step(ch.operators[None], sigma[None], rho[None], MEASURES[measure], [None])[0]
         for measure in ("trace_distance", "fidelity", "relative_entropy")
     )
     expected = {
@@ -391,8 +396,7 @@ def _search(measure: str, n: int, m: int, trials: int, rng, mode="singleton", in
     of :func:`random_instances`; deviations() reads their mean-evolution deviations from that
     pass when called.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
+    _measure(measure)
     reports = [measure_gap_report(*counterexample_instance(), measure, tol=tol)] if include_counterexample else []
     instances = list(random_instances(n, m, trials, rng, mode, measure in _FULL_RANK_MEASURES))
     random_reports, _, kept = _gap_reports(instances, measure, tol)
@@ -406,9 +410,24 @@ def _gap_reports(instances, measure: str, tol: float = GAP_TOL) -> tuple[list[Ga
     if not instances:
         return [], [], None
     chs, sigmas, rhos, partitions = zip(*instances)
-    steps, kept = _one_step(np.array([ch.operators for ch in chs]), sigmas, rhos, measure, partitions)
+    steps, kept = _one_step(np.array([ch.operators for ch in chs]), sigmas, rhos, _measure(measure), partitions)
     reports = [_gap_report(step, measure, *inst, tol) for step, inst in zip(steps, instances)]
     return reports, steps, kept
+
+
+def _measure(name: str):
+    """The measure function MEASURES[name], looked up when called; an unknown name raises ValueError."""
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURES)}")
+    return MEASURES[name]
+
+
+def _instance_state(ch: KrausChannel, state, name: str) -> np.ndarray:
+    """A state of a one-instance check as a complex array; a ValueError names it when it is not (n, n)."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != ch.operators.shape[1:]:
+        raise ValueError(f"{name} has shape {state.shape}, expected {ch.operators.shape[1:]} for the channel")
+    return state
 
 
 def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None) -> GapReport:
@@ -446,20 +465,21 @@ def _one_step(
     operators: np.ndarray,
     sigma,
     rho,
-    measure: str,
+    measure,
     partitions,
     fallback: np.ndarray | None = None,
 ) -> tuple[list[_OneStep], _Kept]:
     """The one-step pass of the module docstring for B instances, and its kept rows; `fallback` is sigma's xi.
 
     `operators` (B, m, n, n) holds each instance's Kraus stack, sigma and rho
-    (B, n, n) its states, and `partitions` its partition.
+    (B, n, n) its states, and `partitions` its partition.  `measure` is called
+    once on the two stacks, updates then states: callers resolve a name
+    through MEASURES, and the proof replay passes a fidelity that keeps its
+    square roots.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
     states = np.array(measures._check_pair(sigma, rho))
     kept = _kept_blocks(operators, states, partitions, fallback)
-    values = MEASURES[measure](*np.concatenate([kept.updates, states], axis=1))
+    values = measure(*np.concatenate([kept.updates, states], axis=1))
     K = len(kept.weights)
     # added left to right in block order, as a loop over the blocks adds them;
     # a positive weight times an infinite term makes the sum infinite

@@ -348,3 +348,96 @@ class TestMatrixFreeLift:
         rep = dilation.replay_proof(ch, sigma, rho, channels.random_partition(8, rng))
         assert rep.all_links_hold, rep.link_residuals
         assert rep.link_residuals["e_overlap_vs_fidelity"] < 1e-10
+
+
+def old_route(ch, sigma, rho, partition):
+    """The replay as it was composed before it read the pass's square roots: the public
+    uhlmann_pair (make_density on both states, one stacked square root of [sigma, rho]), then
+    the one-step pass with the registered "fidelity" measure, then the links."""
+    pair = dilation.uhlmann_pair(sigma, rho)
+
+    def registered_fidelity(roots, s, r):
+        roots[:] = s, r  # read by nothing: the pair is uhlmann_pair's
+        return verify.MEASURES["fidelity"](s, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dilation, "_rooted_fidelity", registered_fidelity)
+        mp.setattr(dilation, "_aligned_pair", lambda sqrt_sigma, sqrt_rho: pair)
+        return dilation.replay_proof(ch, sigma, rho, partition)
+
+
+def fallback_instance(rng, n, m):
+    """A channel U P_mu of m projectors onto disjoint basis groups, a sigma inside the first
+    group's range and a full-rank rho: every other block vanishes for sigma and falls back."""
+    groups = np.array_split(rng.permutation(n), m)
+    U = channels.haar_unitary(n, rng)
+    ch = channels.validate_channel([U @ np.diag(np.isin(np.arange(n), g).astype(float)) for g in groups])
+    G = np.zeros((n, n), dtype=complex)
+    G[groups[0], :] = rng.standard_normal((len(groups[0]), n)) + 1j * rng.standard_normal((len(groups[0]), n))
+    sigma = G @ G.conj().T
+    return ch, sigma / np.trace(sigma).real, states.random_density(n, n, rng)
+
+
+class TestReplayReadsThePassRoots:
+    """The Uhlmann pair is aligned from the square roots of the pass's fidelity."""
+
+    def instances(self):
+        rng = np.random.default_rng(31)
+        for i in range(320):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            if i % 5 == 4 and 2 <= m <= n:
+                ch, sigma, rho = fallback_instance(rng, n, m)
+            else:
+                ch = channels.random_channel(n, m, rng)
+                # rank 1 every third instance, otherwise any rank
+                sigma, rho = (states.random_density(n, 1 if i % 3 == 0 else int(rng.integers(1, n + 1)), rng)
+                              for _ in range(2))
+            part = (None, channels.singleton_partition(m), channels.trivial_partition(m),
+                    channels.random_partition(m, rng))[i % 4]
+            yield ch, sigma, rho, part
+        yield (*verify.counterexample_instance(), None)
+
+    def test_replay_matches_the_old_route_bit_for_bit(self):
+        fell_back = 0
+        for ch, sigma, rho, part in self.instances():
+            channels._pass_memo.clear()
+            got = dilation.replay_proof(ch, sigma, rho, part)
+            channels._pass_memo.clear()
+            want = old_route(ch, sigma, rho, part)
+            assert repr(got.to_dict()) == repr(want.to_dict())
+            checked = verify.check_fidelity_submartingale(ch, sigma, rho, part)
+            assert (got.expected_next_fidelity, got.fidelity_current) == (checked.lhs, checked.rhs)
+            psi_sigma, psi_rho = dilation.uhlmann_pair(sigma, rho)
+            assert got.overlap_initial == float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
+            fell_back += bool(got.fallback_blocks)
+        assert fell_back >= 20
+
+    @staticmethod
+    def invalid(kind):
+        ch, sigma, rho = random_instance(np.random.default_rng(4), n=3, m=2)
+        if kind == "stack":
+            return ch, np.stack([sigma, sigma]), rho, r"^sigma has shape \(2, 3, 3\), expected \(3, 3\) for the channel$"
+        if kind == "non-square":
+            return ch, sigma, rho[:, :2], r"^rho has shape \(3, 2\), expected \(3, 3\) for the channel$"
+        if kind == "mismatched n":
+            return ch, np.eye(2) / 2, rho, r"^sigma has shape \(2, 2\), expected \(3, 3\) for the channel$"
+        if kind == "nan":
+            rho = rho.copy()
+            rho[0, 1] = rho[1, 0] = np.nan
+            return ch, sigma, rho, "^matrix has non-finite entries$"
+        if kind == "non-hermitian":
+            return ch, sigma + 0.1j * np.triu(np.ones((3, 3)), 1), rho, r"^matrix is not Hermitian: max\|A - A†\| = 1.000e-01"
+        if kind in ("trace above", "trace below"):
+            return ch, sigma, rho * (1 + 1e-8 if kind == "trace above" else 1 - 1e-8), "^density matrix must have unit trace, got "
+        # trace one, one eigenvalue -1e-6: an update of it fails the fidelity's stacked square root first
+        return ch, sigma, np.diag([0.5 + 1e-6, 0.5, -1e-6]), "^matrix is not positive semidefinite: eigenvalue "
+
+    @pytest.mark.parametrize("kind", [
+        "stack", "non-square", "mismatched n", "nan", "non-hermitian", "trace above", "trace below", "negative eigenvalue",
+    ])
+    def test_replay_rejects_what_make_density_rejected(self, kind):
+        ch, sigma, rho, message = self.invalid(kind)
+        with pytest.raises(ValueError):
+            dilation.uhlmann_pair(sigma, rho)  # the old route's validation: make_density on each state
+        with pytest.raises(ValueError, match=message):
+            dilation.replay_proof(ch, sigma, rho)

@@ -377,6 +377,38 @@ class TestMeasureGapReport:
         assert math.isinf(rep.lhs) and rep.passed  # vacuous
 
 
+class TestOneInstanceShapes:
+    """Every one-instance check names the state whose shape does not fit the channel (n = 3 here)."""
+
+    CHECKS = {
+        "measure_gap_report": lambda ch, sigma, rho: verify.measure_gap_report(ch, sigma, rho, "frobenius"),
+        "check_fidelity_submartingale": verify.check_fidelity_submartingale,
+        "check_kraus_monotonicity": verify.check_kraus_monotonicity,
+        "check_mean_evolution": lambda ch, sigma, rho: verify.check_mean_evolution(ch, rho),
+        "replay_proof": dilation.replay_proof,
+    }
+
+    @pytest.mark.parametrize(
+        "check, state", [(c, s) for c in sorted(CHECKS) for s in ("sigma", "rho") if (c, s) != ("check_mean_evolution", "sigma")]
+    )
+    @pytest.mark.parametrize("kind", ["stacked", "smaller", "flat"])
+    def test_wrong_shape_names_the_argument(self, check, state, kind):
+        ch, sigma, rho = random_instance(np.random.default_rng(3), n=3, m=2)
+        pair = {"sigma": sigma, "rho": rho}
+        bad = {"stacked": np.stack([pair[state]] * 2), "smaller": np.eye(2) / 2, "flat": np.full(3, 1 / 3)}[kind]
+        pair[state] = bad
+        message = f"^{state} has shape {re.escape(str(bad.shape))}, expected \\(3, 3\\) for the channel$"
+        with pytest.raises(ValueError, match=message):
+            self.CHECKS[check](ch, pair["sigma"], pair["rho"])
+
+    @pytest.mark.parametrize("check", sorted(set(CHECKS) - {"check_mean_evolution"}))
+    def test_both_states_stacked_name_sigma(self, check):
+        # both states (2, 3, 3): the shape check runs before any arithmetic on them
+        ch, sigma, rho = random_instance(np.random.default_rng(3), n=3, m=2)
+        with pytest.raises(ValueError, match=r"^sigma has shape \(2, 3, 3\), expected \(3, 3\) for the channel$"):
+            self.CHECKS[check](ch, np.stack([sigma, sigma]), np.stack([rho, rho]))
+
+
 class TestRandomInstances:
     @pytest.mark.parametrize("mode", ["singleton", "trivial", "random"])
     def test_draw_order(self, mode):
@@ -569,6 +601,8 @@ class TestCallCounts:
         fid = counted("fidelity", measures.fidelity)
         monkeypatch.setattr(measures, "fidelity", fid)
         monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
+        # the proof replay's own fidelity, which keeps its square roots for the Uhlmann pair
+        monkeypatch.setattr(dilation, "_rooted_fidelity", counted("fidelity", dilation._rooted_fidelity))
         # every module that could call them by name, whether it imports them or not
         for name, key in (
             ("_per_outcome", "products"), ("_block_maps", "kernel"),
@@ -594,21 +628,24 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_proof_replay(self, counts, m):
-        # sigma's block probabilities come from the one-step pass too
+        # sigma's block probabilities come from the one-step pass too, and its one fidelity call
+        # is the replay's own, whose square roots give the Uhlmann pair
         rng = np.random.default_rng(m)
         ch, sigma, rho = random_instance(rng, n=3, m=m)
         dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
         assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_proof_replay_eigendecompositions(self, monkeypatch):
-        # one stacked square root for the Uhlmann pair, two for the fidelity of the pass
+        # the fidelity of the pass makes the two stacked square roots, and the Uhlmann pair reads
+        # their last rows; no eigenvalue-only PSD test runs
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", np.shape(a))) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(("eigvalsh", np.shape(a))) or eigvalsh(a))
         rng = np.random.default_rng(8)
         ch, sigma, rho = random_instance(rng, n=3, m=4)
         dilation.replay_proof(ch, sigma, rho)
-        assert calls == [(2, 3, 3), (5, 3, 3), (5, 3, 3)]
+        assert calls == [("eigh", (5, 3, 3)), ("eigh", (5, 3, 3))]
 
     def test_verify_run(self, counts, tmp_path):
         # one stacked pass for the run: one per-outcome product, one kernel call per distinct

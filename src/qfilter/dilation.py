@@ -22,35 +22,38 @@ the one-step fidelity gain nonnegative:
       (Cauchy-Schwarz),
   (e) the total overlap equals the fidelity of the input pair (Uhlmann).
 
-The jump probabilities p_nu(rho), the conditional updates, their
-fidelities, the current fidelity and the expected next fidelity are read
-from the exact one-step pass of :mod:`qfilter.verify`, the one the fidelity
-gap report reads, so the replayed chain sums the very numbers the checked
-gap sums.  The pass also gives p_nu(sigma), checked as p_nu(rho) is.  The
-links read per-outcome quantities of the two (m, n, n) lifts: their
-reductions to S (whose traces are the squared norms), one batched matrix
-product, and their inner products, one einsum, summed into blocks with the
-package's one block sum, ``channels._block_sums``; no loop runs over the
-blocks.  The pass comes first: its fidelity's two stacked square roots end
-with sqrt(sigma) and sqrt(rho), and the Uhlmann pair is aligned from those
-rows, so a replay makes two stacked eigendecomposition calls, the
-fidelity's, and checks each state once: its shape and trace before the
-pass, finite and Hermitian in the pass, PSD in the fidelity's square roots.
+The jump probabilities p_nu(rho) and p_nu(sigma), the dense conditional
+updates (read by link (b) only) and the fallback flags come from the exact
+one-step pass the fidelity gap report reads (``channels._kept_blocks``).
+The fidelities come from factors: one eigendecomposition of [sigma, rho]
+gives PSD-checked factors L, L L† = state (``linalg._psd_factor``), the SVD
+of L_sigma† L_rho aligns the Uhlmann pair, whose amplitude matrices A are
+factors too, and a kept block's fidelity is (tr|G_s† G_r|)^2 for the
+normalised block factors G of the lifts M_mu A (:func:`_fidelities`).  No
+update is square-rooted, so a near-null block, whose dense update is not
+PSD in floating point, still gives a report, and the replayed expectation
+agrees with the checked gap within round-off.  The links read per-outcome
+quantities of the two (m, n, n) lifts: their reductions to S (whose traces
+are the squared norms), one batched matrix product, and their inner
+products, one einsum, summed into blocks with the package's one block sum,
+``channels._block_sums``; no loop runs over the blocks.  A replay makes one
+eigendecomposition call; it checks each state's shape and trace itself, the
+factor checks finite, Hermitian and PSD, and a formed pass the block
+probabilities.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, measures
-from .channels import KrausChannel, OutcomePartition, _block_sums
+from .channels import KrausChannel, OutcomePartition, _block_factors, _block_sums, _kept_blocks, singleton_partition
 from .states import _check_unit_trace, make_density
-from .tolerances import GAP_TOL, OVERLAP_TOL, ZERO_PROB_TOL
-from .verify import _instance_state, _one_step
+from .tolerances import GAP_TOL, OVERLAP_TOL
+from .verify import _instance_state
 
 
 def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -63,21 +66,14 @@ def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     rho = make_density(rho)
     if sigma.shape != rho.shape:
         raise ValueError(f"dimension mismatch: {sigma.shape} vs {rho.shape}")
-    return _aligned_pair(*linalg.psd_sqrt(np.stack([sigma, rho])))
+    return tuple(amp.ravel(order="F") for amp in _aligned_pair(*linalg.psd_sqrt(np.stack([sigma, rho]))))
 
 
-def _aligned_pair(sqrt_sigma: np.ndarray, sqrt_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The purifications of :func:`uhlmann_pair` from the two square roots, aligned by one SVD."""
-    P, _, Qh = np.linalg.svd(sqrt_sigma @ sqrt_rho)
-    amp_sigma = sqrt_sigma @ P  # amp[s, q]: amplitudes on S (x) Q
-    amp_rho = sqrt_rho @ Qh.conj().T
-    return amp_sigma.ravel(order="F"), amp_rho.ravel(order="F")
-
-
-def _rooted_fidelity(roots: list, sigma: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """:func:`measures.fidelity` of two stacks, bit for bit, that leaves its two stacked square roots in `roots`."""
-    roots[:] = linalg.psd_sqrt(sigma), linalg.psd_sqrt(rho)
-    return measures._fidelity_of_cross(roots[0] @ roots[1])
+def _aligned_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitude matrices amp[s, q] of :func:`uhlmann_pair`'s purifications from any square
+    factors A A† = sigma and B B† = rho, aligned by one SVD A† B = P S Q†: A P and B Q."""
+    P, _, Qh = np.linalg.svd(A.conj().T @ B)
+    return A @ P, B @ Qh.conj().T
 
 
 @dataclass(frozen=True)
@@ -149,28 +145,35 @@ def replay_proof(
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
-    Runs the one-step pass for the fidelity with no fallback, builds the
-    Uhlmann pair from the square roots that fidelity formed, lifts each
+    Factors the pair [sigma, rho] with one eigendecomposition, aligns the
+    Uhlmann pair by the SVD of L_sigma† L_rho, reads the exact one-step pass
+    for the probabilities, the dense updates and the fallback flags, lifts each
     purification straight from the Kraus stack as M_mu A (:func:`_lift`; no
-    operator on S (x) Q (x) E is built), and checks links (a)-(e); see the
-    module docstring.  Links (a)-(d) hold within `link_tol`, the identity
-    (e) within OVERLAP_TOL.  Blocks where sigma's probability vanishes take
-    the xi route and are flagged rather than entering the per-block overlap
-    checks.  sigma and rho must be (n, n) for the channel's n and density
-    matrices, or a ValueError says which test failed.
+    operator on S (x) Q (x) E is built), takes every fidelity from the lifts'
+    block factors, and checks links (a)-(e); see the module docstring.  Links
+    (a)-(d) hold within `link_tol`, the identity (e) within OVERLAP_TOL.
+    Blocks where sigma's probability vanishes take the xi route and are
+    flagged rather than entering the per-block overlap checks.  sigma and rho
+    must be (n, n) for the channel's n and density matrices, or a ValueError
+    says which test failed; a PSD error names the state and gives its lowest
+    eigenvalue.
     """
     sigma, rho = _instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")
     _check_unit_trace(sigma)
     _check_unit_trace(rho)
-    roots: list = []
-    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], functools.partial(_rooted_fidelity, roots), [partition])
-    # the last rows are sqrt(sigma) and sqrt(rho), the current pair's
-    psi_sigma, psi_rho = _aligned_pair(roots[0][-1], roots[1][-1])
-    overlap_initial = float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
-    probs_rho, probs_sigma, kept = step.probs, step.probs_sigma, step.kept
+    states = np.array([sigma, rho])
+    L_sigma, L_rho = linalg._psd_factor(states, lambda i: ("sigma", "rho")[i[0]])[0]
+    step = _kept_blocks(ch.operators[None], states[:, None], [partition])
+    [((probs_sigma, probs_rho), kept, rows)] = step.instances
+    (sigma_next, rho_next), used = step.updates[:, rows], step.used[0, rows]
+    amps = np.array(_aligned_pair(L_sigma, L_rho))
+    overlap_initial = float(abs(np.vdot(amps[0], amps[1])) ** 2)
+    values, fidelity_current = _fidelities(ch, partition, kept, used, amps, L_sigma.conj().T @ L_rho)
+    # added left to right in block order, as the one-step pass adds them
+    expected_next = float(sum(probs_rho[kept] * values))
 
     # per outcome mu: the lifts' reductions to S and the inner products <chi_hat_mu|chi_mu>
-    lifts = np.stack([_lift(ch.operators, psi_sigma), _lift(ch.operators, psi_rho)])
+    lifts = _lift(ch.operators, amps)
     reduced = _reduce(lifts)
     inner = np.einsum("eqs,eqs->e", lifts[0].conj(), lifts[1])
     overlap_lifted = float(abs(inner.sum()) ** 2)
@@ -178,22 +181,22 @@ def replay_proof(
     block_reduced = _block_sums(reduced, partition, axis=-3)[:, kept]
 
     # (b) for rho on every kept block; (c), (d) and sigma's (b) where sigma's block is live too
-    live = probs_sigma[kept] > ZERO_PROB_TOL
+    live = ~used
     both = kept[live]
     res_a = float(np.abs(norms[1] - probs_rho).max())
-    res_b = float(np.abs(block_reduced[1] / norms[1, kept, None, None] - step.rho_next).max())
+    res_b = float(np.abs(block_reduced[1] / norms[1, kept, None, None] - rho_next).max())
     if both.size:
         sigma_red = block_reduced[0, live] / norms[0, both, None, None]
-        res_b = max(res_b, float(np.abs(sigma_red - step.sigma_next[live]).max()))
+        res_b = max(res_b, float(np.abs(sigma_red - sigma_next[live]).max()))
     overlaps = np.abs(_block_sums(inner, partition)[both]) ** 2 / (norms[0, both] * norms[1, both])
-    margin_c = float((step.values[live] - overlaps).min()) if both.size else math.inf
+    margin_c = float((values[live] - overlaps).min()) if both.size else math.inf
     cs_lhs = float(sum(probs_rho[both] * overlaps))
     res_d = cs_lhs - overlap_lifted
-    res_e = abs(overlap_lifted - step.rhs)
+    res_e = abs(overlap_lifted - fidelity_current)
 
-    fidelity_of = dict(zip(kept.tolist(), step.values.tolist()))
+    fidelity_of = dict(zip(kept.tolist(), values.tolist()))
     overlap_of = dict(zip(both.tolist(), overlaps.tolist()))
-    fallback_blocks = step.fallback_blocks
+    fallback_blocks = tuple(kept[used].tolist())
     blocks = [
         BlockReplay(nu, p, q, overlap_of.get(nu), fidelity_of.get(nu), nu in fallback_blocks)
         for nu, (p, q) in enumerate(zip(probs_rho.tolist(), probs_sigma.tolist()))
@@ -217,8 +220,8 @@ def replay_proof(
         blocks=blocks,
         cauchy_schwarz_lhs=cs_lhs,
         cauchy_schwarz_rhs=overlap_lifted,
-        fidelity_current=step.rhs,
-        expected_next_fidelity=step.lhs,
+        fidelity_current=fidelity_current,
+        expected_next_fidelity=expected_next,
         link_residuals=residuals,
         links_hold=holds,
         all_links_hold=all(holds.values()),
@@ -226,16 +229,38 @@ def replay_proof(
     )
 
 
-def _lift(operators: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(V (x) I_Q) psi for psi on S (x) Q, as amplitudes [E, Q, S].
+def _fidelities(
+    ch: KrausChannel, partition: OutcomePartition | None, kept: np.ndarray, used: np.ndarray, amps: np.ndarray, cross: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """(F of each kept block's updates, F(sigma, rho)) in factor form, from one batched SVD.
 
-    `operators` is the (m, n, n) Kraus stack, the isometry V.
-    With A[s, q] the amplitude matrix of psi, the outcome-mu slice is
-    (M_mu A)^T, so the lift costs O(m n^3) time and O(m n^2) memory.
+    A block's factors are the stacks [M_mu A]_{mu in block} of the aligned
+    amplitudes `amps` (2, n, n), a coarse block's compressed to n columns by a
+    thin QR (``channels._block_factors``), each normalised by its own
+    Frobenius norm, and sigma's are xi = I/n's where its block vanished
+    (`used`); `cross` is L_sigma† L_rho.  Its temporaries are freed on
+    return, before the links form theirs.
     """
-    n = operators.shape[1]
-    amp = np.asarray(psi).reshape(n, n).T
-    return (operators @ amp).swapaxes(1, 2)
+    n, k = ch.dim, len(kept)
+    xi_factor = np.eye(n) / math.sqrt(n)  # a factor of the fallback xi = I/n
+    factors = np.concatenate([np.where(used[:, None, None], xi_factor, amps[0]), np.broadcast_to(amps[1], (k, n, n))])
+    G, p = _block_factors(
+        ch, np.concatenate([kept, kept]), factors,
+        singleton_partition(ch.num_outcomes) if partition is None else partition,
+    )
+    G /= np.sqrt(p)[:, None, None]
+    fidelities = measures._fidelity_of_cross(np.concatenate([G[:k].conj().swapaxes(-1, -2) @ G[k:], cross[None]]))
+    return fidelities[:k], float(fidelities[k])
+
+
+def _lift(operators: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """(V (x) I_Q) psi for purifications psi with amplitude matrices amp[..., s, q], as amplitudes [..., E, Q, S].
+
+    `operators` is the (m, n, n) Kraus stack, the isometry V.  The outcome-mu
+    slice of a purification with amplitude matrix A is (M_mu A)^T, so a lift
+    costs O(m n^3) time and O(m n^2) memory.
+    """
+    return (operators @ amp[..., None, :, :]).swapaxes(-1, -2)
 
 
 def _reduce(lifts: np.ndarray) -> np.ndarray:

@@ -59,18 +59,20 @@ def psd_sqrt(A) -> np.ndarray:
     return factor @ U.conj().swapaxes(-1, -2)
 
 
-def _psd_factor(A) -> tuple[np.ndarray, np.ndarray]:
+def _psd_factor(A, name=None) -> tuple[np.ndarray, np.ndarray]:
     """(U sqrt(L), U) for A = U L U†: a square factor F with F F† = A, and its basis.
 
     The eigendecomposition, PSD check and trim of :func:`psd_sqrt`, which
     is this factor times U†.  Eigenvalues trimmed to zero leave zero columns.
+    The PSD error gives the lowest eigenvalue of the stack and, when `name`
+    is given, name(index) of the matrix that has it.
     """
     w, U = hermitian_eig(A)
     if w.size and _any(w[..., 0] < -EIGENVALUE_CLAMP):
-        raise ValueError(
-            "matrix is not positive semidefinite: "
-            f"eigenvalue {w[..., 0].min():.3e} < -{EIGENVALUE_CLAMP:.1e}"
-        )
+        low = w[..., 0]
+        i = np.unravel_index(low.argmin(), low.shape)
+        message = f"matrix is not positive semidefinite: eigenvalue {low[i]:.3e} < -{EIGENVALUE_CLAMP:.1e}"
+        raise ValueError(message if name is None else f"{message} ({name(i)})")
     w = np.where(w <= ZERO_EIGENVALUE_TRIM, 0.0, w)
     s = np.sqrt(w)
     return U * s[..., None, :], U

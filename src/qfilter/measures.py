@@ -39,7 +39,8 @@ def _fidelity_of_cross(cross: np.ndarray) -> float | np.ndarray:
     """F = (tr|cross|)^2 for cross = A† B, where A A† = sigma and B B† = rho.
 
     Any factors give the same trace norm: psd_sqrt(sigma) @ psd_sqrt(rho) in
-    :func:`fidelity`, and L_sigma† L_rho for the simulation engine's factors.
+    :func:`fidelity`, and L_sigma† L_rho for the simulation engine's and the
+    proof replay's factors.
     The overshoot check and the clamp are those of :func:`fidelity`.
     """
     val = np.linalg.svd(cross, compute_uv=False).sum(axis=-1) ** 2

@@ -61,7 +61,7 @@ COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 
 #: Proof-replay link (e): |lifted overlap - F(sigma, rho)|, an identity
-#: computed through two square roots and an SVD on each side.
+#: computed through one eigendecomposition of each state and two SVDs.
 OVERLAP_TOL = 1e-10
 
 # --- inequality slack -------------------------------------------------------

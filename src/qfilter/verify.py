@@ -25,8 +25,10 @@ batch as alone.  The mean evolution reads the same rows against K(rho),
 the Hermitian part of the sum of rho's per-outcome maps from the same
 product, formed only when asked.  A single instance is a batch of one: the
 gap reports, the mean evolution, the counter-example and
-:func:`qfilter.dilation.replay_proof` read it so, and the replayed chain
-sums the very numbers the checked gap sums.  The kernel keeps the last few
+:func:`qfilter.dilation.replay_proof` read it so.  The replay reads the
+pass's probabilities, updates and fallback flags but takes its fidelities
+from factors of sigma and rho, so its expectation agrees with the checked
+gap's within round-off, not bit for bit.  The kernel keeps the last few
 batch-of-one passes, so a battery of these checks on one (channel, sigma,
 rho, partition) forms its pass once and reads the bits a fresh pass gives;
 the mean evolution, which needs rho alone, reads a kept pass of any sigma.
@@ -474,8 +476,7 @@ def _one_step(
     `operators` (B, m, n, n) holds each instance's Kraus stack, sigma and rho
     (B, n, n) its states, and `partitions` its partition.  `measure` is called
     once on the two stacks, updates then states: callers resolve a name
-    through MEASURES, and the proof replay passes a fidelity that keeps its
-    square roots.
+    through MEASURES.
     """
     states = np.array(measures._check_pair(sigma, rho))
     kept = _kept_blocks(operators, states, partitions, fallback)

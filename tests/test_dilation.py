@@ -18,6 +18,12 @@ def random_instance(rng, n=None, m=None):
     return ch, sigma, rho
 
 
+def amplitudes(psi):
+    """The amplitude matrices A[s, q] of purifications psi on S (x) Q, S index fastest: one or a stack."""
+    n = math.isqrt(psi.shape[-1])
+    return psi.reshape(psi.shape[:-1] + (n, n)).swapaxes(-1, -2)
+
+
 def projective_channel():
     return channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
@@ -187,6 +193,8 @@ class TestReplayProof:
         ch, sigma, rho = verify.counterexample_instance()
         rep = dilation.replay_proof(ch, sigma, rho)
         assert rep.all_links_hold
+        assert abs(rep.expected_next_fidelity - 1.0 / 3.0) <= 1e-15
+        assert abs(rep.fidelity_current - 0.25) <= 1e-15
         gap = rep.expected_next_fidelity - rep.fidelity_current
         assert abs(gap - 1.0 / 12.0) < 1e-9
         want = verify.measure_gap_report(ch, sigma, rho, "fidelity").lhs
@@ -218,7 +226,8 @@ class TestReplayProof:
             assert gap >= -1e-9
 
     def test_chain_sums_the_checked_gap(self):
-        # the replay reads the gap check's one-step pass, so its sums are the check's, bit for bit
+        # the replay reads the gap check's one-step pass for its probabilities and fallback flags
+        # and takes its fidelities in factor form, so its sums are the check's within round-off
         rng = np.random.default_rng(16)
         cases = []
         for i in range(30):
@@ -233,8 +242,8 @@ class TestReplayProof:
         for ch, sigma, rho, part in cases:
             rep = dilation.replay_proof(ch, sigma, rho, part)
             checked = verify.check_fidelity_submartingale(ch, sigma, rho, part)
-            assert rep.expected_next_fidelity == checked.lhs
-            assert rep.fidelity_current == checked.rhs
+            assert abs(rep.expected_next_fidelity - checked.lhs) <= 1e-12
+            assert abs(rep.fidelity_current - checked.rhs) <= 1e-12
             assert rep.fallback_blocks == checked.fallback_blocks
         assert rep.fallback_blocks == (1, 2)  # sigma falls back under a permuted partition
 
@@ -300,7 +309,7 @@ class TestMatrixFreeLift:
             ch, sigma, rho = random_instance(rng, n, m)
             part = channels.random_partition(m, rng) if i % 2 else None
             for psi in dilation.uhlmann_pair(sigma, rho):
-                lifted = dilation._lift(ch.operators, psi)
+                lifted = dilation._lift(ch.operators, amplitudes(psi))
                 assert lifted.shape == (m, n, n)
                 assert np.abs(lifted.reshape(-1) - oracles.dense_lift(ch.operators, psi)).max() < 1e-12
             got = dilation.replay_proof(ch, sigma, rho, part).link_residuals
@@ -315,7 +324,7 @@ class TestMatrixFreeLift:
         # each outcome's reduction is that outcome's map of the purified state
         rng = np.random.default_rng(16 + n + m)
         ch, sigma, rho = random_instance(rng, n, m)
-        lifts = np.stack([dilation._lift(ch.operators, psi) for psi in dilation.uhlmann_pair(sigma, rho)])
+        lifts = dilation._lift(ch.operators, amplitudes(np.array(dilation.uhlmann_pair(sigma, rho))))
         reduced = dilation._reduce(lifts)
         assert reduced.shape == (2, m, n, n)
         assert np.abs(reduced - oracles.lift_reductions(lifts)).max() <= 1e-14
@@ -351,19 +360,80 @@ class TestMatrixFreeLift:
 
 
 def old_route(ch, sigma, rho, partition):
-    """The replay as it was composed before it read the pass's square roots: the public
-    uhlmann_pair (make_density on both states, one stacked square root of [sigma, rho]), then
-    the one-step pass with the registered "fidelity" measure, then the links."""
-    pair = dilation.uhlmann_pair(sigma, rho)
+    """The replay on the dense route, as it was composed before the factor form: the public
+    uhlmann_pair (make_density on both states, one stacked square root of [sigma, rho]), the
+    one-step pass with the registered "fidelity" measure, which square-roots every dense update
+    and both states, then the links on the lifts of that pair."""
+    psi_sigma, psi_rho = dilation.uhlmann_pair(sigma, rho)
+    [step], _ = verify._one_step(ch.operators[None], sigma[None], rho[None], verify.MEASURES["fidelity"], [partition])
+    kept, probs_rho, probs_sigma = step.kept, step.probs, step.probs_sigma
+    lifts = dilation._lift(ch.operators, amplitudes(np.array([psi_sigma, psi_rho])))
+    reduced = dilation._reduce(lifts)
+    inner = np.einsum("eqs,eqs->e", lifts[0].conj(), lifts[1])
+    overlap_lifted = float(abs(inner.sum()) ** 2)
+    norms = channels._block_sums(np.trace(reduced, axis1=-2, axis2=-1).real, partition)
+    block_reduced = channels._block_sums(reduced, partition, axis=-3)[:, kept]
+    live = probs_sigma[kept] > tolerances.ZERO_PROB_TOL
+    both = kept[live]
+    res_a = float(np.abs(norms[1] - probs_rho).max())
+    res_b = float(np.abs(block_reduced[1] / norms[1, kept, None, None] - step.rho_next).max())
+    if both.size:
+        sigma_red = block_reduced[0, live] / norms[0, both, None, None]
+        res_b = max(res_b, float(np.abs(sigma_red - step.sigma_next[live]).max()))
+    overlaps = np.abs(channels._block_sums(inner, partition)[both]) ** 2 / (norms[0, both] * norms[1, both])
+    margin_c = float((step.values[live] - overlaps).min()) if both.size else math.inf
+    cs_lhs = float(sum(probs_rho[both] * overlaps))
+    fidelity_of = dict(zip(kept.tolist(), step.values.tolist()))
+    overlap_of = dict(zip(both.tolist(), overlaps.tolist()))
+    residuals = {
+        "a_block_norms": res_a,
+        "b_purifications": res_b,
+        "c_uhlmann_margin": margin_c,
+        "d_cauchy_schwarz": cs_lhs - overlap_lifted,
+        "e_overlap_vs_fidelity": abs(overlap_lifted - step.rhs),
+    }
+    tol = tolerances.GAP_TOL
+    holds = {
+        "a_block_norms": res_a <= tol,
+        "b_purifications": res_b <= tol,
+        "c_uhlmann_margin": margin_c >= -tol,
+        "d_cauchy_schwarz": residuals["d_cauchy_schwarz"] >= -tol,
+        "e_overlap_vs_fidelity": residuals["e_overlap_vs_fidelity"] <= tolerances.OVERLAP_TOL,
+    }
+    return dilation.ProofReplayReport(
+        overlap_initial=float(abs(np.vdot(psi_sigma, psi_rho)) ** 2),
+        blocks=[
+            dilation.BlockReplay(nu, p, q, overlap_of.get(nu), fidelity_of.get(nu), nu in step.fallback_blocks)
+            for nu, (p, q) in enumerate(zip(probs_rho.tolist(), probs_sigma.tolist()))
+        ],
+        cauchy_schwarz_lhs=cs_lhs,
+        cauchy_schwarz_rhs=overlap_lifted,
+        fidelity_current=step.rhs,
+        expected_next_fidelity=step.lhs,
+        link_residuals=residuals,
+        links_hold=holds,
+        all_links_hold=all(holds.values()),
+        fallback_blocks=step.fallback_blocks,
+    )
 
-    def registered_fidelity(roots, s, r):
-        roots[:] = s, r  # read by nothing: the pair is uhlmann_pair's
-        return verify.MEASURES["fidelity"](s, r)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dilation, "_rooted_fidelity", registered_fidelity)
-        mp.setattr(dilation, "_aligned_pair", lambda sqrt_sigma, sqrt_rho: pair)
-        return dilation.replay_proof(ch, sigma, rho, partition)
+def assert_reports_agree(got, want, tol=1e-12):
+    """Every float field of two replays within tol; the verdicts, the fallback blocks, the block
+    list and both probability vectors bit for bit."""
+    assert (got.links_hold, got.all_links_hold, got.fallback_blocks) == (want.links_hold, want.all_links_hold, want.fallback_blocks)
+    for g, w in zip(got.blocks, want.blocks, strict=True):
+        assert (g.block, g.probability, g.probability_estimate, g.used_fallback) == (w.block, w.probability, w.probability_estimate, w.used_fallback)
+        assert (g.overlap is None, g.fidelity is None) == (w.overlap is None, w.fidelity is None)
+        for a, b in ((g.overlap, w.overlap), (g.fidelity, w.fidelity)):
+            assert a is None or abs(a - b) <= tol
+    floats = [
+        (got.overlap_initial, want.overlap_initial), (got.fidelity_current, want.fidelity_current),
+        (got.expected_next_fidelity, want.expected_next_fidelity),
+        (got.cauchy_schwarz_lhs, want.cauchy_schwarz_lhs), (got.cauchy_schwarz_rhs, want.cauchy_schwarz_rhs),
+    ]
+    floats += [(got.link_residuals[k], want.link_residuals[k]) for k in want.link_residuals]
+    for a, b in floats:
+        assert a == b or abs(a - b) <= tol, (a, b)
 
 
 def fallback_instance(rng, n, m):
@@ -378,39 +448,89 @@ def fallback_instance(rng, n, m):
     return ch, sigma / np.trace(sigma).real, states.random_density(n, n, rng)
 
 
+def replay_instances():
+    """321 instances: n, m in 1..6, partitions None, singleton, trivial and random, rank-1 and
+    rank-deficient states, sigma-vanishing blocks that fall back, and the counter-example."""
+    rng = np.random.default_rng(31)
+    for i in range(320):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        if i % 5 == 4 and 2 <= m <= n:
+            ch, sigma, rho = fallback_instance(rng, n, m)
+        else:
+            ch = channels.random_channel(n, m, rng)
+            # rank 1 every third instance, otherwise any rank
+            sigma, rho = (states.random_density(n, 1 if i % 3 == 0 else int(rng.integers(1, n + 1)), rng)
+                          for _ in range(2))
+        part = (None, channels.singleton_partition(m), channels.trivial_partition(m),
+                channels.random_partition(m, rng))[i % 4]
+        yield ch, sigma, rho, part
+    yield (*verify.counterexample_instance(), None)
+
+
+def near_null_instances(count, rng):
+    """(channel, sigma, rho, partition): a projective channel of m <= n projectors onto groups of a
+    Haar basis, and an estimate whose block-0 probability is in [1e-12, 1e-8], whose dense update
+    of that block is not positive semidefinite in floating point."""
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(2, n + 1))
+        basis = channels.haar_unitary(n, rng)
+        labels = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        rng.shuffle(labels)
+        ch = channels.validate_channel([basis[:, labels == k] @ basis[:, labels == k].conj().T for k in range(m)])
+        inside, outside = basis[:, labels == 0], basis[:, labels != 0]
+        eps = 10.0 ** rng.uniform(-12.0, -8.0)
+        a = inside @ states.random_density(inside.shape[1], 1, rng) @ inside.conj().T
+        k = outside.shape[1]
+        b = outside @ states.random_density(k, int(rng.integers(1, k + 1)), rng) @ outside.conj().T
+        rho = states.random_density(n, int(rng.integers(1, n + 1)), rng)
+        yield ch, (1.0 - eps) * b + eps * a, rho, channels.random_partition(m, rng) if rng.integers(2) else None
+
+
 class TestReplayReadsThePassRoots:
-    """The Uhlmann pair is aligned from the square roots of the pass's fidelity."""
+    """The replay reads the one-step pass for its probabilities, dense updates and fallback flags,
+    and takes its fidelities and its Uhlmann pair from one factorisation of [sigma, rho]; the dense
+    route, uhlmann_pair and the registered fidelity, is its oracle."""
 
-    def instances(self):
-        rng = np.random.default_rng(31)
-        for i in range(320):
-            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            if i % 5 == 4 and 2 <= m <= n:
-                ch, sigma, rho = fallback_instance(rng, n, m)
-            else:
-                ch = channels.random_channel(n, m, rng)
-                # rank 1 every third instance, otherwise any rank
-                sigma, rho = (states.random_density(n, 1 if i % 3 == 0 else int(rng.integers(1, n + 1)), rng)
-                              for _ in range(2))
-            part = (None, channels.singleton_partition(m), channels.trivial_partition(m),
-                    channels.random_partition(m, rng))[i % 4]
-            yield ch, sigma, rho, part
-        yield (*verify.counterexample_instance(), None)
-
-    def test_replay_matches_the_old_route_bit_for_bit(self):
+    def test_replay_matches_the_old_route_within_round_off(self):
         fell_back = 0
-        for ch, sigma, rho, part in self.instances():
+        for ch, sigma, rho, part in replay_instances():
             channels._pass_memo.clear()
             got = dilation.replay_proof(ch, sigma, rho, part)
             channels._pass_memo.clear()
-            want = old_route(ch, sigma, rho, part)
-            assert repr(got.to_dict()) == repr(want.to_dict())
+            assert_reports_agree(got, old_route(ch, sigma, rho, part))
             checked = verify.check_fidelity_submartingale(ch, sigma, rho, part)
-            assert (got.expected_next_fidelity, got.fidelity_current) == (checked.lhs, checked.rhs)
-            psi_sigma, psi_rho = dilation.uhlmann_pair(sigma, rho)
-            assert got.overlap_initial == float(abs(np.vdot(psi_sigma, psi_rho)) ** 2)
+            assert abs(got.expected_next_fidelity - checked.lhs) <= 1e-12
+            assert abs(got.fidelity_current - checked.rhs) <= 1e-12
             fell_back += bool(got.fallback_blocks)
         assert fell_back >= 20
+
+    def test_replay_bits_alone_and_after_a_kept_pass(self):
+        # a replay that finds its pass kept by a gap check gives the bits of one that forms it
+        for ch, sigma, rho, part in replay_instances():
+            channels._pass_memo.clear()
+            alone = repr(dilation.replay_proof(ch, sigma, rho, part).to_dict())
+            channels._pass_memo.clear()
+            verify.check_fidelity_submartingale(ch, sigma, rho, part)
+            [(_, _, kept)] = channels._pass_memo
+            assert repr(dilation.replay_proof(ch, sigma, rho, part).to_dict()) == alone
+            [(_, _, read)] = channels._pass_memo
+            assert read is kept  # the replay read the check's pass and formed none
+
+    def test_near_null_blocks_give_a_report(self):
+        # the dense route raised "not positive semidefinite" on 64 of these 400 instances, from
+        # the square root of sigma's near-null update; the factor route has no such root
+        for ch, sigma, rho, part in near_null_instances(400, np.random.default_rng(3)):
+            rep = dilation.replay_proof(ch, sigma, rho, part)
+            holds = rep.links_hold
+            assert holds["a_block_norms"] and holds["c_uhlmann_margin"], rep.link_residuals
+            assert holds["d_cauchy_schwarz"] and holds["e_overlap_vs_fidelity"], rep.link_residuals
+            # the margin of link (c) compares the fidelity and the overlap of the same lifted
+            # blocks, so it is >= 0 at the exact-identity tier, not only at link_tol
+            assert rep.link_residuals["c_uhlmann_margin"] >= -1e-12
+            # link (b) is not asserted: it compares the lifts' reductions with the dense update
+            # M sigma M† / p, whose relative error near p = 1e-12 is about 1e-16 / p, so it fails
+            # on 244 of these instances, with residuals up to 7.8e-5
 
     @staticmethod
     def invalid(kind):
@@ -429,8 +549,8 @@ class TestReplayReadsThePassRoots:
             return ch, sigma + 0.1j * np.triu(np.ones((3, 3)), 1), rho, r"^matrix is not Hermitian: max\|A - A†\| = 1.000e-01"
         if kind in ("trace above", "trace below"):
             return ch, sigma, rho * (1 + 1e-8 if kind == "trace above" else 1 - 1e-8), "^density matrix must have unit trace, got "
-        # trace one, one eigenvalue -1e-6: an update of it fails the fidelity's stacked square root first
-        return ch, sigma, np.diag([0.5 + 1e-6, 0.5, -1e-6]), "^matrix is not positive semidefinite: eigenvalue "
+        # trace one, one eigenvalue -1e-6: the factorisation of [sigma, rho] names rho and its own eigenvalue
+        return ch, sigma, np.diag([0.5 + 1e-6, 0.5, -1e-6]), r"^matrix is not positive semidefinite: eigenvalue -1\.000e-06 < -1\.0e-10 \(rho\)$"
 
     @pytest.mark.parametrize("kind", [
         "stack", "non-square", "mismatched n", "nan", "non-hermitian", "trace above", "trace below", "negative eigenvalue",
@@ -441,3 +561,70 @@ class TestReplayReadsThePassRoots:
             dilation.uhlmann_pair(sigma, rho)  # the old route's validation: make_density on each state
         with pytest.raises(ValueError, match=message):
             dilation.replay_proof(ch, sigma, rho)
+
+    def test_a_non_psd_sigma_is_named(self):
+        ch, _, rho = random_instance(np.random.default_rng(4), n=3, m=2)
+        sigma = np.diag([0.5 + 2e-6, 0.5, -2e-6])
+        with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-06 < -1\.0e-10 \(sigma\)$"):
+            dilation.replay_proof(ch, sigma, rho)
+
+
+def replay_terms(rep):
+    """The replay's numbers the setting's symmetries keep: E[F'], F, the margin of link (c), the
+    Cauchy-Schwarz sum, and each block's fidelity and overlap (None where a block has none)."""
+    head = [rep.expected_next_fidelity, rep.fidelity_current, rep.link_residuals["c_uhlmann_margin"], rep.cauchy_schwarz_lhs]
+    return head + [b.fidelity for b in rep.blocks] + [b.overlap for b in rep.blocks]
+
+
+def invariance_instances(seed, count=60):
+    """(channel, sigma, rho, partition, rng): n in 2..4, m in 2..5, random partitions with coarse
+    blocks, states of random rank."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ch, sigma, rho = random_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+        yield ch, sigma, rho, channels.random_partition(ch.num_outcomes, rng), rng
+
+
+class TestReplayInvariances:
+    """The replay's terms under the symmetries of the setting, at the exact-identity tier."""
+
+    @staticmethod
+    def assert_same_terms(got, want):
+        for a, b in zip(replay_terms(got), replay_terms(want), strict=True):
+            assert (a is None) == (b is None)
+            assert a is None or abs(a - b) <= 1e-12, (a, b)
+
+    def test_kraus_gauge_within_blocks(self):
+        # M'_mu = sum_{nu in block} W_{mu nu} M_nu with W Haar: the same block maps, so the same replay
+        for ch, sigma, rho, part, rng in invariance_instances(71):
+            ops = ch.operators.copy()
+            for block in part.blocks:
+                ops[list(block)] = np.einsum("ij,jab->iab", channels.haar_unitary(len(block), rng), ch.operators[list(block)])
+            gauged = channels.validate_channel(ops)
+            self.assert_same_terms(dilation.replay_proof(gauged, sigma, rho, part), dilation.replay_proof(ch, sigma, rho, part))
+
+    def test_unitary_covariance(self):
+        # M -> U M U† and both states -> U . U†
+        for ch, sigma, rho, part, rng in invariance_instances(72):
+            U = channels.haar_unitary(ch.dim, rng)
+            turned = channels.validate_channel(U @ ch.operators @ U.conj().T)
+            got = dilation.replay_proof(turned, U @ sigma @ U.conj().T, U @ rho @ U.conj().T, part)
+            self.assert_same_terms(got, dilation.replay_proof(ch, sigma, rho, part))
+
+    def test_idle_ancilla(self):
+        # M (x) I_2 with sigma (x) tau and rho (x) tau, the system index fastest
+        for ch, sigma, rho, part, rng in invariance_instances(73):
+            tau = states.random_density(2, 2, rng)
+            wide = channels.validate_channel([np.kron(np.eye(2), M) for M in ch.operators])
+            got = dilation.replay_proof(wide, np.kron(tau, sigma), np.kron(tau, rho), part)
+            self.assert_same_terms(got, dilation.replay_proof(ch, sigma, rho, part))
+
+    def test_outcome_relabelling(self):
+        # outcome mu becomes pi(mu), and the partition's blocks list the relabelled outcomes
+        for ch, sigma, rho, part, rng in invariance_instances(74):
+            pi = rng.permutation(ch.num_outcomes)
+            ops = np.empty_like(ch.operators)
+            ops[pi] = ch.operators
+            relabelled = channels.make_partition(ch.num_outcomes, [[pi[mu] for mu in block] for block in part.blocks])
+            got = dilation.replay_proof(channels.validate_channel(ops), sigma, rho, relabelled)
+            self.assert_same_terms(got, dilation.replay_proof(ch, sigma, rho, part))

@@ -601,8 +601,6 @@ class TestCallCounts:
         fid = counted("fidelity", measures.fidelity)
         monkeypatch.setattr(measures, "fidelity", fid)
         monkeypatch.setitem(verify.MEASURES, "fidelity", fid)
-        # the proof replay's own fidelity, which keeps its square roots for the Uhlmann pair
-        monkeypatch.setattr(dilation, "_rooted_fidelity", counted("fidelity", dilation._rooted_fidelity))
         # every module that could call them by name, whether it imports them or not
         for name, key in (
             ("_per_outcome", "products"), ("_block_maps", "kernel"),
@@ -628,16 +626,16 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("m", [2, 6])
     def test_proof_replay(self, counts, m):
-        # sigma's block probabilities come from the one-step pass too, and its one fidelity call
-        # is the replay's own, whose square roots give the Uhlmann pair
+        # sigma's block probabilities come from the one-step pass too; the fidelities come from
+        # factors, so no dense fidelity runs
         rng = np.random.default_rng(m)
         ch, sigma, rho = random_instance(rng, n=3, m=m)
         dilation.replay_proof(ch, sigma, rho, channels.random_partition(m, rng))
-        assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
+        assert counts == {"fidelity": 0, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_proof_replay_eigendecompositions(self, monkeypatch):
-        # the fidelity of the pass makes the two stacked square roots, and the Uhlmann pair reads
-        # their last rows; no eigenvalue-only PSD test runs
+        # one eigendecomposition of the stack [sigma, rho] gives the factors every fidelity and
+        # the Uhlmann pair come from; no update is decomposed and no eigenvalue-only PSD test runs
         calls = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", np.shape(a))) or eigh(a))
@@ -645,7 +643,7 @@ class TestCallCounts:
         rng = np.random.default_rng(8)
         ch, sigma, rho = random_instance(rng, n=3, m=4)
         dilation.replay_proof(ch, sigma, rho)
-        assert calls == [("eigh", (5, 3, 3)), ("eigh", (5, 3, 3))]
+        assert calls == [("eigh", (2, 3, 3))]
 
     def test_verify_run(self, counts, tmp_path):
         # one stacked pass for the run: one per-outcome product, one kernel call per distinct

@@ -11,20 +11,20 @@ Outcome indices may be aggregated into partition blocks ("partial Kraus
 maps"); all three notions then apply blockwise with M_mu sums inside each
 block.  When a block has vanishing probability for the state being updated,
 the update is applied to a fallback state xi instead (I/n by default); a
-caller's xi is checked whether or not a block needs it.
+caller's xi is checked in full, by name, whether or not a block needs it.
 
-The state functions take one density matrix or a stack of shape (..., n, n);
-every check runs across the whole stack.  They read one dense kernel,
+The state functions take one density matrix or a stack of shape (..., n, n),
+checked in full and named ``rho``, each test across the whole stack; below
+the entries the kernels trust their inputs.  They read one dense kernel,
 :func:`_dense_blocks`, whose block maps are the updates and whose block
 probabilities are their traces, checked where they are formed
-(:func:`_block_maps`): every state's probabilities are non-negative beyond
-round-off and sum to one within TRACE_TOL.  It builds the per-outcome maps
-M_mu rho M_mu† from two matrix products, O(m n^3) per state
-(:func:`_per_outcome`); :func:`apply_channel` takes the Hermitian part of
-their sum.  The kernel takes an operator stack: one channel's (m, n, n), or
-one Kraus stack per instance (..., m, n, n), each with the bits it gets
-alone.  The exact checks of :mod:`qfilter.verify` read its pass over many
-instances, :func:`_kept_blocks`: the states checked Hermitian, one product
+(:func:`_block_maps`): non-negative beyond round-off and summing to one
+within TRACE_TOL.  It builds the per-outcome maps M_mu rho M_mu† from two
+matrix products, O(m n^3) per state (:func:`_per_outcome`), and takes an
+operator stack: one channel's (m, n, n), or one Kraus stack per instance
+(..., m, n, n), each with the bits it gets alone.  The exact checks of
+:mod:`qfilter.verify` read its pass over many instances,
+:func:`_kept_blocks`: the states checked finite and Hermitian, one product
 for the whole stack, one block sum per distinct partition, and the updates
 of the kept blocks only.  The last few passes of one instance are kept,
 read-only, so the checks of one instance form its pass once.
@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _any, _psd_factor, require_hermitian
-from .states import make_density, maximally_mixed
+from .linalg import _any, _label, _psd_factor, require_hermitian
+from .states import _density, maximally_mixed
 from .tolerances import COMPLETENESS_TOL, TRACE_TOL, ZERO_OPERATOR_TOL, ZERO_PROB_TOL
 
 
@@ -199,7 +199,12 @@ def _freeze(ops: np.ndarray) -> list[KrausChannel]:
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """The Kraus map K(rho) = sum_mu M_mu rho M_mu†: the Hermitian part of the per-outcome maps' sum."""
-    out = _per_outcome(ch.operators, _check_dims(ch.operators, rho)).sum(axis=-3)
+    return _kraus_sum(_dense_blocks(ch.operators, rho)[0])
+
+
+def _kraus_sum(per: np.ndarray) -> np.ndarray:
+    """K(rho) from rho's per-outcome maps (..., m, n, n), unchecked: the Hermitian part of their sum."""
+    out = per.sum(axis=-3)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
@@ -299,9 +304,10 @@ def _dense_blocks(operators: np.ndarray, rho, partition: OutcomePartition | None
     them.  Shapes (..., blocks, n, n) and (..., blocks), one block per
     outcome when partition is None.  The probabilities are the maps' traces,
     checked by :func:`_probabilities`, and the normalisers of the updates.
-    A state gets the same bits alone and in any row of a stack.
+    A state gets the same bits alone and in any row of a stack; rho is checked in full.
     """
-    return _block_maps(operators, _per_outcome(operators, _check_dims(operators, rho)), partition)
+    [rho] = _density({"rho": rho}, operators.shape[-1], stack=True)
+    return _block_maps(operators, _per_outcome(operators, rho), partition)
 
 
 def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartition | None, name=None):
@@ -313,14 +319,13 @@ def _block_maps(operators: np.ndarray, per: np.ndarray, partition: OutcomePartit
     dense kernel checks probabilities: every state's, whatever reads them
     (`name` as :func:`_probabilities` takes it).
     """
-    if partition is not None:
-        _check_partition(operators, partition)
+    _check_partition(operators, partition)
     maps = _block_sums(per, partition, axis=-3)
     return maps, _probabilities(maps.trace(0, -2, -1).real, name)
 
 
 def _per_outcome(operators: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The per-outcome maps M_mu rho M_mu† of a checked state or stack, shape (..., m, n, n).
+    """The per-outcome maps M_mu rho M_mu† of a state or stack, shape (..., m, n, n).
 
     `operators` is one channel's (m, n, n), which every state takes, or a
     stack (..., m, n, n) whose leading axes broadcast against rho's.  Two
@@ -350,7 +355,7 @@ def _probabilities(per: np.ndarray, name=None) -> np.ndarray:
         if not _any(off):
             return per
         row, message = np.argwhere(off)[0], f"outcome probabilities sum to {np.extract(off, total)[0]:.12g}, not 1"
-    raise ValueError(message if name is None else f"{message} ({name(tuple(row))})")
+    raise ValueError(message if name is None else f"{message} ({_label(name, tuple(row))})")
 
 
 def _dense_updates(
@@ -372,14 +377,14 @@ def _dense_updates(
     needs it, so no result depends on which blocks vanished.
     """
     if fallback is not None:
-        _check_dims(operators, make_density(fallback), "fallback")
+        _density({"fallback": fallback}, operators.shape[-1])
     used = p <= ZERO_PROB_TOL
     if _any(used):
         needed = np.broadcast_to(blocks, used.shape)[used]
         ops = operators[np.broadcast_to(channels, used.shape)[used]]
 
         def kernel(xi):
-            maps_xi, p_xi = _dense_blocks(ops, xi, partition)
+            maps_xi, p_xi = _block_maps(ops, _per_outcome(ops, xi), partition)
             rows = np.arange(len(needed))
             return maps_xi[rows, needed], p_xi[rows, needed]
 
@@ -394,12 +399,11 @@ def _dense_updates(
 def _fallback(n: int, fallback, needed: np.ndarray, kernel):
     """kernel(xi) -> (results, xi's probabilities of the `needed` blocks) for the fallback xi, I/n when not given.
 
-    The one fallback rule: a caller's xi must be a density matrix
-    (:func:`make_density`), and the rule raises when xi has zero probability
-    for one of the `needed` blocks, those where a state's own probability
-    vanished.
+    The one fallback rule: it raises when xi, checked by the caller, has zero
+    probability for one of the `needed` blocks, those where a state's own
+    probability vanished.
     """
-    xi = maximally_mixed(n) if fallback is None else make_density(fallback)
+    xi = maximally_mixed(n) if fallback is None else np.asarray(fallback, dtype=complex)
     out, p_xi = kernel(xi)
     dead = p_xi <= ZERO_PROB_TOL
     if _any(dead):
@@ -422,8 +426,7 @@ class _Kept(NamedTuple):
 
     def kraus_map(self) -> np.ndarray:
         """K(rho) of each instance (B, n, n), when asked: rho's per-outcome maps summed as apply_channel sums them."""
-        out = self.rho_maps.sum(axis=-3)
-        return (out + out.conj().swapaxes(-1, -2)) / 2
+        return _kraus_sum(self.rho_maps)
 
 
 #: the most batch-of-one passes :func:`_kept_blocks` keeps
@@ -443,7 +446,6 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
     products run per 2-D slice, the updates per element).  An error is never kept, and a stacked
     pass (B > 1) is always formed.
     """
-    states = _check_dims(operators, states)
     if len(partitions) != 1:
         return _kept_pass(operators, states, partitions, fallback)
     xi = None if fallback is None else np.asarray(fallback, dtype=complex)
@@ -468,24 +470,24 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
 
 
 def _kept_pass(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
-    """The pass of :func:`_kept_blocks`, formed: the states checked Hermitian, one per-outcome
-    product for the whole stack, then one block sum per distinct partition, in that partition's
-    block order, on its instances' rows gives every state's block maps and probabilities; only
-    the kept rows are gathered and updated, the one fallback rule applied to them.
+    """The pass of :func:`_kept_blocks`, formed: the states checked finite and Hermitian (an error names the
+    state, in a batch "sigma of instance 3"), one per-outcome product for the whole stack, then one block
+    sum per distinct partition, in its block order, on its instances' rows gives every state's block maps
+    and probabilities; only the kept rows are gathered and updated, the one fallback rule applied to them.
     """
     by_partition: dict = {}
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
-    per = _per_outcome(operators, require_hermitian(states))
-    names = ("sigma", "rho")[-len(per) :]  # a batch's probability errors name the state and the instance
+    names = ("sigma", "rho")[-len(states) :]
+    label = names if len(partitions) == 1 else lambda i: f"{names[i[0]]} of instance {i[1]}"
+    per = _per_outcome(operators, require_hermitian(states, label))
     instances: list = [None] * len(partitions)
     weights, updates, used = [], [], []
     start = 0
     for partition, idx in by_partition.items():
         whole = len(by_partition) == 1
         ops = operators if whole else operators[idx]
-        name = (lambda row: f"{names[row[0]]} of instance {idx[row[1]]}") if len(partitions) > 1 else None
-        maps, p = _block_maps(ops, per if whole else per[:, idx], partition, name)
+        maps, p = _block_maps(ops, per if whole else per[:, idx], partition, lambda r, idx=idx: _label(label, (r[0], idx[r[1]])))
         keep = p[-1] > ZERO_PROB_TOL
         inst, blk = keep.nonzero()
         if len(blk) == keep.size:  # every block kept: the rows are the arrays whole, no gather
@@ -520,10 +522,7 @@ def _factor_probs(ch: KrausChannel, L: np.ndarray, partition: OutcomePartition |
     T = (L.swapaxes(-1, -2) @ ch.operators.reshape(m * n, n).T).reshape(len(L), -1, m, n)
     v = T.view(np.float64)  # real and imaginary parts side by side
     per = np.einsum("bsmi,bsmi->bm", v, v)
-    if partition is not None:
-        _check_partition(ch.operators, partition)
-        per = _block_sums(per, partition)
-    return _probabilities(per)
+    return _probabilities(_block_sums(per, partition))
 
 
 def _factor_update(
@@ -626,17 +625,7 @@ def _block_layout(partition: OutcomePartition | None) -> tuple[np.ndarray, np.nd
     return order, starts
 
 
-def _check_dims(operators: np.ndarray, rho, name: str = "state") -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    n = operators.shape[-1]
-    if rho.shape[-2:] != (n, n):
-        raise ValueError(f"{name} has shape {rho.shape[-2:]}, channel dimension is {n}")
-    return rho
-
-
-def _check_partition(operators: np.ndarray, partition: OutcomePartition) -> None:
-    m = operators.shape[-3]
-    if partition.m != m:
-        raise ValueError(
-            f"partition is over {partition.m} outcomes, channel has {m}"
-        )
+def _check_partition(operators: np.ndarray, partition: OutcomePartition | None) -> None:
+    """The one partition check: a partition (None is the singleton one) must be over the channel's m outcomes."""
+    if partition is not None and partition.m != operators.shape[-3]:
+        raise ValueError(f"partition is over {partition.m} outcomes, channel has {operators.shape[-3]}")

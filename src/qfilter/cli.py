@@ -234,10 +234,6 @@ def _load_field(cfg: dict, field: str, decode):
         raise ConfigError(f"{field}: {exc}") from exc
 
 
-def _density_from_dict(d: dict) -> np.ndarray:
-    return make_density(matrix_from_dict(d))
-
-
 def _resolve_instance(cfg: dict):
     """Build (channel, rho, estimate, partition) from files or generator specs."""
     if cfg.get("channel"):
@@ -261,7 +257,7 @@ def _resolve_instance(cfg: dict):
         raise ConfigError("channel: provide channel or random_channel")
 
     if cfg.get("state"):
-        rho = _load_field(cfg, "state", _density_from_dict)
+        rho = _load_field(cfg, "state", lambda d: make_density(matrix_from_dict(d)))
     elif cfg.get("random_state"):
         parts = str(cfg["random_state"]).split(",")
         try:
@@ -279,7 +275,7 @@ def _resolve_instance(cfg: dict):
         rho = maximally_mixed(ch.dim)
 
     if cfg.get("estimate"):
-        est = _load_field(cfg, "estimate", _density_from_dict)
+        est = _load_field(cfg, "estimate", lambda d: make_density(matrix_from_dict(d)))
     else:
         est = maximally_mixed(ch.dim)
 

@@ -26,20 +26,17 @@ The jump probabilities p_nu(rho) and p_nu(sigma), the dense conditional
 updates (read by link (b) only) and the fallback flags come from the exact
 one-step pass the fidelity gap report reads (``channels._kept_blocks``).
 The fidelities come from factors: one eigendecomposition of [sigma, rho]
-gives PSD-checked factors L, L L† = state (``linalg._psd_factor``), the SVD
-of L_sigma† L_rho aligns the Uhlmann pair, whose amplitude matrices A are
+gives factors L, L L† = state (``linalg._psd_factor``), the SVD of
+L_sigma† L_rho aligns the Uhlmann pair, whose amplitude matrices A are
 factors too, and a kept block's fidelity is (tr|G_s† G_r|)^2 for the
 normalised block factors G of the lifts M_mu A (:func:`_fidelities`).  No
-update is square-rooted, so a near-null block, whose dense update is not
-PSD in floating point, still gives a report, and the replayed expectation
-agrees with the checked gap within round-off.  The links read per-outcome
-quantities of the two (m, n, n) lifts: their reductions to S (whose traces
-are the squared norms), one batched matrix product, and their inner
-products, one einsum, summed into blocks with the package's one block sum,
-``channels._block_sums``; no loop runs over the blocks.  A replay makes one
-eigendecomposition call; it checks each state's shape and trace itself, the
-factor checks finite, Hermitian and PSD, and a formed pass the block
-probabilities.
+update is square-rooted, so a near-null block still gives a report, and
+the replayed expectation agrees with the checked gap within round-off.  The
+links read the lifts' reductions to S, one batched product, and their inner
+products, one einsum, summed into blocks by ``channels._block_sums``.  Each
+state is tested once: the replay checks the shapes, the pass finite,
+Hermitian and the block probabilities (which cover the trace), and the
+factor, formed after the pass, PSD; every error names ``sigma`` or ``rho``.
 """
 
 from __future__ import annotations
@@ -51,22 +48,19 @@ import numpy as np
 
 from . import linalg, measures
 from .channels import KrausChannel, OutcomePartition, _block_factors, _block_sums, _kept_blocks, singleton_partition
-from .states import _check_unit_trace, make_density
+from .states import _density, _shaped
 from .tolerances import GAP_TOL, OVERLAP_TOL
-from .verify import _instance_state
 
 
 def uhlmann_pair(sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     """Purifications (psi_sigma, psi_rho) on S (x) Q with maximal overlap.
 
     Aligned through the singular decomposition of sqrt(sigma) sqrt(rho), so
-    |<psi_sigma|psi_rho>|^2 equals the fidelity of the pair.
+    |<psi_sigma|psi_rho>|^2 equals the fidelity of the pair.  Both must be
+    density matrices of one shape; the factor of their square roots tests PSD.
     """
-    sigma = make_density(sigma)
-    rho = make_density(rho)
-    if sigma.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {sigma.shape} vs {rho.shape}")
-    return tuple(amp.ravel(order="F") for amp in _aligned_pair(*linalg.psd_sqrt(np.stack([sigma, rho]))))
+    factor, U = linalg._psd_factor(np.array(_density({"sigma": sigma, "rho": rho}, psd=False)), ("sigma", "rho"))
+    return tuple(amp.ravel(order="F") for amp in _aligned_pair(*factor @ U.conj().swapaxes(-1, -2)))
 
 
 def _aligned_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,25 +139,19 @@ def replay_proof(
 ) -> ProofReplayReport:
     """Numerically replay the lifted one-step argument for one instance.
 
-    Factors the pair [sigma, rho] with one eigendecomposition, aligns the
-    Uhlmann pair by the SVD of L_sigma† L_rho, reads the exact one-step pass
-    for the probabilities, the dense updates and the fallback flags, lifts each
-    purification straight from the Kraus stack as M_mu A (:func:`_lift`; no
-    operator on S (x) Q (x) E is built), takes every fidelity from the lifts'
-    block factors, and checks links (a)-(e); see the module docstring.  Links
-    (a)-(d) hold within `link_tol`, the identity (e) within OVERLAP_TOL.
-    Blocks where sigma's probability vanishes take the xi route and are
-    flagged rather than entering the per-block overlap checks.  sigma and rho
-    must be (n, n) for the channel's n and density matrices, or a ValueError
-    says which test failed; a PSD error names the state and gives its lowest
-    eigenvalue.
+    Reads the exact one-step pass, factors [sigma, rho] with one
+    eigendecomposition, aligns the Uhlmann pair by the SVD of L_sigma† L_rho,
+    lifts each purification straight from the Kraus stack as M_mu A
+    (:func:`_lift`), takes every fidelity from the lifts' block factors, and
+    checks links (a)-(e) of the module docstring: (a)-(d) within `link_tol`,
+    the identity (e) within OVERLAP_TOL.  Blocks where sigma's probability
+    vanishes take the xi route and are flagged rather than entering the
+    per-block overlap checks.  sigma and rho must be density matrices of the
+    channel's n, or a ValueError names the state and the failed test.
     """
-    sigma, rho = _instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")
-    _check_unit_trace(sigma)
-    _check_unit_trace(rho)
-    states = np.array([sigma, rho])
-    L_sigma, L_rho = linalg._psd_factor(states, lambda i: ("sigma", "rho")[i[0]])[0]
+    states = np.array(_shaped({"sigma": sigma, "rho": rho}, ch.dim))
     step = _kept_blocks(ch.operators[None], states[:, None], [partition])
+    L_sigma, L_rho = linalg._psd_factor(states, ("sigma", "rho"))[0]
     [((probs_sigma, probs_rho), kept, rows)] = step.instances
     (sigma_next, rho_next), used = step.updates[:, rows], step.used[0, rows]
     amps = np.array(_aligned_pair(L_sigma, L_rho))

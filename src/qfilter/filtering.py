@@ -15,10 +15,10 @@ is row i of any batch that holds trajectory i, and a longer horizon extends
 a shorter one.
 
 One engine runs the chain: a step function on stacks of pairs of states,
-each state carried as a square factor L with rho = L L†.  The factors of
-rho0 and rho_hat0 come from one eigendecomposition with the PSD check of
-:func:`qfilter.linalg.psd_sqrt`; only xi is decomposed again, validated on
-every step whose estimate falls back to it.  A step samples its jumps from
+each state carried as a square factor L with rho = L L†.  The engine trusts
+the inputs :meth:`SimulationConfig.validate` checked: the factors of rho0
+and rho_hat0 come from one eigendecomposition; only xi is decomposed again,
+on every step whose estimate falls back to it.  A step samples its jumps from
 the true factors' products with all m operators, then maps L to
 [M_mu L]_{mu in b} / ||.||_F for the sampled block b alone, a coarse
 block's k n columns compressed back to n by a QR, so the engine cannot
@@ -32,20 +32,16 @@ advances each history once.
 
 One driver, :func:`_lockstep`, advances any set of trajectories of a config
 together, one step call per step for all of them, and every run reads it.
-Dense states appear only where the API hands them out: JointStep.true_state
-and JointStep.estimate (L L†, made Hermitian), the estimate shown to a
-feedback selector, the records of the CSV writer and
-BatchStatistics.mean_true_state.  :func:`simulate` runs the driver with one
-trajectory and keeps every state; :func:`batch_statistics` runs all
-trajectories and keeps fidelity curves plus the batch-mean true state; the
-command line's trajectory CSVs (:func:`_write_trajectory_csvs`) run a group
-of trajectories at a time and take each measure column in one call over
-the group's records.  simulate(cfg, i) is row i of batch_statistics(cfg,
-n_traj): the same jumps, and fidelities that agree to round-off
-(measures.fidelity on the trajectory's dense states, as
-:func:`write_trajectory_csv` evaluates them).  Every CSV the group writer
-writes is, byte for byte, the one write_trajectory_csv(simulate(cfg, i))
-writes.
+Dense states appear only where the API hands them out: the JointStep
+records (L L†, made Hermitian), the estimate shown to a feedback selector,
+the CSV writer's records and BatchStatistics.mean_true_state.
+:func:`simulate` runs the driver with one trajectory and keeps every state;
+:func:`batch_statistics` runs all trajectories and keeps fidelity curves
+plus the batch-mean true state; the command line's trajectory CSVs
+(:func:`_write_trajectory_csvs`) run a group of trajectories at a time, one
+call per measure column.  simulate(cfg, i) is row i of batch_statistics(cfg,
+n_traj): the same jumps, and fidelities that agree to round-off.  Every CSV
+the group writer writes is, byte for byte, write_trajectory_csv(simulate(cfg, i)).
 """
 
 from __future__ import annotations
@@ -58,9 +54,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import measures
-from .channels import KrausChannel, OutcomePartition, _factor_probs, _factor_update
+from .channels import KrausChannel, OutcomePartition, _check_partition, _factor_probs, _factor_update
 from .linalg import _any, _psd_factor
-from .states import make_density
+from .states import _density
 from .tolerances import ZERO_PROB_TOL
 
 # Distinct histories per kernel call inside _step.  A step's temporaries (the true
@@ -149,21 +145,15 @@ class SimulationConfig:
     seed: int | None = None
 
     def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check every input; returns rho0 and rho_hat0 as validated density matrices."""
-        rho0 = make_density(self.rho0)
-        rho_hat0 = make_density(self.rho_hat0)
-        if rho0.shape != rho_hat0.shape:
-            raise ValueError(
-                f"rho0 and rho_hat0 dims differ: {rho0.shape} vs {rho_hat0.shape}"
-            )
+        """Check every input once, each error naming it; returns rho0 and rho_hat0 as validated density matrices."""
+        fallback = {} if self.fallback is None else {"fallback": self.fallback}
+        rho0, rho_hat0 = _density({"rho0": self.rho0, "rho_hat0": self.rho_hat0, **fallback})[:2]
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.seed is None:
             raise ValueError("a seed is required for reproducible simulation")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.fallback is not None and make_density(self.fallback).shape != rho0.shape:
-            raise ValueError(f"fallback has shape {np.shape(self.fallback)}, rho0 has dimension {len(rho0)}")
         if isinstance(self.channel, KrausChannel):
             fixed = {"channel": self.channel}
         elif callable(self.channel):  # a feedback selector picks its channels during the run
@@ -175,6 +165,7 @@ class SimulationConfig:
         for name, ch in fixed.items():
             if ch.dim != len(rho0):
                 raise ValueError(f"{name} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
+            _check_partition(ch.operators, self.partition)
         return rho0, rho_hat0
 
     def channel_at(self, k: int, rho_hat: np.ndarray) -> KrausChannel:
@@ -327,8 +318,10 @@ def _lockstep(cfg: SimulationConfig, rho0: np.ndarray, hat0: np.ndarray, keys: r
     yield None, inv, None, pairs
     for k in range(cfg.steps):
         ch = cfg.channel_at(k, pairs[1, 0])
-        if ch.dim != len(rho0):  # a feedback selector's pick, unseen by validate
-            raise ValueError(f"channel at step {k} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
+        if _feedback(cfg):  # a pick, unseen by validate
+            if ch.dim != len(rho0):
+                raise ValueError(f"channel at step {k} has dimension {ch.dim}, rho0 has dimension {len(rho0)}")
+            _check_partition(ch.operators, cfg.partition)
         u = rng.random(len(keys))
         rng.bit_generator.advance(_STEP_STRIDE - len(keys))
         idx, inv, used = _step(ch, cfg.partition, factors, inv, u, cfg.fallback)

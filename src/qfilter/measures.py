@@ -10,6 +10,10 @@ Fidelity, trace distance, the Frobenius inner product and the relative
 entropy also take two equal-shape stacks (..., n, n) and return one value
 per pair (purity one value per state); a single pair of matrices returns a
 float.
+
+The measures are matrix functionals: they check their arguments' shapes,
+and the eigendecomposition routes that the matrices are finite and
+Hermitian, not their trace or PSD; an error names the argument.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import numpy as np
 
 from . import linalg
+from .states import _shaped
 from .tolerances import FIDELITY_OVERSHOOT, SUPPORT_TOL
 
 
@@ -31,8 +36,8 @@ def fidelity(sigma, rho) -> float | np.ndarray:
     Symmetric in its arguments; overshoot beyond the bounds is clamped (at
     most FIDELITY_OVERSHOOT is tolerated, in every pair of a stack).
     """
-    sigma, rho = _check_pair(sigma, rho)
-    return _fidelity_of_cross(linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho))
+    sigma, rho = _shaped({"sigma": sigma, "rho": rho}, stack=True)
+    return _fidelity_of_cross(_naming(lambda: linalg.psd_sqrt(sigma) @ linalg.psd_sqrt(rho), sigma=sigma, rho=rho))
 
 
 def _fidelity_of_cross(cross: np.ndarray) -> float | np.ndarray:
@@ -53,14 +58,14 @@ def _fidelity_of_cross(cross: np.ndarray) -> float | np.ndarray:
 
 def trace_distance(sigma, rho, normalized: bool = False) -> float | np.ndarray:
     """tr|sigma - rho|, or half of it with normalized=True."""
-    sigma, rho = _check_pair(sigma, rho)
-    d = linalg.trace_abs(sigma - rho)
+    sigma, rho = _shaped({"sigma": sigma, "rho": rho}, stack=True)
+    d = _naming(lambda: linalg.trace_abs(sigma - rho), sigma=sigma, rho=rho)
     return d / 2 if normalized else d
 
 
 def frobenius_inner(sigma, rho) -> float | np.ndarray:
     """Frobenius inner product tr(rho sigma), real for Hermitian arguments."""
-    sigma, rho = _check_pair(sigma, rho)
+    sigma, rho = _shaped({"sigma": sigma, "rho": rho}, stack=True)
     f = (rho @ sigma).trace(0, -2, -1).real
     return f if f.ndim else f.item()
 
@@ -72,12 +77,12 @@ def relative_entropy(rho, sigma) -> float | np.ndarray:
     (eigenvalues of sigma at or below SUPPORT_TOL count as kernel); in a
     stack the rule applies per pair, so only such pairs read inf.
     """
-    rho, sigma = _check_pair(rho, sigma)
-    wr = np.clip(np.linalg.eigvalsh(linalg.require_hermitian(rho)), 0.0, None)
+    rho, sigma = _shaped({"rho": rho, "sigma": sigma}, stack=True)
+    wr = np.clip(np.linalg.eigvalsh(linalg.require_hermitian(rho, "rho")), 0.0, None)
     positive = wr > 0.0
     entropy = np.where(positive, wr * np.log(np.where(positive, wr, 1.0)), 0.0).sum(axis=-1)
 
-    ws, Us = linalg.hermitian_eig(sigma)
+    ws, Us = np.linalg.eigh(linalg.require_hermitian(sigma, "sigma"))
     # weight of rho along each eigenvector of sigma
     r = np.einsum("...ji,...jk,...ki->...i", Us.conj(), rho, Us).real
     r = np.clip(r, 0.0, None)
@@ -98,9 +103,12 @@ def purity(rho) -> float | np.ndarray:
     return p if p.ndim else p.item()
 
 
-def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected two square matrices of equal shape, got {a.shape} and {b.shape}")
-    return a, b
+def _naming(route, **states):
+    """route(), whose ValueError becomes the first named state's own when it is not finite and Hermitian: found
+    on the failure path only, as the route tests what it is handed (two square roots, one difference)."""
+    try:
+        return route()
+    except ValueError:
+        for name, state in states.items():
+            linalg.require_hermitian(state, name)
+        raise

@@ -1,7 +1,10 @@
 """Density matrices: validation, standard and random states, JSON encoding.
 
 States are plain numpy arrays: a density matrix is a Hermitian PSD complex
-array with unit trace.  :func:`make_density` is the validating constructor.
+array with unit trace.  :func:`make_density` is the validating constructor,
+and :func:`_density` the package's one full check of named states: the
+shape (:func:`_shaped`, the one shape check), finite and Hermitian
+(``linalg.require_hermitian``), unit trace, and PSD (``linalg._require_psd``).
 
 Tensor convention, used consistently across the package: in a composite
 A (x) B the FIRST factor's index varies fastest, i.e. the basis vector
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .tolerances import EIGENVALUE_CLAMP, HERMITICITY_TOL, TRACE_TOL
+from .tolerances import TRACE_TOL
 
 
 def make_density(M) -> np.ndarray:
@@ -23,30 +26,40 @@ def make_density(M) -> np.ndarray:
     non-square/non-finite input, non-Hermitian (HERMITICITY_TOL), trace away
     from one (TRACE_TOL), or an eigenvalue below -EIGENVALUE_CLAMP.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("density matrix has non-finite entries")
-    dev = linalg.asymmetry(M)
-    if dev > HERMITICITY_TOL:
-        raise ValueError(
-            f"density matrix is not Hermitian: max|M - M†| = {dev:.3e}"
-        )
-    _check_unit_trace(M)
-    w = np.linalg.eigvalsh(M)
-    if w[0] < -EIGENVALUE_CLAMP:
-        raise ValueError(
-            f"density matrix is not positive semidefinite: eigenvalue {w[0]:.3e}"
-        )
-    return M
+    return _density({"density matrix": M})[0]
 
 
-def _check_unit_trace(M: np.ndarray) -> None:
-    """The trace test of :func:`make_density`: |tr M - 1| <= TRACE_TOL."""
-    tr = complex(np.trace(M))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
+def _shaped(states: dict, n: int | None = None, stack: bool = False) -> list:
+    """The named states as complex arrays, each (n, n), or (..., n, n) with `stack`; with n None the first
+    must be square and the others of its shape.  A ValueError names the first that does not fit."""
+    out = [np.asarray(state, dtype=complex) for state in states.values()]
+    first = out[0].shape
+    k = n if n is not None else first[-1] if first else -1
+    want = (first[:-2] if stack else ()) + (k, k)  # the first state's leading axes, for a stack
+    for name, state in zip(states, out):
+        if state.shape != want:
+            if n is not None:
+                expected = f"({'..., ' * stack}{n}, {n}) for the channel"
+            else:  # the first state must be square (or a stack of them), the others of its shape
+                expected = f"the shape of {next(iter(states))}, {first}" if state is not out[0] else "a square matrix" + " or a stack" * stack
+            raise ValueError(f"{name} has shape {state.shape}, expected {expected}")
+    return out
+
+
+def _density(states: dict, n: int | None = None, stack: bool = False, psd: bool = True) -> list:
+    """:func:`_shaped`, then the states, stacked, finite and Hermitian, of trace one within TRACE_TOL and, with `psd`,
+    PSD by one eigvalsh; a caller that factors the states passes psd=False and tests the factor.  Errors name the state."""
+    out = _shaped(states, n, stack)
+    M, name = (out[0], next(iter(states))) if len(out) == 1 else (np.array(out), tuple(states))
+    linalg.require_hermitian(M, name)
+    tr = M.trace(0, -2, -1).real
+    off = abs(tr - 1.0) > TRACE_TOL
+    if linalg._any(off):
+        i = np.unravel_index(off.argmax(), off.shape)
+        raise ValueError(f"{linalg._label(name, i)} has trace {tr[i]:.12g}, not 1")
+    if psd:
+        linalg._require_psd(np.linalg.eigvalsh(M), name)
+    return out
 
 
 def maximally_mixed(n: int) -> np.ndarray:

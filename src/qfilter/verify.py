@@ -12,32 +12,36 @@ exact up to round-off; no Monte-Carlo tolerance is involved.  The battery:
 * randomized violation search per measure.
 
 Every exact one-step number reads one pass over B instances of one
-(n, m): Kraus stacks (B, m, n, n), states and one partition each.
-The dense block kernel of :mod:`qfilter.channels`, ``_kept_blocks``, checks
-that the states are Hermitian, forms the per-outcome maps in one product
-for the whole stack, takes one block sum per distinct partition and checks
-sigma's and rho's block probabilities alike; it gathers and updates only
-the kept rows, the (instance, block) pairs where p_nu(rho) > ZERO_PROB_TOL,
-and hands each instance its rows.  :func:`_one_step` reads them with one
+(n, m): Kraus stacks (B, m, n, n), states and one partition each.  The
+dense block kernel of :mod:`qfilter.channels`, ``_kept_blocks``, forms the
+per-outcome maps in one product for the whole stack and one block sum per
+distinct partition, and updates only the kept rows, the (instance, block)
+pairs where p_nu(rho) > ZERO_PROB_TOL.  :func:`_one_step` reads them with one
 measure call, the B current pairs appended, and adds each instance's
 p * value terms in block order, so an instance gets the same bits in a
 batch as alone.  The mean evolution reads the same rows against K(rho),
-the Hermitian part of the sum of rho's per-outcome maps from the same
-product, formed only when asked.  A single instance is a batch of one: the
-gap reports, the mean evolution, the counter-example and
-:func:`qfilter.dilation.replay_proof` read it so.  The replay reads the
-pass's probabilities, updates and fallback flags but takes its fidelities
-from factors of sigma and rho, so its expectation agrees with the checked
-gap's within round-off, not bit for bit.  The kernel keeps the last few
-batch-of-one passes, so a battery of these checks on one (channel, sigma,
-rho, partition) forms its pass once and reads the bits a fresh pass gives;
-the mean evolution, which needs rho alone, reads a kept pass of any sigma.
-``qfilter verify`` and :func:`random_search_violation` make one run,
-:func:`_search`, with one stacked pass; ``qfilter sweep`` makes one pass
-per (n, m); a pass of several instances is never kept.  Monotonicity is one
-``apply_channel`` call on the stack [sigma, rho] and one fidelity call for
-both pairs; it does not read the pass, so it checks both states' traces
-itself, and the fidelity checks that they are Hermitian and PSD.
+summed from rho's per-outcome maps when asked.  A single instance is a
+batch of one: the gap reports, the mean evolution, the counter-example and
+:func:`qfilter.dilation.replay_proof` (for its probabilities, updates and
+fallback flags) read it so.  The kernel keeps the last few batch-of-one
+passes, so a battery of checks on one (channel, sigma, rho, partition)
+forms its pass once and reads the bits a fresh pass gives; the mean
+evolution, which needs rho alone, reads a kept pass of any sigma.
+``qfilter verify`` and :func:`random_search_violation` make one stacked
+pass (:func:`_search`), ``qfilter sweep`` one per (n, m); a pass of several
+instances is never kept.  Monotonicity does not read the pass: it takes
+the square roots of [sigma, rho] and [K(sigma), K(rho)] from two factors
+and one SVD for both pairs, the bits of ``measures.fidelity`` on
+[K(sigma), sigma] and [K(rho), rho].
+
+Each entry checks each state once, and an error names it (``sigma``,
+``rho``, ``fallback``, ``partition``; ``sigma of instance 3`` in a batch).
+An entry checks the shapes; a formed pass tests finite, Hermitian, the
+partition and the block probabilities, which cover the trace; monotonicity
+tests the first three itself and PSD by the factor of [sigma, rho].  The
+other checks test no PSD, which costs one eigendecomposition per pass until
+the checks read factors of the states: the fidelity rejects a non-PSD state
+by an update's eigenvalue, the other measures accept it.
 
 The fallback rule applies per block: a block where the estimate has zero
 probability takes the xi substitution, enters the sum, and is recorded in
@@ -70,15 +74,16 @@ from .channels import (
     _haar_channels,
     _Kept,
     _kept_blocks,
-    apply_channel,
+    _kraus_sum,
+    _per_outcome,
     random_partition,
     singleton_partition,
     trivial_partition,
     validate_channel,
 )
-from .linalg import _any
-from .states import random_density
-from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL, TRACE_TOL
+from .linalg import _any, _psd_factor
+from .states import _density, _shaped, random_density
+from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
 MEASURES = {
@@ -181,9 +186,10 @@ def measure_gap_report(
     sum), and rhs is measure(sigma, rho).  The report's `passed` judges the
     gap against the measure's expected direction with slack `tol` (see
     :attr:`GapReport.passed`).  sigma and rho must be (n, n) for the
-    channel's n, and an unknown measure raises ValueError.
+    channel's n, and an unknown measure raises ValueError; the pass checks
+    the rest (see the module docstring).
     """
-    sigma, rho = _instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")
+    sigma, rho = _shaped({"sigma": sigma, "rho": rho}, ch.dim)
     [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], _measure(measure), [partition], fallback)
     return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
 
@@ -202,16 +208,15 @@ def check_fidelity_submartingale(
 def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
     """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL.
 
-    Both states must be (n, n) for the channel's n and have trace 1 within
-    TRACE_TOL; the fidelity checks Hermitian and PSD."""
-    pair = np.array([_instance_state(ch, sigma, "sigma"), _instance_state(ch, rho, "rho")])
-    traces = pair.trace(0, -2, -1).real
-    off = abs(traces - 1) > TRACE_TOL
-    if _any(off):
-        i = int(off.argmax())
-        raise ValueError(f"{('sigma', 'rho')[i]} has trace {traces[i]:.12g}, not 1")
-    sigmas, rhos = np.stack([apply_channel(ch, pair), pair], axis=1)
-    lhs, rhs = measures.fidelity(sigmas, rhos).tolist()
+    Both states must be density matrices of the channel's n; the factor of
+    [sigma, rho] that gives their square roots tests PSD.
+    """
+    pair = np.array(_density({"sigma": sigma, "rho": rho}, ch.dim, psd=False))
+    factors = _psd_factor(pair, ("sigma", "rho")), _psd_factor(_kraus_sum(_per_outcome(ch.operators, pair)))
+    roots = [F @ U.conj().swapaxes(-1, -2) for F, U in factors]  # psd_sqrt of [sigma, rho] and of [K(sigma), K(rho)]
+    # the cross that measures.fidelity forms on the stacks [K(sigma), sigma] and [K(rho), rho]
+    sigmas, rhos = (np.array([roots[1][i], roots[0][i]]) for i in (0, 1))
+    lhs, rhs = measures._fidelity_of_cross(sigmas @ rhos).tolist()
     return GapReport(
         "fidelity", lhs, rhs, lhs - rhs, None, (),
         _fingerprint(ch, sigma, rho, None), GAP_TOL,
@@ -224,9 +229,9 @@ def check_mean_evolution(
     """Max elementwise deviation of sum_nu p_nu(rho) M_nu(rho) from K(rho).
 
     An algebraic identity: the deviation must stay within MEAN_EVOLUTION_TOL.
-    rho must be (n, n) for the channel's n.
+    rho must be (n, n) for the channel's n; the pass checks the rest.
     """
-    rho = _instance_state(ch, rho, "rho")
+    [rho] = _shaped({"rho": rho}, ch.dim)
     return _mean_evolution_deviations(_kept_blocks(ch.operators[None], rho[None, None], [partition]))[0]
 
 
@@ -424,14 +429,6 @@ def _measure(name: str):
     return MEASURES[name]
 
 
-def _instance_state(ch: KrausChannel, state, name: str) -> np.ndarray:
-    """A state of a one-instance check as a complex array; a ValueError names it when it is not (n, n)."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != ch.operators.shape[1:]:
-        raise ValueError(f"{name} has shape {state.shape}, expected {ch.operators.shape[1:]} for the channel")
-    return state
-
-
 def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None) -> GapReport:
     return GapReport(
         measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
@@ -474,11 +471,11 @@ def _one_step(
     """The one-step pass of the module docstring for B instances, and its kept rows; `fallback` is sigma's xi.
 
     `operators` (B, m, n, n) holds each instance's Kraus stack, sigma and rho
-    (B, n, n) its states, and `partitions` its partition.  `measure` is called
-    once on the two stacks, updates then states: callers resolve a name
-    through MEASURES.
+    (B, n, n) its states, and `partitions` its partition, shapes checked by
+    the caller.  `measure` is called once on the two stacks, updates then
+    states: callers resolve a name through MEASURES.
     """
-    states = np.array(measures._check_pair(sigma, rho))
+    states = np.array([sigma, rho], dtype=complex)
     kept = _kept_blocks(operators, states, partitions, fallback)
     values = measure(*np.concatenate([kept.updates, states], axis=1))
     K = len(kept.weights)

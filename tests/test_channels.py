@@ -87,7 +87,7 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         ch = channels.validate_channel(counterexample_ops())
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"^rho has shape \(2, 2\), expected \(\.\.\., 3, 3\) for the channel$"):
             channels.apply_channel(ch, np.eye(2) / 2)
 
 
@@ -269,28 +269,35 @@ class TestConditionalUpdate:
 
     def test_stack_check_fails_on_any_state(self):
         ch = channels.validate_channel(counterexample_ops())
-        with pytest.raises(ValueError, match="sum to 1.5"):
+        with pytest.raises(ValueError, match=r"^rho has trace 1\.5, not 1$"):
             channels.outcome_probs(ch, np.stack([RHO, 1.5 * RHO]))
 
     def test_update_checks_probabilities_as_outcome_probs_does(self):
         ch = channels.validate_channel(counterexample_ops())
         for call in (channels.outcome_probs, lambda ch, rho: channels.conditional_update(ch, 0, rho)):
-            with pytest.raises(ValueError, match=r"^outcome probabilities sum to 1\.5, not 1$"):
+            with pytest.raises(ValueError, match=r"^rho has trace 1\.5, not 1$"):
                 call(ch, 1.5 * RHO)
 
     def test_nan_probabilities_raise(self):
-        # NaN fails every comparison: the check must still reject it, in the dense kernel and the engine
+        # NaN fails every comparison: the check must still reject it, in the dense kernel and the engine;
+        # the state functions reject a NaN state first, by name
         ch = channels.validate_channel(counterexample_ops())
         nan = np.full((3, 3), np.nan, dtype=complex)
-        calls = [
+        entries = [
             lambda: channels.outcome_probs(ch, nan),
             lambda: channels.outcome_probs(ch, np.stack([RHO, nan]), channels.trivial_partition(2)),
             lambda: channels.conditional_update(ch, 0, nan),
+        ]
+        kernels = [
+            lambda: channels._block_maps(ch.operators, channels._per_outcome(ch.operators, nan), None),
             lambda: channels._factor_probs(ch, nan[None]),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in calls:
+            for call in entries:
+                with pytest.raises(ValueError, match="^rho has non-finite entries$"):
+                    call()
+            for call in kernels:
                 with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
                     call()
 

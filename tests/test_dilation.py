@@ -173,7 +173,7 @@ class TestUhlmannPair:
             assert np.abs(oracles.partial_trace(oracles.pure_projector(b), n, n, "a") - rho).max() < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^rho has shape \(3, 3\), expected the shape of sigma, \(2, 2\)$"):
             dilation.uhlmann_pair(np.eye(2) / 2, np.eye(3) / 3)
 
 
@@ -544,13 +544,15 @@ class TestReplayReadsThePassRoots:
         if kind == "nan":
             rho = rho.copy()
             rho[0, 1] = rho[1, 0] = np.nan
-            return ch, sigma, rho, "^matrix has non-finite entries$"
+            return ch, sigma, rho, "^rho has non-finite entries$"
         if kind == "non-hermitian":
-            return ch, sigma + 0.1j * np.triu(np.ones((3, 3)), 1), rho, r"^matrix is not Hermitian: max\|A - A†\| = 1.000e-01"
+            return ch, sigma + 0.1j * np.triu(np.ones((3, 3)), 1), rho, r"^sigma is not Hermitian: max\|A - A†\| = 1.000e-01"
         if kind in ("trace above", "trace below"):
-            return ch, sigma, rho * (1 + 1e-8 if kind == "trace above" else 1 - 1e-8), "^density matrix must have unit trace, got "
+            # the pass's block probabilities sum to rho's trace
+            scale = 1 + 1e-8 if kind == "trace above" else 1 - 1e-8
+            return ch, sigma, rho * scale, rf"^outcome probabilities sum to {scale:.12g}, not 1 \(rho\)$"
         # trace one, one eigenvalue -1e-6: the factorisation of [sigma, rho] names rho and its own eigenvalue
-        return ch, sigma, np.diag([0.5 + 1e-6, 0.5, -1e-6]), r"^matrix is not positive semidefinite: eigenvalue -1\.000e-06 < -1\.0e-10 \(rho\)$"
+        return ch, sigma, np.diag([0.5 + 1e-6, 0.5, -1e-6]), r"^rho is not positive semidefinite: eigenvalue -1\.000e-06 < -1\.0e-10$"
 
     @pytest.mark.parametrize("kind", [
         "stack", "non-square", "mismatched n", "nan", "non-hermitian", "trace above", "trace below", "negative eigenvalue",
@@ -565,7 +567,7 @@ class TestReplayReadsThePassRoots:
     def test_a_non_psd_sigma_is_named(self):
         ch, _, rho = random_instance(np.random.default_rng(4), n=3, m=2)
         sigma = np.diag([0.5 + 2e-6, 0.5, -2e-6])
-        with pytest.raises(ValueError, match=r"eigenvalue -2\.000e-06 < -1\.0e-10 \(sigma\)$"):
+        with pytest.raises(ValueError, match=r"^sigma is not positive semidefinite: eigenvalue -2\.000e-06 < -1\.0e-10$"):
             dilation.replay_proof(ch, sigma, rho)
 
 

@@ -351,6 +351,40 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{re.escape(field)} has "):
             cfg.validate()
 
+    @pytest.mark.parametrize("kind", ["fixed", "per_step"])
+    def test_validate_checks_the_partition_against_each_channel(self, kind):
+        # a partition over 2 outcomes on a 3-outcome channel is a configuration error, named as
+        # the partition, before any step runs
+        rng = np.random.default_rng(14)
+        two, three = channels.random_channel(3, 2, rng), channels.random_channel(3, 3, rng)
+        cfg = SimulationConfig(
+            channel=three if kind == "fixed" else [two, three], rho0=np.eye(3) / 3, rho_hat0=np.eye(3) / 3,
+            steps=2, partition=channels.singleton_partition(2), seed=1,
+        )
+        message = r"^partition is over 2 outcomes, channel has 3$"
+        for call in (cfg.validate, lambda: filtering.simulate(cfg), lambda: filtering.batch_statistics(cfg, 4)):
+            with pytest.raises(ValueError, match=message) as err:
+                call()
+            assert not isinstance(err.value, filtering.SimulationError)
+
+    @pytest.mark.parametrize("bad_step", [0, 2])
+    def test_feedback_pick_of_the_wrong_outcome_count_fails_before_its_step(self, bad_step):
+        rng = np.random.default_rng(15)
+        two, three = channels.random_channel(3, 2, rng), channels.random_channel(3, 3, rng)
+        steps = []
+        step = filtering._step
+        cfg = SimulationConfig(
+            channel=lambda k, rho_hat: three if k == bad_step else two,
+            rho0=np.eye(3) / 3, rho_hat0=np.eye(3) / 3, steps=4, partition=channels.trivial_partition(2), seed=1,
+        )
+        cfg.validate()  # a selector's picks are unseen until their steps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "_step", lambda *args: steps.append(1) or step(*args))
+            with pytest.raises(filtering.SimulationError) as err:
+                filtering.simulate(cfg)
+        assert str(err.value) == f"step {bad_step} failed: partition is over 2 outcomes, channel has 3"
+        assert len(steps) == bad_step
+
     @pytest.mark.parametrize("bad_step", [0, 2])
     def test_feedback_pick_of_the_wrong_dimension_fails_before_its_step(self, bad_step):
         rng = np.random.default_rng(13)

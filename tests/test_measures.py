@@ -81,7 +81,7 @@ class TestFidelity:
             measures.fidelity(np.stack([RHO, 2 * RHO]), np.stack([RHO, RHO]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="equal shape"):
+        with pytest.raises(ValueError, match=r"^rho has shape \(3, 3\), expected the shape of sigma, \(2, 2\)$"):
             measures.fidelity(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_range(self):

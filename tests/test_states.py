@@ -29,7 +29,7 @@ class TestMakeDensity:
         assert rho.shape == (3, 3)
 
     def test_trace_error(self):
-        with pytest.raises(ValueError, match="unit trace"):
+        with pytest.raises(ValueError, match="^density matrix has trace 2, not 1$"):
             states.make_density(np.diag([1.0, 1.0]))
 
     def test_positivity_error(self):

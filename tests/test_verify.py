@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qfilter import channels, cli, dilation, filtering, linalg, measures, states, verify
+from qfilter import channels, cli, dilation, filtering, measures, states, verify
 from qfilter.tolerances import ZERO_PROB_TOL
 
 
@@ -120,6 +120,29 @@ class TestKrausMonotonicity:
         with pytest.raises(ValueError, match="outcome probabilities sum to"):
             verify.check_fidelity_submartingale(ch, scale * sigma, rho)
         assert verify.check_kraus_monotonicity(ch, sigma, rho).passed
+
+
+    def test_monotonicity_bits_match_the_dense_fidelity(self):
+        # the report's square roots come from the factors of [sigma, rho] and [K(sigma), K(rho)];
+        # its lhs and rhs keep the bits of measures.fidelity on [K(sigma), sigma] and [K(rho), rho]
+        rng = np.random.default_rng(7)
+        count = 0
+        for n in range(1, 6):
+            for m in range(1, 6):
+                for ch, sigma, rho, _ in verify.random_instances(n, m, 80, rng):
+                    rep = verify.check_kraus_monotonicity(ch, sigma, rho)
+                    K = channels.apply_channel(ch, np.stack([sigma, rho]))
+                    lhs, rhs = measures.fidelity(np.stack([K[0], sigma]), np.stack([K[1], rho]))
+                    assert (rep.lhs, rep.rhs) == (lhs, rhs) and rep.gap == lhs - rhs
+                    count += 1
+        assert count == 2000
+
+    def test_monotonicity_names_a_non_psd_state(self):
+        ch, sigma, rho = random_instance(np.random.default_rng(9), n=3, m=2)
+        bad = np.diag([0.5 + 1e-6, 0.5, -1e-6])
+        for name, pair in (("sigma", (bad, rho)), ("rho", (sigma, bad))):
+            with pytest.raises(ValueError, match=rf"^{name} is not positive semidefinite: eigenvalue -1\.000e-06 < -1\.0e-10$"):
+                verify.check_kraus_monotonicity(ch, *pair)
 
 
 class TestMeanEvolution:
@@ -237,16 +260,16 @@ class TestMeasureGapReport:
         ids=["not_psd", "not_hermitian", "trace_two"],
     )
     def test_invalid_fallback_raises_the_engines_error(self, xi):
-        # sigma's block 0 vanishes, so its update takes xi: the dense path and the
-        # factor engine validate xi by the one fallback rule and raise the same error
+        # sigma's block 0 vanishes, so its update takes xi: the dense path and the factor
+        # engine's entry, SimulationConfig.validate, check xi in full and raise the same error
         ch = channels.validate_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         sigma, rho = np.diag([0.0, 1.0]), np.diag([0.5, 0.5])
         with pytest.raises(ValueError) as engine:
-            channels._factor_update(ch, np.array([0]), linalg._psd_factor(sigma)[0][None], fallback=np.array(xi))
+            filtering.simulate(filtering.SimulationConfig(ch, rho, sigma, 1, fallback=np.array(xi), seed=0))
         with pytest.raises(ValueError) as config:
             filtering.SimulationConfig(ch, rho, sigma, 1, fallback=np.array(xi), seed=0).validate()
         assert str(config.value) == str(engine.value)
-        assert str(engine.value).startswith("density matrix ")
+        assert str(engine.value).startswith("fallback ")
         dense = [
             lambda: verify.measure_gap_report(ch, sigma, rho, "fidelity", fallback=xi),
             lambda: verify.check_fidelity_submartingale(ch, sigma, rho, fallback=xi),
@@ -260,8 +283,8 @@ class TestMeasureGapReport:
     @pytest.mark.parametrize(
         "xi, message",
         [
-            ([[0.5, 0.9], [0.9, 0.5]], "density matrix is not positive semidefinite: eigenvalue -4.000e-01"),
-            (np.eye(3) / 3, "fallback has shape (3, 3), channel dimension is 2"),
+            ([[0.5, 0.9], [0.9, 0.5]], "fallback is not positive semidefinite: eigenvalue -4.000e-01 < -1.0e-10"),
+            (np.eye(3) / 3, "fallback has shape (3, 3), expected (2, 2) for the channel"),
         ],
         ids=["not_psd", "wrong_dimension"],
     )
@@ -307,7 +330,7 @@ class TestMeasureGapReport:
     @pytest.mark.parametrize("kind", ["scaled", "negative"])
     def test_invalid_sigma_is_rejected(self, kind, measure):
         ch, sigma, rho, message = self.invalid_instance(kind)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} \\(sigma\\)$"):
             verify.measure_gap_report(ch, sigma, rho, measure)
 
     @pytest.mark.parametrize("kind", ["scaled", "negative"])
@@ -334,8 +357,8 @@ class TestMeasureGapReport:
             batch[i] = (*bad, instances[i][3])
             with pytest.raises(ValueError, match=f"^{re.escape(message)} \\({state} of instance {i}\\)$"):
                 verify._gap_reports(batch, "fidelity")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            verify._gap_reports([(*bad, None)], "fidelity")  # a batch of one says what it always said
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} \\({state}\\)$"):
+            verify._gap_reports([(*bad, None)], "fidelity")  # a batch of one names the state alone
 
     @pytest.mark.parametrize("state", ["sigma", "rho"])
     @pytest.mark.parametrize("measure", sorted(verify.MEASURES))
@@ -344,15 +367,15 @@ class TestMeasureGapReport:
         ch, sigma, rho = random_instance(np.random.default_rng(1), n=3, m=3)
         skew = 0.1j * np.triu(np.ones((3, 3)), 1)
         pair = {"sigma": (sigma + skew, rho), "rho": (sigma, rho + skew)}[state]
-        message = "^matrix is not Hermitian: max\\|A - A†\\| = 1.000e-01 exceeds 1.0e-10$"
-        with pytest.raises(ValueError, match=message):
+        message = "is not Hermitian: max\\|A - A†\\| = 1.000e-01 exceeds 1.0e-10$"
+        with pytest.raises(ValueError, match=f"^{state} {message}"):
             verify.measure_gap_report(ch, *pair, measure)
         instances = list(verify.random_instances(3, 3, 4, np.random.default_rng(2)))
         instances[2] = (ch, *pair, None)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{state} of instance 2 {message}"):
             verify._gap_reports(instances, measure)
         if state == "rho":
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"^rho {message}"):
                 verify.check_mean_evolution(ch, rho + skew)
 
     @pytest.mark.parametrize("state", ["sigma", "rho"])
@@ -678,13 +701,14 @@ class TestCallCounts:
         verify.measure_gap_report(ch, sigma, rho, "frobenius")
         passes = len({None, part})
         assert counts == {
-            "fidelity": 3, "products": passes + 1, "kernel": passes, "conditional_update": 0, "outcome_probs": 0,
+            "fidelity": 2, "products": passes + 1, "kernel": passes, "conditional_update": 0, "outcome_probs": 0,
         }
 
     def test_kraus_monotonicity(self, counts):
+        # one product of the stack [sigma, rho]; the fidelities come from its own square roots
         ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)
         verify.check_kraus_monotonicity(ch, sigma, rho)
-        assert counts["fidelity"] == 1
+        assert counts == {"fidelity": 0, "products": 1, "kernel": 0, "conditional_update": 0, "outcome_probs": 0}
 
 
 def near_null_instance(rng):
@@ -843,14 +867,15 @@ class TestPassMemo:
 
     def test_memo_keeps_no_error(self, formed):
         ch, sigma, rho, message = TestMeasureGapReport.invalid_instance("scaled")
+        message = f"^{re.escape(message)} \\(sigma\\)$"
         for _ in range(2):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValueError, match=message):
                 verify.measure_gap_report(ch, sigma, rho, "fidelity")
         assert not channels._pass_memo
         # rho's pass alone is valid and kept; sigma's check still runs on the next call
         verify.check_mean_evolution(ch, rho)
         assert len(channels._pass_memo) == 1
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=message):
             verify.measure_gap_report(ch, sigma, rho, "fidelity")
 
     def test_memo_near_null_instance_raises_on_every_call(self, formed):

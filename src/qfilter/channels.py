@@ -123,21 +123,24 @@ def trivial_partition(m: int) -> OutcomePartition:
 
 
 def random_partition(m: int, rng: np.random.Generator, num_blocks: int | None = None) -> OutcomePartition:
-    """Uniform random surjective assignment of m outcomes onto num_blocks blocks."""
+    """Uniform random surjective assignment of m outcomes onto num_blocks blocks.
+
+    The draws are a permutation of the outcomes, whose first num_blocks seed one
+    block each so the assignment is surjective, then a block for each of the rest;
+    the blocks are read off the draws in plain Python, in one pass over the outcomes.
+    ``verify.random_instances`` makes its partitions so, among its draws.
+    """
     if num_blocks is None:
         num_blocks = int(rng.integers(1, m + 1))
     if not 1 <= num_blocks <= m:
         raise ValueError(f"num_blocks must be in [1, {m}], got {num_blocks}")
-    # Seed every block with one outcome so the assignment is surjective.
-    perm = rng.permutation(m)
-    labels = np.empty(m, dtype=int)
-    labels[perm[:num_blocks]] = np.arange(num_blocks)
-    if m > num_blocks:
-        labels[perm[num_blocks:]] = rng.integers(0, num_blocks, size=m - num_blocks)
-    blocks = tuple(
-        tuple(int(i) for i in np.flatnonzero(labels == v)) for v in range(num_blocks)
-    )
-    return OutcomePartition(m, blocks)
+    perm = rng.permutation(m).tolist()
+    rest = rng.integers(0, num_blocks, size=m - num_blocks).tolist() if m > num_blocks else []
+    block_of = dict(zip(perm, [*range(num_blocks), *rest]))
+    blocks: list[list[int]] = [[] for _ in range(num_blocks)]
+    for mu in range(m):
+        blocks[block_of[mu]].append(mu)
+    return OutcomePartition(m, tuple(map(tuple, blocks)))
 
 
 def partition_from_dict(d: dict) -> OutcomePartition:

@@ -421,12 +421,14 @@ def _cmd_sweep(cfg: dict) -> int:
     full_rank = measure in verify._FULL_RANK_MEASURES
     out = _out_dir(cfg)
     _echo_config(cfg, out)
-    # cell i draws from SeedSequence(seed, spawn_key=(i,)); the cells of one (n, m) share one pass
+    # cell i draws from SeedSequence(seed, spawn_key=(i,)); the cells of one (n, m) are built
+    # together after their draws and share one pass
     shapes: dict = {}
     for cell, (n, m, p) in enumerate(cells):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
-        shapes.setdefault((n, m), []).extend(verify.random_instances(n, m, trials, rng, p, full_rank))
-    reports = {shape: iter(verify._gap_reports(instances, measure, tol)[0]) for shape, instances in shapes.items()}
+        shapes.setdefault((n, m), []).extend(verify._draw_instances(n, m, trials, rng, p, full_rank))
+    reports = {(n, m): iter(verify._gap_reports(verify._build_instances(n, draws), measure, tol)[0])
+               for (n, m), draws in shapes.items()}
     rows = []
     total_violations = 0
     failed = False

@@ -98,7 +98,7 @@ def purity(rho) -> float | np.ndarray:
 
     A stack (..., n, n) gives one value per state.
     """
-    rho = np.asarray(rho, dtype=complex)
+    (rho,) = _shaped({"rho": rho}, stack=True)
     p = (rho @ rho).trace(0, -2, -1).real
     return p if p.ndim else p.item()
 

@@ -5,6 +5,8 @@ array with unit trace.  :func:`make_density` is the validating constructor,
 and :func:`_density` the package's one full check of named states: the
 shape (:func:`_shaped`, the one shape check), finite and Hermitian
 (``linalg.require_hermitian``), unit trace, and PSD (``linalg._require_psd``).
+Random states come from one stacked product (:func:`_ginibre_densities`),
+which builds a single one alike.
 
 Tensor convention, used consistently across the package: in a composite
 A (x) B the FIRST factor's index varies fastest, i.e. the basis vector
@@ -70,12 +72,24 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 
 def random_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random rank-`rank` density matrix, G G† / tr(G G†) with G complex Ginibre n x rank."""
+    """Random rank-`rank` density matrix, G G† / tr(G G†) with G complex Ginibre n x rank.
+
+    The real parts of G are drawn first, then the imaginary parts, and the state is
+    :func:`_ginibre_densities` on the one matrix.  ``verify.random_instances`` builds
+    its states after all its draws, one product per rank (a sweep once per (n, m)),
+    and each state gets the bits this function gives on its generator.
+    """
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    G = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    rho = G @ G.conj().T
-    return rho / np.trace(rho).real
+    return _ginibre_densities(rng.standard_normal((2, n, rank)))
+
+
+def _ginibre_densities(X: np.ndarray) -> np.ndarray:
+    """The states G G† / tr of draws X (..., 2, n, rank), G = X[..., 0, :, :] + i X[..., 1, :, :]: one product
+    for a stack, each slice its own, so a state gets the same bits in any stack and alone."""
+    G = X[..., 0, :, :] + 1j * X[..., 1, :, :]
+    rho = G @ G.conj().swapaxes(-1, -2)
+    return rho / rho.trace(0, -2, -1).real[..., None, None]
 
 
 def matrix_to_dict(M) -> dict:

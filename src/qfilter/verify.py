@@ -82,7 +82,7 @@ from .channels import (
     validate_channel,
 )
 from .linalg import _any, _psd_factor
-from .states import _density, _shaped, random_density
+from .states import _density, _ginibre_densities, _shaped
 from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
@@ -330,19 +330,28 @@ def random_instances(
     partition with a random block count.  A block count p gives the trivial
     partition for p = 1, the singleton partition for p = m, and otherwise a
     random partition into p blocks; any other mode raises ValueError.
-    The channels are built after the draws, with one stacked QR and one
-    stacked check, and each is the channel ``random_channel`` draws from
-    its child alone, bit for bit.
+    Everything is built after the draws: the channels with one stacked QR
+    and one stacked check, the states with one stacked product per rank, so
+    each instance is the channel ``random_channel`` and the states
+    ``random_density`` draw from its child alone, bit for bit.  ``qfilter
+    sweep`` draws every cell first and builds each (n, m) once
+    (:func:`_draw_instances`, :func:`_build_instances`).
     """
+    yield from _build_instances(n, _draw_instances(n, m, trials, rng, partition_mode, full_rank))
+
+
+def _draw_instances(n: int, m: int, trials: int, rng: np.random.Generator, partition_mode="singleton", full_rank=False) -> list:
+    """The draws of :func:`random_instances`, one (channel draw, (sigma's, rho's Ginibre draws), partition)
+    per child.  The Ginibre draws (2, n, rank), real parts then imaginary parts, come from one
+    ``standard_normal`` call, sigma's first."""
     if partition_mode not in ("singleton", "trivial", "random") and not isinstance(partition_mode, (int, np.integer)):
         raise ValueError(f"unknown partition mode {partition_mode!r}")
     draws = []
     for child in rng.spawn(trials):
         kraus = _channel_ginibre(n, m, child)
-        rank_s = n if full_rank else int(child.integers(1, n + 1))
-        rank_r = n if full_rank else int(child.integers(1, n + 1))
-        sigma = random_density(n, rank_s, child)
-        rho = random_density(n, rank_r, child)
+        rank_s, rank_r = (n, n) if full_rank else (int(child.integers(1, n + 1)), int(child.integers(1, n + 1)))
+        x = child.standard_normal(2 * n * (rank_s + rank_r))
+        factors = (x[: 2 * n * rank_s].reshape(2, n, rank_s), x[2 * n * rank_s :].reshape(2, n, rank_r))
         if partition_mode == "singleton":
             partition = None
         elif partition_mode in ("trivial", 1):
@@ -351,10 +360,25 @@ def random_instances(
             partition = singleton_partition(m)
         else:
             partition = random_partition(m, child, None if partition_mode == "random" else partition_mode)
-        draws.append((kraus, sigma, rho, partition))
-    if draws:
-        kraus, sigmas, rhos, partitions = zip(*draws)
-        yield from zip(_haar_channels(np.stack(kraus), n), sigmas, rhos, partitions)
+        draws.append((kraus, factors, partition))
+    return draws
+
+
+def _build_instances(n: int, draws: list) -> list:
+    """The instances of the :func:`_draw_instances` draws of one (n, m), in order: one stacked QR and check
+    for the channels, one :func:`qfilter.states._ginibre_densities` product per rank for the states."""
+    if not draws:
+        return []
+    kraus, pairs, partitions = zip(*draws)
+    factors = [x for pair in pairs for x in pair]  # sigma's, then rho's, of each instance
+    slots_of_shape: dict = {}
+    for i, x in enumerate(factors):
+        slots_of_shape.setdefault(x.shape, []).append(i)
+    states = [None] * len(factors)
+    for slots in slots_of_shape.values():
+        for i, state in zip(slots, _ginibre_densities(np.stack([factors[i] for i in slots]))):
+            states[i] = state
+    return list(zip(_haar_channels(np.stack(kraus), n), states[::2], states[1::2], partitions))
 
 
 def random_search_violation(

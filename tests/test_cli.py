@@ -405,8 +405,8 @@ class TestSweepCommand:
     def test_empty_cell_writes_nan_without_warnings(self, tmp_path, monkeypatch):
         # drawn at random rank, not at the full rank the sweep draws this measure at, every
         # relative entropy in cell (3, 3, 2) is infinite, so the cell has no gap to reduce
-        draw = verify.random_instances
-        monkeypatch.setattr(verify, "random_instances", lambda *args: draw(*args[:5]))
+        draw = verify._draw_instances
+        monkeypatch.setattr(verify, "_draw_instances", lambda *args: draw(*args[:5]))
         assert run([
             "sweep", "--measure", "relative_entropy", "--trials", "5",
             "--seed", "1", "--output", str(tmp_path),
@@ -491,16 +491,16 @@ class TestSweepCommand:
             import numpy as np
             from qfilter import cli, verify
 
-            draw = verify.random_instances
+            build = verify._build_instances
 
-            def broken(n, m, trials, rng, mode, *rest):
-                instances = list(draw(n, m, trials, rng, mode, *rest))
-                if mode == 2:
-                    ch, sigma, rho, part = instances[1]
-                    instances[1] = (ch, np.diag([1.5] + [0.0] * (n - 2) + [-0.5]).astype(complex), rho, part)
-                return iter(instances)
+            def broken(n, draws):
+                # the shape's cells (partition sizes 1, 2, 3) hold 3 instances each: 4 is the middle cell's second
+                instances = build(n, draws)
+                ch, sigma, rho, part = instances[4]
+                instances[4] = (ch, np.diag([1.5] + [0.0] * (n - 2) + [-0.5]).astype(complex), rho, part)
+                return instances
 
-            verify.random_instances = broken
+            verify._build_instances = broken
             sys.argv[1:] = ["sweep", "--n-values", "3", "--m-values", "3", "--partition-sizes", "1,2,3",
                             "--trials", "3", "--seed", "4", "--output", sys.argv[1]]
             cli.main()

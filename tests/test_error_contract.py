@@ -107,6 +107,7 @@ ENTRIES = {
     "trace_distance": (lambda a: qfilter.trace_distance(a["sigma"], a["rho"]), {"sigma": EIG, "rho": EIG}),
     "relative_entropy": (lambda a: qfilter.relative_entropy(a["rho"], a["sigma"]), {"sigma": EIG, "rho": EIG}),
     "frobenius_inner": (lambda a: qfilter.frobenius_inner(a["sigma"], a["rho"]), {"sigma": SHAPES, "rho": SHAPES}),
+    "purity": (lambda a: qfilter.purity(a["rho"]), {"rho": ("non_square",)}),
     "psd_sqrt": (lambda a: qfilter.psd_sqrt(a["A"]), {"A": ("non_square", "nan", "non_hermitian", "negative_eigenvalue")}),
     "hermitian_eig": (lambda a: qfilter.hermitian_eig(a["H"]), {"H": ("non_square", "nan", "non_hermitian")}),
     "trace_abs": (lambda a: qfilter.trace_abs(a["A"]), {"A": ("non_square", "nan", "non_hermitian")}),
@@ -127,7 +128,6 @@ NOT_ENTRIES = {
          "singleton_partition", "trivial_partition"],
         "takes sizes and a generator, not a state, channel or partition",
     ),
-    "purity": "a functional on any square stack: it checks nothing",
 }
 
 #: what an error calls an argument, where that is not its own name

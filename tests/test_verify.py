@@ -432,6 +432,60 @@ class TestOneInstanceShapes:
             self.CHECKS[check](ch, np.stack([sigma, sigma]), np.stack([rho, rho]))
 
 
+def reference_random_density(n, rank, rng):
+    """The reference state draw, one state at a time: two (n, rank) draws, one product, one trace."""
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must be in [1, {n}], got {rank}")
+    G = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_random_partition(m, rng, num_blocks=None):
+    """The reference partition draw: the labels as an array, then one flatnonzero scan per block."""
+    if num_blocks is None:
+        num_blocks = int(rng.integers(1, m + 1))
+    if not 1 <= num_blocks <= m:
+        raise ValueError(f"num_blocks must be in [1, {m}], got {num_blocks}")
+    perm = rng.permutation(m)
+    labels = np.empty(m, dtype=int)
+    labels[perm[:num_blocks]] = np.arange(num_blocks)
+    if m > num_blocks:
+        labels[perm[num_blocks:]] = rng.integers(0, num_blocks, size=m - num_blocks)
+    blocks = tuple(tuple(int(i) for i in np.flatnonzero(labels == v)) for v in range(num_blocks))
+    return channels.OutcomePartition(m, blocks)
+
+
+def reference_instances(n, m, trials, rng, mode="singleton", full_rank=False):
+    """random_instances from the reference draws, one child at a time, each channel from its own Haar unitary."""
+    out = []
+    for child in rng.spawn(trials):
+        U = channels.haar_unitary(n * m, child)
+        rank_s = n if full_rank else int(child.integers(1, n + 1))
+        rank_r = n if full_rank else int(child.integers(1, n + 1))
+        sigma, rho = reference_random_density(n, rank_s, child), reference_random_density(n, rank_r, child)
+        if mode == "singleton":
+            part = None
+        elif mode in ("trivial", 1):
+            part = channels.trivial_partition(m)
+        elif mode == m:
+            part = channels.singleton_partition(m)
+        else:
+            part = reference_random_partition(m, child, None if mode == "random" else mode)
+        out.append((np.stack([U[mu * n : (mu + 1) * n, :n] for mu in range(m)]), sigma, rho, part))
+    return out
+
+
+def assert_same_instances(got, want):
+    assert len(got) == len(want)
+    for (ch, sigma, rho, part), (ops, want_sigma, want_rho, want_part) in zip(got, want):
+        assert ch.operators.tobytes() == ops.tobytes()
+        assert sigma.shape == want_sigma.shape and sigma.tobytes() == want_sigma.tobytes()
+        assert rho.shape == want_rho.shape and rho.tobytes() == want_rho.tobytes()
+        assert part == want_part
+        assert repr(None if part is None else part.blocks) == repr(None if want_part is None else want_part.blocks)
+
+
 class TestRandomInstances:
     @pytest.mark.parametrize("mode", ["singleton", "trivial", "random"])
     def test_draw_order(self, mode):
@@ -477,6 +531,74 @@ class TestRandomInstances:
         instances = verify.random_instances(3, 2, 5, np.random.default_rng(6), full_rank=True)
         for _, sigma, rho, _ in instances:
             assert np.linalg.matrix_rank(sigma) == np.linalg.matrix_rank(rho) == 3
+
+    def test_random_density_build_bits_match_the_reference(self):
+        # every rank of n = 1..5 over 1,200 seeds: the same bytes, and the same draws taken from the stream
+        for seed in range(1200):
+            n = 1 + seed % 5
+            for rank in range(1, n + 1):
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = states.random_density(n, rank, rng), reference_random_density(n, rank, reference_rng)
+                assert got.shape == want.shape == (n, n) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_random_partition_matches_the_reference(self):
+        # every block count of m = 1..5, None included, over 1,200 seeds: equal partitions, equal reprs
+        # (the fingerprint hashes the blocks' repr), and the same draws taken from the stream
+        for seed in range(1200):
+            m = 1 + seed % 5
+            for num_blocks in [None, *range(1, m + 1)]:
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = channels.random_partition(m, rng, num_blocks)
+                want = reference_random_partition(m, reference_rng, num_blocks)
+                assert got == want
+                assert repr(got.blocks) == repr(want.blocks)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, bad", [(3, 0), (3, 4), (1, 2)])
+    def test_rank_out_of_range_keeps_its_message(self, n, bad):
+        with pytest.raises(ValueError) as want:
+            reference_random_density(n, bad, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            states.random_density(n, bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m, bad", [(3, 0), (3, 4), (1, 2)])
+    def test_block_count_out_of_range_keeps_its_message(self, m, bad):
+        with pytest.raises(ValueError) as want:
+            reference_random_partition(m, np.random.default_rng(0), bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            channels.random_partition(m, np.random.default_rng(0), bad)
+
+    @pytest.mark.parametrize("full_rank", [False, True])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+    def test_stacked_build_bits_match_the_reference(self, n, m, full_rank):
+        # no instance, one, and many, where every rank shares its one product with others
+        for trials in (0, 1, 40):
+            for mode in ("singleton", "trivial", "random", min(2, m), m):
+                seed = 100 * n + 10 * m + trials
+                got = list(verify.random_instances(n, m, trials, np.random.default_rng(seed), mode, full_rank))
+                assert_same_instances(got, reference_instances(n, m, trials, np.random.default_rng(seed), mode, full_rank))
+
+    def test_shape_build_bits_match_each_cells_stream(self):
+        # a sweep draws every cell of one (n, m) first and builds them together: each cell's instances
+        # are the ones its own stream gives alone, and the ones the reference draws give
+        n, m, trials, modes = 3, 4, 7, (1, 2, 3, 4, "random")
+
+        def cell_rng(cell):  # a fresh generator per use: spawning advances a SeedSequence
+            return np.random.default_rng(np.random.SeedSequence(9, spawn_key=(cell,)))
+
+        draws = []
+        for cell, p in enumerate(modes):
+            draws += verify._draw_instances(n, m, trials, cell_rng(cell), p)
+        built = verify._build_instances(n, draws)
+        assert len(built) == len(modes) * trials
+        for cell, p in enumerate(modes):
+            own = built[cell * trials : (cell + 1) * trials]
+            assert_same_instances(own, reference_instances(n, m, trials, cell_rng(cell), p))
+            alone = [(ch.operators, sigma, rho, part)
+                     for ch, sigma, rho, part in verify.random_instances(n, m, trials, cell_rng(cell), p)]
+            assert_same_instances(own, alone)
 
     @pytest.mark.parametrize(
         "n, m, trials, mode, full_rank",

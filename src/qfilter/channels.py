@@ -27,7 +27,8 @@ operator stack: one channel's (m, n, n), or one Kraus stack per instance
 :func:`_kept_blocks`: the states checked finite and Hermitian, one product
 for the whole stack, one block sum per distinct partition, and the updates
 of the kept blocks only.  The last few passes of one instance are kept,
-read-only, so the checks of one instance form its pass once.
+read-only, so the checks of one instance form its pass once, and its
+passes under other partitions share the first one's checked product.
 Random channels come from one stacked thin QR and one stacked check
 (:func:`_haar_channels`, :func:`_freeze`); a single channel is a stack of
 one.  The simulation engine works on square factors L of rho = L L†
@@ -40,6 +41,7 @@ block's products alone (:func:`_factor_update`).
 from __future__ import annotations
 
 import functools
+import hashlib
 import operator
 import threading
 from dataclasses import dataclass
@@ -414,6 +416,21 @@ def _fallback(n: int, fallback, needed: np.ndarray, kernel):
     return out, p_xi
 
 
+class _Digest:
+    """The SHA-256 state of a batch-of-one (channel, sigma, rho) after the Kraus stack's, sigma's and
+    rho's bytes, hashed when first asked (two threads asking at once both hash, and store equal
+    states); the kept passes of the instance share it."""
+
+    def __init__(self, *parts: bytes):
+        self._parts, self._sha = parts, None
+
+    def sha256(self):
+        """A copy of the state, to which a caller adds its own bytes."""
+        if self._sha is None:
+            self._sha = hashlib.sha256(b"".join(self._parts))
+        return self._sha.copy()
+
+
 class _Kept(NamedTuple):
     """A stacked pass's kept blocks: each instance's blocks where p_nu(rho) > ZERO_PROB_TOL.
 
@@ -425,19 +442,27 @@ class _Kept(NamedTuple):
     weights: np.ndarray  # (K,) p_nu(rho) of each row
     updates: np.ndarray  # (s, K, n, n) every state's update on each row, xi's where its block vanishes
     used: np.ndarray  # (s, K) the updates that took the fallback
-    rho_maps: np.ndarray  # (B, m, n, n) rho's per-outcome maps M_mu rho M_mu†, a view of the pass's product
+    maps: np.ndarray  # (s, B, m, n, n) every state's per-outcome maps M_mu rho M_mu†: the pass's checked product
+    digest: _Digest | None = None  # a batch-of-one pass with sigma: its instance's, shared with the instance's passes
 
     def kraus_map(self) -> np.ndarray:
         """K(rho) of each instance (B, n, n), when asked: rho's per-outcome maps summed as apply_channel sums them."""
-        return _kraus_sum(self.rho_maps)
+        return _kraus_sum(self.maps[-1])
 
 
 #: the most batch-of-one passes :func:`_kept_blocks` keeps
 _PASS_MEMO_SIZE = 4
-# (key, sigma's bytes or None for a rho-only pass, the pass), least recently used first; a scan
-# of so few entries compares bytes, where a dict would hash them: 16 us a lookup at (n, m) = (16, 8)
+# (key, sigma's bytes or None for a rho-only pass, the pass), least recently used first, the key
+# (instance key, (partition, xi's key)); a scan of so few entries compares bytes, where a dict
+# would hash them: 16 us a lookup at (n, m) = (16, 8)
 _pass_memo: list = []
 _pass_memo_lock = threading.Lock()
+
+
+def _instance_key(operators: np.ndarray, states: np.ndarray) -> tuple:
+    """The memo's key of a batch-of-one instance, operators (1, m, n, n) and states (s, 1, n, n): the
+    shapes, rho's bytes and the Kraus stack's."""
+    return states.shape[1:], states[-1].tobytes(), operators.shape, operators.tobytes()
 
 
 def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _Kept:
@@ -446,25 +471,32 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
     A batch of one reads the last _PASS_MEMO_SIZE passes, kept read-only and keyed on the bytes of
     rho, the Kraus stack, the partition and a caller's xi: a pass with sigma takes a kept one only
     when sigma's bytes match too, a rho-only pass any, since rho's rows do not depend on sigma (the
-    products run per 2-D slice, the updates per element).  An error is never kept, and a stacked
-    pass (B > 1) is always formed.
+    products run per 2-D slice, the updates per element).  A miss of a kept instance under another
+    partition or xi reads that pass's checked product, which depends on neither, and forms only the
+    block sums and updates; a pass with sigma shares its :class:`_Digest` too.  An error is never
+    kept, and a stacked pass (B > 1) is always formed.
     """
     if len(partitions) != 1:
         return _kept_pass(operators, states, partitions, fallback)
     xi = None if fallback is None else np.asarray(fallback, dtype=complex)
-    key = (
-        states.shape[1:], states[-1].tobytes(), operators.shape, operators.tobytes(), partitions[0],
-        None if xi is None else (xi.shape, xi.tobytes()),
-    )
+    instance = _instance_key(operators, states)
+    key = instance, (partitions[0], None if xi is None else (xi.shape, xi.tobytes()))
     sigma = states[:-1].tobytes() if len(states) > 1 else None
+    held = None
     with _pass_memo_lock:
         for i, (k, s, kept) in enumerate(_pass_memo):
-            if k == key and sigma in (None, s):
-                _pass_memo.append(_pass_memo.pop(i))
-                return kept
-    kept = _kept_pass(operators, states, partitions, fallback)
+            if sigma in (None, s) and k[0] == instance:
+                if k[1] == key[1]:
+                    _pass_memo.append(_pass_memo.pop(i))
+                    return kept
+                held = kept
+    if held is not None:
+        kept = _kept_pass(operators, states, partitions, fallback, held.maps[-len(states) :], held.digest if sigma else None)
+    else:
+        _, rho, _, ops = instance
+        kept = _kept_pass(operators, states, partitions, fallback, None, _Digest(ops, sigma, rho) if sigma else None)
     [(probs, blocks, _)] = kept.instances
-    for a in (kept.weights, kept.updates, kept.used, kept.rho_maps, probs, blocks):
+    for a in (kept.weights, kept.updates, kept.used, kept.maps, probs, blocks):
         a.setflags(write=False)
     with _pass_memo_lock:
         _pass_memo[:] = [entry for entry in _pass_memo if entry[0] != key] + [(key, sigma, kept)]
@@ -472,18 +504,30 @@ def _kept_blocks(operators: np.ndarray, states, partitions, fallback=None) -> _K
     return kept
 
 
-def _kept_pass(operators: np.ndarray, states: np.ndarray, partitions, fallback=None) -> _Kept:
+def _held_pass(operators: np.ndarray, states: np.ndarray) -> _Kept | None:
+    """A kept pass of the batch-of-one instance operators (1, m, n, n), states [sigma, rho] (2, 1, n, n),
+    under any partition and xi, or None: its product holds both states' per-outcome maps, checked."""
+    instance, sigma = _instance_key(operators, states), states[0].tobytes()
+    with _pass_memo_lock:
+        for k, s, kept in _pass_memo:
+            if s == sigma and k[0] == instance:
+                return kept
+    return None
+
+
+def _kept_pass(operators: np.ndarray, states: np.ndarray, partitions, fallback=None, product=None, digest=None) -> _Kept:
     """The pass of :func:`_kept_blocks`, formed: the states checked finite and Hermitian (an error names the
     state, in a batch "sigma of instance 3"), one per-outcome product for the whole stack, then one block
     sum per distinct partition, in its block order, on its instances' rows gives every state's block maps
     and probabilities; only the kept rows are gathered and updated, the one fallback rule applied to them.
+    `product` is a kept pass's checked product of these states, read in place of the check and the product.
     """
     by_partition: dict = {}
     for i, partition in enumerate(partitions):
         by_partition.setdefault(partition, []).append(i)
     names = ("sigma", "rho")[-len(states) :]
     label = names if len(partitions) == 1 else lambda i: f"{names[i[0]]} of instance {i[1]}"
-    per = _per_outcome(operators, require_hermitian(states, label))
+    per = _per_outcome(operators, require_hermitian(states, label)) if product is None else product
     instances: list = [None] * len(partitions)
     weights, updates, used = [], [], []
     start = 0
@@ -508,8 +552,8 @@ def _kept_pass(operators: np.ndarray, states: np.ndarray, partitions, fallback=N
         updates.append(out)
         used.append(flags)
     if len(by_partition) == 1:
-        return _Kept(tuple(instances), weights[0], updates[0], used[0], per[-1])
-    return _Kept(tuple(instances), np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per[-1])
+        return _Kept(tuple(instances), weights[0], updates[0], used[0], per, digest)
+    return _Kept(tuple(instances), np.concatenate(weights), np.concatenate(updates, axis=1), np.concatenate(used, axis=1), per, digest)
 
 
 def _factor_probs(ch: KrausChannel, L: np.ndarray, partition: OutcomePartition | None = None) -> np.ndarray:

@@ -54,8 +54,12 @@ def require_hermitian(A, name=None) -> np.ndarray:
 
 def _require_psd(w: np.ndarray, name=None) -> None:
     """The PSD test on ascending eigenvalues w (..., n): the lowest of the stack below -EIGENVALUE_CLAMP
-    raises, naming its matrix by :func:`_label`."""
+    raises, naming its matrix by :func:`_label`.  A tuple `name` shorter than the stack names its
+    leading matrices, which are tested first; the rest are tested after them, as "matrix"."""
     if w.size and _any(w[..., 0] < -EIGENVALUE_CLAMP):
+        if isinstance(name, tuple) and len(name) < len(w):
+            _require_psd(w[: len(name)], name)
+            name = None
         low = w[..., 0]
         i = np.unravel_index(low.argmin(), low.shape)
         raise ValueError(

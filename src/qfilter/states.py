@@ -4,7 +4,8 @@ States are plain numpy arrays: a density matrix is a Hermitian PSD complex
 array with unit trace.  :func:`make_density` is the validating constructor,
 and :func:`_density` the package's one full check of named states: the
 shape (:func:`_shaped`, the one shape check), finite and Hermitian
-(``linalg.require_hermitian``), unit trace, and PSD (``linalg._require_psd``).
+(``linalg.require_hermitian``), unit trace (:func:`_require_unit_trace`), and
+PSD (``linalg._require_psd``).
 Random states come from one stacked product (:func:`_ginibre_densities`),
 which builds a single one alike.
 
@@ -54,14 +55,20 @@ def _density(states: dict, n: int | None = None, stack: bool = False, psd: bool 
     out = _shaped(states, n, stack)
     M, name = (out[0], next(iter(states))) if len(out) == 1 else (np.array(out), tuple(states))
     linalg.require_hermitian(M, name)
+    _require_unit_trace(M, name)
+    if psd:
+        linalg._require_psd(np.linalg.eigvalsh(M), name)
+    return out
+
+
+def _require_unit_trace(M: np.ndarray, name=None) -> None:
+    """The trace test of :func:`_density` on a stack M: a trace off one by more than TRACE_TOL raises,
+    naming the first such matrix by ``linalg._label``."""
     tr = M.trace(0, -2, -1).real
     off = abs(tr - 1.0) > TRACE_TOL
     if linalg._any(off):
         i = np.unravel_index(off.argmax(), off.shape)
         raise ValueError(f"{linalg._label(name, i)} has trace {tr[i]:.12g}, not 1")
-    if psd:
-        linalg._require_psd(np.linalg.eigvalsh(M), name)
-    return out
 
 
 def maximally_mixed(n: int) -> np.ndarray:

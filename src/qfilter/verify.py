@@ -29,16 +29,20 @@ forms its pass once and reads the bits a fresh pass gives; the mean
 evolution, which needs rho alone, reads a kept pass of any sigma.
 ``qfilter verify`` and :func:`random_search_violation` make one stacked
 pass (:func:`_search`), ``qfilter sweep`` one per (n, m); a pass of several
-instances is never kept.  Monotonicity does not read the pass: it takes
-the square roots of [sigma, rho] and [K(sigma), K(rho)] from two factors
-and one SVD for both pairs, the bits of ``measures.fidelity`` on
-[K(sigma), sigma] and [K(rho), rho].
+instances is never kept.  The passes of one (channel, sigma, rho) share
+its checked per-outcome product and one hash of its bytes, to which each
+report's fingerprint adds its partition and xi.  Monotonicity reads
+K(sigma) and K(rho) from that product when a pass of the instance is kept,
+and forms it otherwise; it takes the square roots of [sigma, rho, K(sigma),
+K(rho)] from one factor and one SVD for both pairs, the bits of
+``measures.fidelity`` on [K(sigma), sigma] and [K(rho), rho].
 
 Each entry checks each state once, and an error names it (``sigma``,
 ``rho``, ``fallback``, ``partition``; ``sigma of instance 3`` in a batch).
 An entry checks the shapes; a formed pass tests finite, Hermitian, the
 partition and the block probabilities, which cover the trace; monotonicity
-tests the first three itself and PSD by the factor of [sigma, rho].  The
+tests the trace itself, finite and Hermitian unless a kept pass of the
+instance tested them, and PSD by the factor of [sigma, rho].  The
 other checks test no PSD, which costs one eigendecomposition per pass until
 the checks read factors of the states: the fidelity rejects a non-PSD state
 by an update's eigenvalue, the other measures accept it.
@@ -72,6 +76,7 @@ from .channels import (
     OutcomePartition,
     _channel_ginibre,
     _haar_channels,
+    _held_pass,
     _Kept,
     _kept_blocks,
     _kraus_sum,
@@ -81,8 +86,8 @@ from .channels import (
     trivial_partition,
     validate_channel,
 )
-from .linalg import _any, _psd_factor
-from .states import _density, _ginibre_densities, _shaped
+from .linalg import _any, _psd_factor, require_hermitian
+from .states import _ginibre_densities, _require_unit_trace, _shaped
 from .tolerances import COUNTEREXAMPLE_TOL, GAP_TOL
 
 #: measure name -> callable(sigma, rho); sigma is the estimate side.
@@ -98,6 +103,9 @@ MEASURES = {
 #: are oriented as super-martingales.  Only the fidelity's direction is a
 #: theorem (see :func:`_fails_run`); the search hunts the others' violations.
 SUBMARTINGALE_MEASURES = ("fidelity", "frobenius")
+
+#: the names an error gives the states [sigma, rho]
+_PAIR = ("sigma", "rho")
 
 #: measures whose random instances draw full-rank states: the relative entropy is infinite
 #: unless sigma's support holds rho's
@@ -190,8 +198,8 @@ def measure_gap_report(
     the rest (see the module docstring).
     """
     sigma, rho = _shaped({"sigma": sigma, "rho": rho}, ch.dim)
-    [step], _ = _one_step(ch.operators[None], sigma[None], rho[None], _measure(measure), [partition], fallback)
-    return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback)
+    [step], kept = _one_step(ch.operators[None], sigma[None], rho[None], _measure(measure), [partition], fallback)
+    return _gap_report(step, measure, ch, sigma, rho, partition, tol, fallback, kept.digest)
 
 
 def check_fidelity_submartingale(
@@ -209,17 +217,24 @@ def check_kraus_monotonicity(ch: KrausChannel, sigma, rho) -> GapReport:
     """F(K(sigma), K(rho)) - F(sigma, rho); passes when the gap is >= -GAP_TOL.
 
     Both states must be density matrices of the channel's n; the factor of
-    [sigma, rho] that gives their square roots tests PSD.
+    [sigma, rho] that gives their square roots tests PSD.  A kept pass of
+    the instance lends its checked product, so only the shapes, the trace
+    and PSD are tested here; otherwise finite and Hermitian are too.
     """
-    pair = np.array(_density({"sigma": sigma, "rho": rho}, ch.dim, psd=False))
-    factors = _psd_factor(pair, ("sigma", "rho")), _psd_factor(_kraus_sum(_per_outcome(ch.operators, pair)))
-    roots = [F @ U.conj().swapaxes(-1, -2) for F, U in factors]  # psd_sqrt of [sigma, rho] and of [K(sigma), K(rho)]
+    pair = np.array(_shaped({"sigma": sigma, "rho": rho}, ch.dim))
+    held = _held_pass(ch.operators[None], pair[:, None])
+    if held is None:
+        maps, digest = _per_outcome(ch.operators, require_hermitian(pair, _PAIR)), None
+    else:
+        maps, digest = held.maps[:, 0], held.digest
+    _require_unit_trace(pair, _PAIR)
+    # psd_sqrt of sigma, rho, K(sigma) and K(rho) from one factor, the states' PSD test first
+    F, U = _psd_factor(np.concatenate([pair, _kraus_sum(maps)]), _PAIR)
+    roots = F @ U.conj().swapaxes(-1, -2)
     # the cross that measures.fidelity forms on the stacks [K(sigma), sigma] and [K(rho), rho]
-    sigmas, rhos = (np.array([roots[1][i], roots[0][i]]) for i in (0, 1))
-    lhs, rhs = measures._fidelity_of_cross(sigmas @ rhos).tolist()
+    lhs, rhs = measures._fidelity_of_cross(roots[[2, 0]] @ roots[[3, 1]]).tolist()
     return GapReport(
-        "fidelity", lhs, rhs, lhs - rhs, None, (),
-        _fingerprint(ch, sigma, rho, None), GAP_TOL,
+        "fidelity", lhs, rhs, lhs - rhs, None, (), _fingerprint(ch, pair[0], pair[1], None, None, digest), GAP_TOL,
     )
 
 
@@ -453,10 +468,10 @@ def _measure(name: str):
     return MEASURES[name]
 
 
-def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None) -> GapReport:
+def _gap_report(step: _OneStep, measure, ch, sigma, rho, partition, tol, fallback=None, digest=None) -> GapReport:
     return GapReport(
         measure, step.lhs, step.rhs, step.lhs - step.rhs, partition, step.fallback_blocks,
-        _fingerprint(ch, sigma, rho, partition, fallback), tol,
+        _fingerprint(ch, sigma, rho, partition, fallback, digest), tol,
     )
 
 
@@ -518,13 +533,16 @@ def _one_step(
     return steps, kept
 
 
-def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None, fallback=None) -> str:
+def _fingerprint(ch: KrausChannel, sigma, rho, partition: OutcomePartition | None, fallback=None, digest=None) -> str:
     """The first 16 hex digits of a SHA-256 of the instance: the Kraus stack, the states, the
-    partition's blocks when given, and a caller's fallback xi when given."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ch.operators).tobytes())
-    h.update(np.ascontiguousarray(np.asarray(sigma, dtype=complex)).tobytes())
-    h.update(np.ascontiguousarray(np.asarray(rho, dtype=complex)).tobytes())
+    partition's blocks when given, and a caller's fallback xi when given.  `digest` is the
+    instance's from a kept pass, which has hashed the first three."""
+    if digest is None:
+        h = hashlib.sha256()
+        for a in (ch.operators, sigma, rho):
+            h.update(np.asarray(a, dtype=complex).tobytes())
+    else:
+        h = digest.sha256()
     if partition is not None:
         h.update(repr(partition.blocks).encode())
     if fallback is not None:

@@ -810,7 +810,8 @@ class TestCallCounts:
     @pytest.mark.parametrize("kind", ["random", "trivial", "singleton", "none"])
     def test_battery_on_one_instance(self, counts, kind):
         # demo 03's checks and the trace-distance and Frobenius reports form one pass per
-        # distinct partition; monotonicity makes its own product, apply_channel's
+        # distinct partition, all on one product: the second partition's pass and monotonicity
+        # read the first pass's checked per-outcome maps of [sigma, rho]
         rng = np.random.default_rng(11)
         ch, sigma, rho = random_instance(rng, n=3, m=4)
         part = {"random": channels.random_partition(4, rng, 2), "trivial": channels.trivial_partition(4),
@@ -823,8 +824,20 @@ class TestCallCounts:
         verify.measure_gap_report(ch, sigma, rho, "frobenius")
         passes = len({None, part})
         assert counts == {
-            "fidelity": 2, "products": passes + 1, "kernel": passes, "conditional_update": 0, "outcome_probs": 0,
+            "fidelity": 2, "products": 1, "kernel": passes, "conditional_update": 0, "outcome_probs": 0,
         }
+
+    def test_kraus_monotonicity_after_a_pass(self, counts, monkeypatch):
+        # monotonicity reads the kept pass's product of [sigma, rho] and factors [sigma, rho,
+        # K(sigma), K(rho)] with one eigendecomposition
+        ch, sigma, rho = random_instance(np.random.default_rng(7), n=3, m=6)
+        verify.check_fidelity_submartingale(ch, sigma, rho)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        verify.check_kraus_monotonicity(ch, sigma, rho)
+        assert calls == [(4, 3, 3)]
+        assert counts == {"fidelity": 1, "products": 1, "kernel": 1, "conditional_update": 0, "outcome_probs": 0}
 
     def test_kraus_monotonicity(self, counts):
         # one product of the stack [sigma, rho]; the fidelities come from its own square roots
@@ -868,11 +881,13 @@ def memo_instances():
 
 def battery(ch, sigma, rho, part, xi, fresh):
     """Every exact result of one instance as text: each measure's gap report under None and part,
-    both mean-evolution deviations and the proof replay; with fresh, every call forms its pass."""
+    monotonicity, both mean-evolution deviations and the proof replay; with fresh, every call forms
+    its pass."""
     calls = [
         lambda measure=measure, p=p: verify.measure_gap_report(ch, sigma, rho, measure, p, xi).csv_row()
         for p in (None, part) for measure in sorted(verify.MEASURES)
     ]
+    calls.append(lambda: verify.check_kraus_monotonicity(ch, sigma, rho).csv_row())
     calls += [lambda p=p: repr(verify.check_mean_evolution(ch, rho, p)) for p in (None, part)]
     calls.append(lambda: repr(dilation.replay_proof(ch, sigma, rho, part).to_dict()))
     out = []
@@ -960,7 +975,7 @@ class TestPassMemo:
         verify.check_mean_evolution(ch, rho)
         assert len(channels._pass_memo) == 2
         for *_, kept in channels._pass_memo:
-            arrays = [kept.weights, kept.updates, kept.used, kept.rho_maps]
+            arrays = [kept.weights, kept.updates, kept.used, kept.maps]
             arrays += [a for probs, blocks, _ in kept.instances for a in (probs, blocks)]
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
@@ -999,6 +1014,75 @@ class TestPassMemo:
         assert len(channels._pass_memo) == 1
         with pytest.raises(ValueError, match=message):
             verify.measure_gap_report(ch, sigma, rho, "fidelity")
+
+    @pytest.mark.parametrize("i", range(len(memo_instances())))
+    def test_memo_shares_one_product_across_partitions_and_monotonicity(self, formed, monkeypatch, i):
+        # a second partition's pass, monotonicity after a pass and the mean evolution after both
+        # read the first pass's product, with the bits of calls on a cleared memo
+        ch, sigma, rho, part, xi = memo_instances()[i]
+        second = channels.trivial_partition(ch.num_outcomes) if part is None else part
+        calls = [lambda: verify.measure_gap_report(ch, sigma, rho, "fidelity", None, xi).csv_row()]
+        calls += [
+            lambda measure=measure: verify.measure_gap_report(ch, sigma, rho, measure, second, xi).csv_row()
+            for measure in sorted(verify.MEASURES)
+        ]
+        calls.append(lambda: (lambda r: (r.csv_row(), bits([r.lhs, r.rhs, r.gap])))(verify.check_kraus_monotonicity(ch, sigma, rho)))
+        calls += [lambda p=p: bits(verify.check_mean_evolution(ch, rho, p)) for p in (None, second)]
+        fresh = []
+        for call in calls:
+            channels._pass_memo.clear()
+            fresh.append(call())
+        products = []
+        per_outcome = channels._per_outcome
+        counted = lambda ops, states: products.append(states.shape) or per_outcome(ops, states)
+        for module in (channels, verify):
+            monkeypatch.setattr(module, "_per_outcome", counted)
+        channels._pass_memo.clear()
+        assert [call() for call in calls] == fresh
+        n = ch.dim
+        assert [shape for shape in products if shape != (n, n)] == [(2, 1, n, n)]  # besides a fallback xi's
+
+    def test_memo_held_maps_are_read_only_and_shared(self, formed):
+        rng = np.random.default_rng(24)
+        ch, sigma, rho = random_instance(rng, n=3, m=4)
+        verify.measure_gap_report(ch, sigma, rho, "fidelity")
+        verify.measure_gap_report(ch, sigma, rho, "fidelity", channels.random_partition(4, rng, 2))
+        verify.check_mean_evolution(ch, rho, channels.trivial_partition(4))
+        verify.check_kraus_monotonicity(ch, sigma, rho)
+        kept = [kept for *_, kept in channels._pass_memo]
+        assert len(kept) == len(formed) == 3
+        pair = np.array([sigma, rho])[:, None]
+        assert kept[0].maps.tobytes() == channels._per_outcome(ch.operators[None], pair).tobytes()
+        for k in kept:
+            assert np.shares_memory(k.maps, kept[0].maps)  # one product, the rho-only pass reading rho's row
+            with pytest.raises(ValueError, match="read-only"):
+                k.maps[...] = 0
+        # one hash of the instance for every report; a rho-only pass has none
+        assert kept[0].digest is kept[1].digest is not None and kept[2].digest is None
+
+    @pytest.mark.parametrize("fault", ["trace_above", "trace_below", "nan", "non_hermitian"])
+    @pytest.mark.parametrize("name", ["sigma", "rho"])
+    def test_memo_shares_nothing_from_a_pass_that_raised(self, formed, name, fault):
+        ch, sigma, rho = random_instance(np.random.default_rng(25), n=3, m=2)
+        bad = {
+            "trace_above": lambda s: s * (1 + 1e-8),
+            "trace_below": lambda s: s * (1 - 1e-8),
+            "nan": lambda s: np.where(np.eye(3, k=1) + np.eye(3, k=-1) > 0, np.nan, s),
+            "non_hermitian": lambda s: s + 0.1j * np.triu(np.ones((3, 3)), 1),
+        }[fault]
+        pair = {"sigma": sigma, "rho": rho}
+        pair[name] = bad(pair[name])
+        with pytest.raises(ValueError) as alone:
+            verify.check_kraus_monotonicity(ch, **pair)
+        assert str(alone.value).startswith(f"{name} ")
+        for part in (None, channels.trivial_partition(2)):
+            with pytest.raises(ValueError):
+                verify.check_fidelity_submartingale(ch, pair["sigma"], pair["rho"], part)
+        if name == "sigma":
+            verify.check_mean_evolution(ch, rho)  # rho's pass is valid and kept; it holds no sigma
+        assert len(channels._pass_memo) == (name == "sigma")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            verify.check_kraus_monotonicity(ch, **pair)
 
     def test_memo_near_null_instance_raises_on_every_call(self, formed):
         ch, sigma, rho = near_null_instance(np.random.default_rng(0))
